@@ -16,10 +16,10 @@ from typing import Mapping
 import numpy as np
 
 from .config import TOL, SCHEMA_VERSION
-from . import linalg
 from .linalg import (
     PureState,
     assert_density,
+    diagonal_table,
     fidelity,
     hermitian_part,
     partial_trace,
@@ -114,12 +114,6 @@ class CqChannel:
     @property
     def is_symmetric(self) -> bool:
         return self.witnesses is not None
-
-    def is_classical(self, tol: float = 1e-12) -> bool:
-        """True when every output is diagonal in the standard basis."""
-        return all(
-            np.max(np.abs(o - np.diag(np.diag(o)))) <= tol for o in self.outputs
-        )
 
 
 @dataclass(frozen=True)
@@ -296,11 +290,10 @@ def _common_purifications(w: CqChannel, classical_canonical: bool = False) -> np
     Otherwise D is kept at the minimal common rank.
     """
     d, dim = w.input_size, w.dim
-    if classical_canonical and w.is_classical():
+    table = diagonal_table(w.outputs) if classical_canonical else None
+    if table is not None:
         phis = np.zeros((d, dim, dim), dtype=complex)
-        for z, out in enumerate(w.outputs):
-            root = np.sqrt(np.clip(np.diag(out).real, 0.0, None))
-            phis[z, np.arange(dim), np.arange(dim)] = root
+        phis[:, np.arange(dim), np.arange(dim)] = np.sqrt(table)
         return phis
     pures = [purify(out) for out in w.outputs]
     r = max(p.dims[1] for p in pures)

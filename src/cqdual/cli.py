@@ -311,7 +311,7 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="cqdual",
         description="Construct duals of classical-input quantum-output channels "
@@ -378,45 +378,54 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fast", action="store_true")
     p.add_argument("--seed", type=int, default=20240811)
     p.set_defaults(func=_cmd_selftest)
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    if "--config" not in argv:
+def _apply_config(commands: dict[str, argparse.ArgumentParser], argv: list[str]) -> list[str]:
+    """Splice the key=value lines of a --config file into argv as flags.
+
+    The flags go right after the command name, so explicit flags, which come
+    later, win; argparse converts and validates them like typed ones, and
+    rejects keys the command does not have.
+    """
+    if "--config" not in argv[:-1]:  # a trailing --config is argparse's to reject
         return argv
     idx = argv.index("--config")
     path = argv[idx + 1]
-    defaults = {}
+    argv = argv[:idx] + argv[idx + 2 :]
+    pos = next((i for i, a in enumerate(argv) if a in commands), None)
+    if pos is None:
+        return argv
+    flags = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#") or "=" not in line:
                 continue
-            key, val = line.split("=", 1)
-            defaults[key.strip().replace("-", "_")] = val.strip()
-    parser.set_defaults(**defaults)
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                sub.set_defaults(**{
-                    k: v for k, v in defaults.items()
-                    if any(a.dest == k for a in sub._actions)
-                })
-    return argv[:idx] + argv[idx + 2 :]
+            key, val = (part.strip() for part in line.split("=", 1))
+            opt = "--" + key.replace("_", "-")
+            if commands[argv[pos]].get_default(key.replace("-", "_")) is False:
+                # a store_true flag: present or absent
+                if val.lower() not in ("true", "false"):
+                    raise ValueError(f"config {key}={val!r}: expected true or false")
+                if val.lower() == "true":
+                    flags.append(opt)
+            else:
+                flags.append(f"{opt}={val}")
+    return argv[: pos + 1] + flags + argv[pos + 1 :]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    argv = _apply_config(parser, argv)
-    args = parser.parse_args(argv)
-    for attr in ("n", "trials", "seed"):
-        if hasattr(args, attr) and isinstance(getattr(args, attr), str):
-            setattr(args, attr, int(getattr(args, attr)))
-    for attr in ("p", "eps", "beta"):
-        if hasattr(args, attr) and isinstance(getattr(args, attr), str):
-            setattr(args, attr, float(getattr(args, attr)))
-    return args.func(args)
+    parser, commands = _build_parser()
+    try:
+        args = parser.parse_args(_apply_config(commands, argv))
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        if isinstance(exc, np.linalg.LinAlgError):
+            raise  # a numerical failure, not a usage error
+        print(f"cqdual: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

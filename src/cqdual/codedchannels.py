@@ -17,7 +17,14 @@ from .config import TOL
 from . import channels as _ch
 from . import entropies as _en
 from .codes import CodePair, all_vectors
-from .linalg import gram_embed, hermitian_part, tensor
+from .linalg import (
+    diagonal_table,
+    gram_embed,
+    hermitian_part,
+    psd_sqrt,
+    tensor,
+    von_neumann_entropy,
+)
 
 __all__ = [
     "PureEnsemble",
@@ -98,30 +105,6 @@ def classical_coded_table(
     raise ValueError(f"unknown leg {leg!r}")
 
 
-def _xlog2x(v: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(v)
-    pos = v > 0
-    out[pos] = v[pos] * np.log2(v[pos])
-    return out
-
-
-def _table_value(joint: np.ndarray, family: _en.EntropyFamily) -> float:
-    """Conditional entropy of the row label given the column, from a joint table."""
-    py = joint.sum(axis=0)
-    if family.kind == "von_neumann":
-        return float(-_xlog2x(joint).sum() + _xlog2x(py).sum())
-    if family.kind == "min":
-        return float(-np.log2(joint.max(axis=0).sum()))
-    if family.kind == "max":
-        return float(np.log2((np.sqrt(joint).sum(axis=0) ** 2).sum()))
-    alpha = family.alpha
-    cols = py > 0
-    total = float(
-        (joint[:, cols] ** alpha * py[cols] ** (1.0 - alpha)).sum()
-    )
-    return float(np.log2(total) / (1.0 - alpha))
-
-
 def classical_coded_entropy(
     channel: _ch.ClassicalChannel,
     cp: CodePair,
@@ -129,7 +112,7 @@ def classical_coded_entropy(
     family: _en.EntropyFamily,
 ) -> float:
     """Exact coded conditional entropy of the message over a classical channel."""
-    return _table_value(classical_coded_table(channel, cp, leg), family)
+    return _en.table_entropy(classical_coded_table(channel, cp, leg), family)
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +218,6 @@ def _weighted_gram(e: PureEnsemble) -> np.ndarray:
     return hermitian_part(root[:, None] * e.gram * root[None, :])
 
 
-def _entropy_of_spectrum(m: np.ndarray) -> float:
-    w = np.linalg.eigvalsh(hermitian_part(m))
-    w = w[w > TOL.rank_cut]
-    return float(-(w * np.log2(w)).sum()) if w.size else 0.0
-
-
 def ensemble_to_cqstate(e: PureEnsemble) -> _en.CqState:
     """Label-conditional state in Gram-embedding coordinates."""
     vecs = gram_embed(e.gram)
@@ -259,9 +236,7 @@ def ensemble_guessing(e: PureEnsemble) -> _en.GuessResult:
     """Probability of guessing the label; exact for two labels, else SRM."""
     if e.num_labels <= 2:
         return _en.guessing_prob(ensemble_to_cqstate(e))
-    s = _weighted_gram(e)
-    w, v = np.linalg.eigh(s)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    root = psd_sqrt(_weighted_gram(e))
     val = 0.0
     for idx in e.label_indices():
         block = root[np.ix_(idx, idx)]
@@ -295,14 +270,14 @@ def ensemble_cond_entropy(e: PureEnsemble, family: _en.EntropyFamily, seed: int 
     if family.kind == "von_neumann":
         s = _weighted_gram(e)
         prior = e.label_prior()
-        h_label = float(-_xlog2x(prior).sum())
+        h_label = float(-_en._xlog2x(prior).sum())
         h_cond = 0.0
         for idx, pl in zip(e.label_indices(), prior):
             if pl <= 0:
                 continue
             block = s[np.ix_(idx, idx)] / pl
-            h_cond += pl * _entropy_of_spectrum(block)
-        return h_label + h_cond - _entropy_of_spectrum(s)
+            h_cond += pl * von_neumann_entropy(block)
+        return h_label + h_cond - von_neumann_entropy(s)
     if family.kind == "min":
         return -float(np.log2(ensemble_guessing(e).value))
     if family.kind == "max":
@@ -377,15 +352,15 @@ def coded_duality_check(p: float, cp: CodePair, seed: int = 0) -> CodedAnalysis:
     # ---- first pairing (target k)
     det = classical_coded_table(ch, cp, "deterministic")
     ens1 = dual_coded_ensemble(p, cp.dual_complement(), "randomized")
-    q["vn_message_leg"] = _table_value(det, _en.VON_NEUMANN)
+    q["vn_message_leg"] = _en.table_entropy(det, _en.VON_NEUMANN)
     q["vn_dual_leg"] = ensemble_cond_entropy(ens1, _en.VON_NEUMANN)
     q["vn_sum"] = q["vn_message_leg"] + q["vn_dual_leg"]
-    p_ml = float(det.max(axis=0).sum())
+    p_ml = _en.table_guess(det)
     q_dual = ensemble_decoupling(ens1, seed=seed).value
     q["guess_message_leg"] = p_ml
     q["decouple_dual_leg"] = q_dual
     q["minmax_sum"] = -np.log2(p_ml) + np.log2(ens1.num_labels * q_dual)
-    hmax_cls = _table_value(det, _en.MAX_ENTROPY)
+    hmax_cls = _en.table_entropy(det, _en.MAX_ENTROPY)
     srm = ensemble_guessing(ens1)
     q["maxmin_sum"] = hmax_cls + (-np.log2(srm.value))
     q["srm_cross_gap"] = abs((-np.log2(srm.value)) - (k - hmax_cls))
@@ -394,13 +369,13 @@ def coded_duality_check(p: float, cp: CodePair, seed: int = 0) -> CodedAnalysis:
     # ---- second pairing (target n - k)
     rand = classical_coded_table(ch, cp.complement(), "randomized")
     ens2 = dual_coded_ensemble(p, cp.dual(), "deterministic")
-    q["vn_syndrome_leg"] = _table_value(rand, _en.VON_NEUMANN)
+    q["vn_syndrome_leg"] = _en.table_entropy(rand, _en.VON_NEUMANN)
     q["vn_dual_det_leg"] = ensemble_cond_entropy(ens2, _en.VON_NEUMANN)
     q["vn_sum_2"] = q["vn_syndrome_leg"] + q["vn_dual_det_leg"]
-    p_ml2 = float(rand.max(axis=0).sum())
+    p_ml2 = _en.table_guess(rand)
     q_dual2 = ensemble_decoupling(ens2, seed=seed).value
     q["minmax_sum_2"] = -np.log2(p_ml2) + np.log2(ens2.num_labels * q_dual2)
-    hmax_cls2 = _table_value(rand, _en.MAX_ENTROPY)
+    hmax_cls2 = _en.table_entropy(rand, _en.MAX_ENTROPY)
     srm2 = ensemble_guessing(ens2)
     q["maxmin_sum_2"] = hmax_cls2 + (-np.log2(srm2.value))
     q["srm_cross_gap_2"] = abs((-np.log2(srm2.value)) - ((n - k) - hmax_cls2))
@@ -470,7 +445,7 @@ def exit_function(channel, cp: CodePair, family: _en.EntropyFamily, seed: int = 
             lik = _product_likelihood(others, ys, t)
             joint = np.zeros((cp.q, ys.shape[0]))
             np.add.at(joint, words[:, i], lik / mcount)
-            total += _table_value(joint, family)
+            total += _en.table_entropy(joint, family)
         return total / cp.n
     if isinstance(channel, _ch.CqChannel) and channel.kind == "bscdual":
         if cp.n > 10:
@@ -633,22 +608,19 @@ def _cosets_of(span: tuple[int, ...], n: int) -> list[list[int]]:
     return cosets
 
 
-def _source_tables(source: _en.CqState) -> tuple[np.ndarray, bool]:
-    """(transition table, is_classical) for a binary source with qubit conditionals."""
+def _source_table(source: _en.CqState) -> np.ndarray:
+    """Transition table of a binary source with diagonal qubit conditionals."""
     if source.num_symbols != 2 or source.dim != 2:
         raise ValueError("brute force expects a binary source with qubit conditionals")
-    t = np.stack([np.diag(c).real for c in source.conditionals])
-    classical = all(
-        np.max(np.abs(c - np.diag(np.diag(c)))) < 1e-12 for c in source.conditionals
-    )
-    return t, classical
+    t = diagonal_table(source.conditionals)
+    if t is None:
+        raise NotImplementedError("brute force supports diagonal (classical) sources only")
+    return t
 
 
 def _best_guess_by_dim(source: _en.CqState, n: int) -> dict[int, float]:
     """Best achievable P(message | outputs, syndrome) over codes of each dimension."""
-    t, classical = _source_tables(source)
-    if not classical:
-        raise NotImplementedError("non-diagonal sources: guessing side not supported")
+    t = _source_table(source)
     prior = source.prior
     xs = all_vectors(2, n)
     ys = all_vectors(2, n)
@@ -662,7 +634,7 @@ def _best_guess_by_dim(source: _en.CqState, n: int) -> dict[int, float]:
         for span in spans:
             val = 0.0
             for coset in _cosets_of(span, n):
-                val += lik[coset].max(axis=0).sum()
+                val += _en.table_guess(lik[coset])
             top = max(top, val)
         best[dim] = top
     return best
@@ -685,9 +657,7 @@ def _best_decouple_by_dim(source: _en.CqState, n: int, seed: int = 0) -> dict[in
     record, so the decoupling optimization splits into per-block ascents whose
     squared optima add up.
     """
-    t, classical = _source_tables(source)
-    if not classical:
-        raise NotImplementedError("non-diagonal sources: decoupling side not supported")
+    t = _source_table(source)
     prior = source.prior
     py = prior @ t  # per-copy output distribution
     mod = prior[0] * t[0] - prior[1] * t[1]  # <eta_y| Z |eta_y>

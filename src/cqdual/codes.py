@@ -49,6 +49,34 @@ def _check_prime(q: int):
         raise ValueError(f"field size {q} is not prime")
 
 
+def _row_reduce(aug: np.ndarray, q: int, ncols: int) -> tuple[np.ndarray, list[int]]:
+    """Gauss-Jordan elimination over GF(q), pivoting within the first ncols columns.
+
+    Returns the reduced row-echelon copy of aug and its pivot columns; the
+    columns past ncols (an identity block or a right-hand side) are carried
+    along by the row operations.
+    """
+    a = aug.copy()
+    rows = a.shape[0]
+    pivots: list[int] = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == rows:
+            break
+        nonzero = np.nonzero(a[row:, col])[0]
+        if nonzero.size == 0:
+            continue
+        piv = row + int(nonzero[0])
+        if piv != row:
+            a[[row, piv]] = a[[piv, row]]
+        a[row] = (a[row] * pow(int(a[row, col]), q - 2, q)) % q
+        for r in range(rows):
+            if r != row and a[r, col] != 0:
+                a[r] = (a[r] - a[r, col] * a[row]) % q
+        pivots.append(col)
+    return a, pivots
+
+
 def gf_invert(m, q: int = 2) -> np.ndarray | None:
     """Inverse over GF(q) by Gauss-Jordan elimination; None when singular."""
     _check_prime(q)
@@ -56,89 +84,31 @@ def gf_invert(m, q: int = 2) -> np.ndarray | None:
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
-    aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, n):
-            if aug[r, col] % q != 0:
-                piv = r
-                break
-        if piv is None:
-            return None
-        if piv != row:
-            aug[[row, piv]] = aug[[piv, row]]
-        inv = pow(int(aug[row, col]), q - 2, q)
-        aug[row] = (aug[row] * inv) % q
-        for r in range(n):
-            if r != row and aug[r, col] % q != 0:
-                aug[r] = (aug[r] - aug[r, col] * aug[row]) % q
-        row += 1
-    return aug[:, n:] % q
+    aug, pivots = _row_reduce(np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1), q, n)
+    return aug[:, n:] if len(pivots) == n else None
 
 
 def gf_rank(m, q: int = 2) -> int:
     """Rank over GF(q)."""
     _check_prime(q)
-    a = _as_field(m, q).copy()
-    rows, cols = a.shape
-    rank = 0
-    for col in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if a[r, col] % q != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, col]), q - 2, q)
-        a[rank] = (a[rank] * inv) % q
-        for r in range(rows):
-            if r != rank and a[r, col] % q != 0:
-                a[r] = (a[r] - a[r, col] * a[rank]) % q
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    a = _as_field(m, q)
+    return len(_row_reduce(a, q, a.shape[1])[1])
 
 
 def gf_solve(a, b, q: int = 2) -> np.ndarray | None:
     """One solution x of A x = b over GF(q), or None if inconsistent."""
     _check_prime(q)
-    a = _as_field(a, q).copy()
-    b = _as_field(b, q).reshape(-1).copy()
+    a = _as_field(a, q)
+    b = _as_field(b, q).reshape(-1)
     rows, cols = a.shape
     if b.shape[0] != rows:
         raise ValueError("shape mismatch")
-    aug = np.concatenate([a, b[:, None]], axis=1)
-    pivots = []
-    rank = 0
-    for col in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if aug[r, col] % q != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            aug[[rank, piv]] = aug[[piv, rank]]
-        inv = pow(int(aug[rank, col]), q - 2, q)
-        aug[rank] = (aug[rank] * inv) % q
-        for r in range(rows):
-            if r != rank and aug[r, col] % q != 0:
-                aug[r] = (aug[r] - aug[r, col] * aug[rank]) % q
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, rows):
-        if aug[r, cols] % q != 0:
-            return None
+    aug, pivots = _row_reduce(np.concatenate([a, b[:, None]], axis=1), q, cols)
+    if aug[len(pivots) :, cols].any():
+        return None
     x = np.zeros(cols, dtype=np.int64)
-    for r, col in enumerate(pivots):
-        x[col] = aug[r, cols]
-    return x % q
+    x[pivots] = aug[: len(pivots), cols]
+    return x
 
 
 @lru_cache(maxsize=64)

@@ -11,7 +11,9 @@ class Tolerances:
 
     rank_cut is the global spectral cutoff: eigenvalues at or below it are
     treated as exact zeros, which keeps purification dimensions minimal and
-    logarithms finite.
+    logarithms finite. diagonal is the largest off-diagonal magnitude for which
+    a family of operators still counts as diagonal (classical) and takes the
+    closed-form table paths.
     """
 
     hermiticity: float = 1e-10
@@ -19,6 +21,7 @@ class Tolerances:
     trace_one: float = 1e-9
     unit_norm: float = 1e-9
     rank_cut: float = 1e-12
+    diagonal: float = 1e-12
     gram_psd: float = 1e-9
     witness: float = 1e-8
     profile_match: float = 1e-7

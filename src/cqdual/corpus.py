@@ -12,7 +12,6 @@ __all__ = [
     "random_pure_vector",
     "random_channel",
     "random_symmetric_channel",
-    "random_classical_channel",
     "binary_channel_corpus",
 ]
 
@@ -48,12 +47,6 @@ def random_symmetric_channel(rng: np.random.Generator, dim: int = 2) -> _ch.CqCh
         witnesses=(np.eye(dim, dtype=complex), refl),
         kind="random_symmetric",
     )
-
-
-def random_classical_channel(rng: np.random.Generator, num_outputs: int = 3) -> _ch.ClassicalChannel:
-    t = rng.random(size=(2, num_outputs))
-    t /= t.sum(axis=1, keepdims=True)
-    return _ch.ClassicalChannel(t)
 
 
 def binary_channel_corpus(seed: int, count: int, dims=(2, 3, 4)) -> list[_ch.CqChannel]:

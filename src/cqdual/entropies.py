@@ -16,9 +16,12 @@ from .config import TOL
 from . import channels as _ch
 from .linalg import (
     assert_density,
+    diagonal_table,
+    eigh,
     hermitian_eig,
     hermitian_part,
     projector_onto_support,
+    spectral_fn,
     von_neumann_entropy,
 )
 
@@ -35,6 +38,10 @@ __all__ = [
     "QResult",
     "from_channel",
     "cond_entropy",
+    "table_entropy",
+    "table_guess",
+    "table_decoupling",
+    "table_petz",
     "petz_curve",
     "guessing_prob",
     "decoupling_q",
@@ -200,21 +207,8 @@ def from_channel(w: _ch.CqChannel, prior: Sequence[float] | None = None) -> CqSt
 
 
 # ---------------------------------------------------------------------------
-# entropy family
+# classical tables: closed forms for commuting states
 # ---------------------------------------------------------------------------
-
-
-def _diagonals(state: CqState, tol: float = 1e-13) -> np.ndarray | None:
-    """(m, dim) matrix of conditional diagonals when every conditional is
-    diagonal in the standard basis, else None. Lets commuting (classical)
-    states take exact closed-form paths instead of dense spectral ones."""
-    diags = []
-    for c in state.conditionals:
-        off = c - np.diag(np.diag(c))
-        if np.max(np.abs(off)) > tol:
-            return None
-        diags.append(np.clip(np.diag(c).real, 0.0, None))
-    return np.asarray(diags)
 
 
 def _xlog2x(v: np.ndarray) -> np.ndarray:
@@ -224,11 +218,59 @@ def _xlog2x(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _vn_cond(state: CqState) -> float:
-    diags = _diagonals(state)
-    if diags is not None:
-        joint = state.prior[:, None] * diags
+def table_guess(joint: np.ndarray) -> float:
+    """Maximum-likelihood probability of guessing the row label of P(x, y)."""
+    return float(joint.max(axis=0).sum())
+
+
+def table_decoupling(joint: np.ndarray) -> float:
+    """Decoupling quality of the row label of P(x, y).
+
+    The optimal sigma is diagonal here (pinching monotonicity of the
+    fidelity), which leaves Q = sum_y (sum_x sqrt(P(x, y) / m))^2.
+    """
+    amp = np.sqrt(joint / joint.shape[0]).sum(axis=0)
+    return min(1.0, float((amp**2).sum()))
+
+
+def table_petz(joint: np.ndarray, alphas: Sequence[float]) -> list[float]:
+    """Petz downarrow conditional entropies of the row label of P(x, y), in bits."""
+    py = joint.sum(axis=0)
+    cols = py > TOL.rank_cut
+    out = []
+    for alpha in alphas:
+        total = float((joint[:, cols] ** alpha * py[cols] ** (1.0 - alpha)).sum())
+        out.append(float(np.log2(total) / (1.0 - alpha)))
+    return out
+
+
+def table_entropy(joint: np.ndarray, family: EntropyFamily) -> float:
+    """Conditional entropy of the row label given the column of a joint table
+    P(x, y), in bits: the exact value of every family on commuting states."""
+    if family.kind == "von_neumann":
         return float(-_xlog2x(joint).sum() + _xlog2x(joint.sum(axis=0)).sum())
+    if family.kind == "min":
+        return -float(np.log2(table_guess(joint)))
+    if family.kind == "max":
+        return float(np.log2(joint.shape[0]) + np.log2(table_decoupling(joint)))
+    return table_petz(joint, [family.alpha])[0]
+
+
+def _classical_joint(state: CqState) -> np.ndarray | None:
+    """Joint table P(x, y) when every conditional is diagonal, else None."""
+    diags = diagonal_table(state.conditionals)
+    return None if diags is None else state.prior[:, None] * diags
+
+
+# ---------------------------------------------------------------------------
+# entropy family
+# ---------------------------------------------------------------------------
+
+
+def _vn_cond(state: CqState) -> float:
+    joint = _classical_joint(state)
+    if joint is not None:
+        return table_entropy(joint, VON_NEUMANN)
     sup = state.supported()
     h_prior = float(-sum(p * np.log2(p) for p, _ in sup))
     h_cond = sum(p * von_neumann_entropy(c) for p, c in sup)
@@ -242,16 +284,9 @@ def petz_curve(state: CqState, alphas: Sequence[float]) -> list[float]:
     the 0**p := 0 convention; the conditionals always live inside the support
     of the average state, so no support violation can occur.
     """
-    diags = _diagonals(state)
-    if diags is not None:
-        joint = state.prior[:, None] * diags
-        py = joint.sum(axis=0)
-        cols = py > TOL.rank_cut
-        out = []
-        for alpha in alphas:
-            total = float((joint[:, cols] ** alpha * py[cols] ** (1.0 - alpha)).sum())
-            out.append(float(np.log2(total) / (1.0 - alpha)))
-        return out
+    joint = _classical_joint(state)
+    if joint is not None:
+        return table_petz(joint, alphas)
     rbar = state.average()
     mu, wvec = hermitian_eig(rbar)
     keep = mu > TOL.rank_cut
@@ -282,10 +317,9 @@ def guessing_prob(state: CqState) -> GuessResult:
     more than two fall back to the square-root measurement, flagged
     exact=False.
     """
-    diags = _diagonals(state)
-    if diags is not None:
-        joint = state.prior[:, None] * diags
-        return GuessResult(float(joint.max(axis=0).sum()), True, "classical_ml")
+    joint = _classical_joint(state)
+    if joint is not None:
+        return GuessResult(table_guess(joint), True, "classical_ml")
     sup = state.supported()
     if len(sup) == 1:
         return GuessResult(1.0, True, "trivial")
@@ -294,18 +328,12 @@ def guessing_prob(state: CqState) -> GuessResult:
         w = np.linalg.eigvalsh(hermitian_part(p0 * r0 - p1 * r1))
         return GuessResult(float(0.5 * (1.0 + np.abs(w).sum())), True, "helstrom")
     rbar = state.average()
-    inv_sqrt = _pinv_sqrt(rbar)
+    inv_sqrt = spectral_fn(rbar, lambda w: 1.0 / np.sqrt(w), cut=TOL.rank_cut)
     val = 0.0
     for p, c in sup:
         m = inv_sqrt @ c @ inv_sqrt
         val += p * p * float(np.trace(m @ c).real)
     return GuessResult(val, False, "srm")
-
-
-def _pinv_sqrt(a: np.ndarray) -> np.ndarray:
-    w, v = hermitian_eig(a)
-    f = np.where(w > TOL.rank_cut, 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
-    return (v * f) @ v.conj().T
 
 
 def _factorize(a: np.ndarray) -> np.ndarray:
@@ -364,7 +392,7 @@ def max_fidelity_sum(
         burst = 0
         mix = 0.0
         for it in range(max_iter):
-            w, v = np.linalg.eigh(sigma)
+            w, v = eigh(sigma)
             w = np.clip(w, 0.0, None)
             root = np.where(w > 1e-14, np.sqrt(w), 0.0)
             g = 0.0
@@ -372,7 +400,7 @@ def max_fidelity_sum(
             for c, y in zip(cs, ys):
                 vy = v.conj().T @ y
                 b = root[:, None] * vy  # sqrt(sigma) y in the sigma eigenbasis
-                wm, vm = np.linalg.eigh(hermitian_part(b.conj().T @ b))
+                wm, vm = eigh(hermitian_part(b.conj().T @ b))
                 wm = np.clip(wm, 0.0, None)
                 sm = np.sqrt(wm)
                 g += c * float(sm.sum())
@@ -431,16 +459,15 @@ def decoupling_q(
     """Decoupling quality Q(X|B): squared fidelity to the nearest product state.
 
     Computed by direct concave ascent over sigma, never through any duality
-    shortcut. Commuting conditionals instead use the exact closed form (the
-    optimum is diagonal by pinching monotonicity of the fidelity).
+    shortcut. Commuting conditionals instead use the exact closed form of
+    table_decoupling.
     cross_check, when given, records the gap to an independently predicted
     value without influencing the computation.
     """
     m = state.num_symbols
-    diags = _diagonals(state)
-    if diags is not None:
-        amp = np.sqrt(state.prior[:, None] * diags / m).sum(axis=0)
-        q = min(1.0, float((amp**2).sum()))
+    joint = _classical_joint(state)
+    if joint is not None:
+        q = table_decoupling(joint)
         gap = None if cross_check is None else abs(q - cross_check)
         return QResult(q, True, 0, 0, gap)
     state = _compressed(state)
@@ -477,12 +504,6 @@ def cond_entropy(state: CqState, family: EntropyFamily, seed: int = 0, base: flo
 # ---------------------------------------------------------------------------
 
 
-def _log2_on_support(a: np.ndarray) -> np.ndarray:
-    w, v = hermitian_eig(a)
-    f = np.where(w > TOL.rank_cut, np.log2(np.maximum(w, 1e-300)), 0.0)
-    return (v * f) @ v.conj().T
-
-
 def dispersion(state: CqState) -> tuple[float, float]:
     """(second_moment, variance) of the conditional log-likelihood, in bits^2.
 
@@ -490,11 +511,11 @@ def dispersion(state: CqState) -> tuple[float, float]:
     blockwise on the support; variance subtracts the squared conditional
     entropy. Only the variance form is invariant under the channel dual.
     """
-    lbar = _log2_on_support(state.average())
+    lbar = spectral_fn(state.average(), np.log2, cut=TOL.rank_cut)
     second = 0.0
     for p, c in state.supported():
         block = p * c
-        y = _log2_on_support(block) - lbar
+        y = spectral_fn(block, np.log2, cut=TOL.rank_cut) - lbar
         second += float(np.trace(block @ y @ y).real)
     h = _vn_cond(state)
     return second, second - h * h

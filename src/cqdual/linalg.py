@@ -18,9 +18,10 @@ __all__ = [
     "hermitian_part",
     "assert_hermitian",
     "assert_density",
+    "eigh",
     "hermitian_eig",
+    "diagonal_table",
     "spectral_fn",
-    "matrix_power_psd",
     "psd_sqrt",
     "fidelity",
     "trace_distance",
@@ -85,20 +86,41 @@ def assert_density(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a matrix the caller already holds Hermitian.
+
+    Uses LAPACK's default Hermitian driver; when that fails to converge (seen
+    with single-threaded OpenBLAS on some rank-deficient inputs of dimension
+    ~200) it retries once with the MRRR driver (evr).
+    """
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError:
+        import scipy.linalg
+
+        return scipy.linalg.eigh(a, driver="evr")
+
+
 def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns eigenvalues in ascending order and orthonormal eigenvectors as
     columns, so that A = V diag(w) V†.
     """
-    a = assert_hermitian(a)
-    try:
-        w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise np.linalg.LinAlgError(
-            f"eigensolver did not converge on {a.shape[0]}x{a.shape[1]} input: {exc}"
-        ) from exc
-    return w, v
+    return eigh(assert_hermitian(a))
+
+
+def diagonal_table(ops) -> np.ndarray | None:
+    """(len(ops), dim) table of the diagonals, clipped at 0, when every
+    operator is diagonal in the standard basis within TOL.diagonal; else None.
+    Lets commuting (classical) families take exact closed-form paths."""
+    rows = []
+    for a in ops:
+        off = a - np.diag(np.diag(a))
+        if np.max(np.abs(off)) > TOL.diagonal:
+            return None
+        rows.append(np.clip(np.diag(a).real, 0.0, None))
+    return np.asarray(rows)
 
 
 def spectral_fn(a: np.ndarray, fn, cut: float = 0.0) -> np.ndarray:
@@ -106,11 +128,6 @@ def spectral_fn(a: np.ndarray, fn, cut: float = 0.0) -> np.ndarray:
     w, v = hermitian_eig(a)
     fw = np.where(w > cut, fn(np.maximum(w, cut if cut > 0 else 1e-300)), 0.0)
     return (v * fw) @ v.conj().T
-
-
-def matrix_power_psd(a: np.ndarray, p: float, cut: float = TOL.rank_cut) -> np.ndarray:
-    """PSD matrix power with the support convention 0**p := 0 (also for p < 0)."""
-    return spectral_fn(a, lambda w: w**p, cut=cut)
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:

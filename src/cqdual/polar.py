@@ -14,7 +14,7 @@ import numpy as np
 from .config import TOL
 from . import channels as _ch
 from . import entropies as _en
-from .linalg import fidelity, hermitian_part, projector_onto_support
+from .linalg import diagonal_table, fidelity, hermitian_part, projector_onto_support
 
 __all__ = [
     "VARIABLE",
@@ -30,7 +30,6 @@ __all__ = [
     "trajectory_duality_gap",
     "PolarizationReport",
     "polarization_experiment",
-    "super_exponential_threshold",
     "polynomial_threshold",
     "trajectory_to_csv_rows",
     "experiment_to_csv_rows",
@@ -155,11 +154,11 @@ def _channel_stats(w: _ch.CqChannel, level: int, bit: int, trunc: float, seed: i
 
 def _truncate_to_joint_support(w: _ch.CqChannel, tau: float) -> tuple[_ch.CqChannel, float]:
     """Project outputs onto the tau-support of the average output and renormalize."""
-    if w.is_classical(tol=1e-13):
+    table = diagonal_table(w.outputs)
+    if table is not None:
         # diagonality-preserving path: drop zero-probability symbols, then
         # merge symbols with proportional likelihood columns (a sufficient
         # statistic, so every entropy quantity is unchanged)
-        table = np.stack([np.clip(np.diag(o).real, 0.0, None) for o in w.outputs])
         py = table.mean(axis=0)
         keep = np.where(py > tau)[0]
         lost = float(max(0.0, 1.0 - table[:, keep].sum(axis=1).max()))
@@ -268,17 +267,6 @@ def trajectory_duality_gap(w: _ch.CqChannel, bits, seed: int = 0) -> float:
 # ---------------------------------------------------------------------------
 # polarization experiments
 # ---------------------------------------------------------------------------
-
-
-def super_exponential_threshold(n: int, beta: float) -> float:
-    """f(n) = 2^(-2^(beta n)): the asymptotic polarization-rate form.
-
-    Here n counts convolution steps, so 2^(beta n) is the beta-power of the
-    blocklength 2^n. At desk-scale depths this threshold is far below the
-    still-polarizing bulk; use polynomial_threshold for finite-n fractions
-    near the capacity split.
-    """
-    return float(2.0 ** -(2.0 ** (beta * n)))
 
 
 def polynomial_threshold(n: int, beta: float) -> float:

@@ -139,6 +139,24 @@ def test_pure_channel_from_file(tmp_path):
     assert run_cli(["dual", "--channel", f"pure:@{spec}", "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check-duality", "--channel", "bsc:1.5"],
+        ["check-duality", "--channel", "bsc:abc"],
+        ["dual", "--channel", "classical:@{missing}"],
+        ["polarize", "--channel", "bsc:0.11"],
+    ],
+)
+def test_usage_errors_exit_2(tmp_path, capsys, args):
+    args = [a.format(missing=tmp_path / "missing.json") for a in args]
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cqdual: error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_config_file_defaults(tmp_path):
     cfg = tmp_path / "defaults.cfg"
     cfg.write_text("p=0.3\nn_grid=100:200:100\n")
@@ -152,6 +170,22 @@ def test_config_file_defaults(tmp_path):
         "--config", str(cfg), "fbl", "--eps", "1e-2", "--p", "0.11", "--out", str(out2),
     ]) == 0
     assert "p=0.11" in out2.read_text().split("\n")[0]
+    # values take their option's type, so false switches a flag off
+    flags = tmp_path / "flags.cfg"
+    flags.write_text("complement=false\nn=4\ntrials=10\n")
+    out3 = tmp_path / "pol.json"
+    assert run_cli([
+        "--config", str(flags), "polarize", "--channel", "bec:0.3", "--out", str(out3),
+    ]) == 0
+    doc = json.loads(out3.read_text())
+    assert doc["report"]["complemented"] is False
+    assert doc["meta"]["params"]["n"] == 4
+    flags.write_text("complement=maybe\n")
+    assert run_cli(["--config", str(flags), "polarize", "--channel", "bec:0.3"]) == 2
+    flags.write_text("no_such_option=1\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--config", str(flags), "polarize", "--channel", "bec:0.3"])
+    assert exc.value.code == 2
 
 
 def test_selftest_fast():

@@ -22,12 +22,12 @@ def h2(p):
 
 def test_noiseless_channel_zero_entropy():
     table = cc.classical_coded_table(cc.bsc_classical(0.0), codes.hamming74_pair(), "deterministic")
-    assert abs(cc._table_value(table, en.VON_NEUMANN)) < 1e-12
+    assert abs(en.table_entropy(table, en.VON_NEUMANN)) < 1e-12
 
 
 def test_useless_channel_full_entropy():
     table = cc.classical_coded_table(cc.bsc_classical(0.5), codes.hamming74_pair(), "deterministic")
-    assert abs(cc._table_value(table, en.VON_NEUMANN) - 4.0) < 1e-12
+    assert abs(en.table_entropy(table, en.VON_NEUMANN) - 4.0) < 1e-12
 
 
 def test_repetition2_matches_direct_enumeration():
@@ -64,7 +64,7 @@ def test_syndrome_independence_n3():
     base = None
     for s in codes.all_vectors(2, 2):
         lik = cc._product_likelihood(cp.coset(s), ys, t) / 2
-        val = cc._table_value(lik, en.VON_NEUMANN)
+        val = en.table_entropy(lik, en.VON_NEUMANN)
         if base is None:
             base = val
         assert abs(val - base) < 1e-12
@@ -242,7 +242,7 @@ def test_exit_positions_equal_for_hamming():
         lik = cc._product_likelihood(others, ys, t)
         joint = np.zeros((2, ys.shape[0]))
         np.add.at(joint, words[:, i], lik / 16)
-        vals.append(cc._table_value(joint, en.VON_NEUMANN))
+        vals.append(en.table_entropy(joint, en.VON_NEUMANN))
     assert max(vals) - min(vals) < 1e-10
 
 
@@ -258,7 +258,7 @@ def test_exit_deletes_rather_than_conditions():
         lik = cc._product_likelihood(words, ys, t)
         joint = np.zeros((2, ys.shape[0]))
         np.add.at(joint, words[:, i], lik / 16)
-        conditioned += cc._table_value(joint, en.VON_NEUMANN) / 7
+        conditioned += en.table_entropy(joint, en.VON_NEUMANN) / 7
     deleted = cc.exit_function(cc.bsc_classical(p), cp, en.VON_NEUMANN)
     assert conditioned < deleted - 1e-3
 

@@ -144,6 +144,45 @@ def test_decoupling_q_deterministic_and_flagged(rng):
     assert c.cross_check_gap < 1e-12
 
 
+def test_ascent_recovers_from_eigensolver_failure(rng, monkeypatch):
+    # the LAPACK fallback in linalg.eigh must leave the ascent's value unchanged
+    s = en.from_channel(random_channel(rng, 3))
+    factors = [en._factorize(c) for c in s.conditionals]
+    coeffs = [np.sqrt(0.25)] * 2
+    clean = en.max_fidelity_sum(factors, coeffs)
+    orig = np.linalg.eigh
+    calls = []
+
+    def flaky(a):
+        calls.append(a.shape)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return orig(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", flaky)
+    patched = en.max_fidelity_sum(factors, coeffs)
+    assert len(calls) > 1
+    assert abs(patched.value - clean.value) < 1e-12
+    assert patched.converged == clean.converged
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 4))
+def test_table_kernel_matches_dense_path(seed, num_outputs):
+    # a classical channel conjugated by one unitary keeps every entropy but
+    # sends the state down the dense spectral path
+    r = np.random.default_rng(seed)
+    t = r.random(size=(2, num_outputs)) + 0.05
+    t /= t.sum(axis=1, keepdims=True)
+    joint = 0.5 * t
+    u, _ = np.linalg.qr(r.normal(size=(num_outputs,) * 2) + 1j * r.normal(size=(num_outputs,) * 2))
+    dense = en.CqState(np.array([0.5, 0.5]), tuple(u @ np.diag(row) @ u.conj().T for row in t))
+    assert en._classical_joint(dense) is None
+    for fam in (en.VON_NEUMANN, en.petz_down(0.5), en.petz_down(1.5), en.MIN_ENTROPY):
+        assert abs(en.table_entropy(joint, fam) - en.cond_entropy(dense, fam)) < 1e-10
+    assert abs(en.table_entropy(joint, en.MAX_ENTROPY) - en.cond_entropy(dense, en.MAX_ENTROPY)) < 1e-8
+
+
 # ---------------------------------------------------------------------------
 # dispersion
 # ---------------------------------------------------------------------------
