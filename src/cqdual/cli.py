@@ -66,6 +66,18 @@ def parse_grid(spec: str) -> list[float]:
     return [float(v) for v in spec.split(",") if v]
 
 
+class _UsageError(Exception):
+    """Bad command-line input; main() prints it on one line and exits 2."""
+
+
+def _parse(fn, spec: str):
+    """fn(spec) on a command-line value, with bad input raised as a usage error."""
+    try:
+        return fn(spec)
+    except (ValueError, OSError) as exc:
+        raise _UsageError(exc) from exc
+
+
 def _meta(args, **params) -> dict:
     return {"version": SCHEMA_VERSION, "seed": getattr(args, "seed", 0), "params": params}
 
@@ -98,7 +110,7 @@ def _csv_text(meta: dict, header: str, rows: list[str]) -> str:
 
 
 def _cmd_dual(args) -> int:
-    w = parse_channel_spec(args.channel)
+    w = _parse(parse_channel_spec, args.channel)
     wd = _ch.dual(w)
     doc = {
         "meta": _meta(args, channel=args.channel),
@@ -132,7 +144,7 @@ def _families_from_flag(flag: str) -> list[_en.EntropyFamily]:
 
 
 def _cmd_check_duality(args) -> int:
-    w = parse_channel_spec(args.channel)
+    w = _parse(parse_channel_spec, args.channel)
     reports = [
         _en.duality_check(w, fam, seed=args.seed).to_dict()
         for fam in _families_from_flag(args.family)
@@ -142,8 +154,8 @@ def _cmd_check_duality(args) -> int:
 
 
 def _cmd_convolve(args) -> int:
-    w = parse_channel_spec(args.channel)
-    wp = parse_channel_spec(args.channel2)
+    w = _parse(parse_channel_spec, args.channel)
+    wp = _parse(parse_channel_spec, args.channel2)
     out = _polar.convolve(w, wp, args.kind)
     doc = {
         "meta": _meta(args, channel=args.channel, channel2=args.channel2, kind=args.kind),
@@ -155,7 +167,12 @@ def _cmd_convolve(args) -> int:
 
 
 def _cmd_polarize(args) -> int:
-    w = parse_channel_spec(args.channel)
+    w = _parse(parse_channel_spec, args.channel)
+    if w.kind != "bec" and args.n > _polar.GENERIC_LEVEL_CAP:
+        raise _UsageError(
+            f"generic channels support n <= {_polar.GENERIC_LEVEL_CAP}; "
+            "only erasure channels have a deep scalar path"
+        )
     report = _polar.polarization_experiment(
         w, args.n, args.trials, beta=args.beta, seed=args.seed, complement=args.complement
     )
@@ -179,7 +196,7 @@ def _cmd_polarize(args) -> int:
 
 
 def _cmd_code_analyze(args) -> int:
-    cp = parse_code_spec(args.code)
+    cp = _parse(parse_code_spec, args.code)
     ana = _cc.coded_duality_check(args.p, cp, seed=args.seed)
     meta = _meta(args, code=args.code, p=args.p)
     if args.format == "csv":
@@ -191,8 +208,8 @@ def _cmd_code_analyze(args) -> int:
 
 
 def _cmd_exit_scan(args) -> int:
-    cp = parse_code_spec(args.code)
-    grid = parse_grid(args.grid)
+    cp = _parse(parse_code_spec, args.code)
+    grid = _parse(parse_grid, args.grid)
     grid = [p for p in grid if 0.0 < p < 1.0]
     scan = _cc.exit_scan(args.channel, cp, grid, seed=args.seed)
     meta = _meta(args, channel=args.channel, code=args.code, grid=args.grid)
@@ -215,7 +232,7 @@ def _cmd_exit_scan(args) -> int:
 
 
 def _cmd_fbl(args) -> int:
-    ns = [int(v) for v in parse_grid(args.n_grid)]
+    ns = [int(v) for v in _parse(parse_grid, args.n_grid)]
     text = _fbl.emit_curves(ns, args.p, args.eps, seed=args.seed)
     _emit(args, text)
     return 0
@@ -385,8 +402,9 @@ def _apply_config(commands: dict[str, argparse.ArgumentParser], argv: list[str])
     """Splice the key=value lines of a --config file into argv as flags.
 
     The flags go right after the command name, so explicit flags, which come
-    later, win; argparse converts and validates them like typed ones, and
-    rejects keys the command does not have.
+    later, win, and argparse converts and validates them like typed ones. A
+    key that only other commands define is skipped, so one file can serve
+    several commands; a key that no command defines is refused.
     """
     if "--config" not in argv[:-1]:  # a trailing --config is argparse's to reject
         return argv
@@ -396,22 +414,34 @@ def _apply_config(commands: dict[str, argparse.ArgumentParser], argv: list[str])
     pos = next((i for i, a in enumerate(argv) if a in commands), None)
     if pos is None:
         return argv
+    command = commands[argv[pos]]
+    dests = {a.dest for a in command._actions}
+    known = {a.dest for p in commands.values() for a in p._actions}
     flags = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, val = (part.strip() for part in line.split("=", 1))
-            opt = "--" + key.replace("_", "-")
-            if commands[argv[pos]].get_default(key.replace("-", "_")) is False:
-                # a store_true flag: present or absent
-                if val.lower() not in ("true", "false"):
-                    raise ValueError(f"config {key}={val!r}: expected true or false")
-                if val.lower() == "true":
-                    flags.append(opt)
-            else:
-                flags.append(f"{opt}={val}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise _UsageError(exc) from exc
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#") or "=" not in line:
+            continue
+        key, val = (part.strip() for part in line.split("=", 1))
+        dest = key.replace("-", "_")
+        if dest not in known:
+            raise _UsageError(f"config key {key!r} is not an option of any command")
+        if dest not in dests:
+            continue
+        opt = "--" + key.replace("_", "-")
+        if command.get_default(dest) is False:
+            # a store_true flag: present or absent
+            if val.lower() not in ("true", "false"):
+                raise _UsageError(f"config {key}={val!r}: expected true or false")
+            if val.lower() == "true":
+                flags.append(opt)
+        else:
+            flags.append(f"{opt}={val}")
     return argv[: pos + 1] + flags + argv[pos + 1 :]
 
 
@@ -421,9 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(_apply_config(commands, argv))
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        if isinstance(exc, np.linalg.LinAlgError):
-            raise  # a numerical failure, not a usage error
+    except _UsageError as exc:
         print(f"cqdual: error: {exc}", file=sys.stderr)
         return 2
 

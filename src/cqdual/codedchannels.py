@@ -355,7 +355,7 @@ def coded_duality_check(p: float, cp: CodePair, seed: int = 0) -> CodedAnalysis:
     q["vn_message_leg"] = _en.table_entropy(det, _en.VON_NEUMANN)
     q["vn_dual_leg"] = ensemble_cond_entropy(ens1, _en.VON_NEUMANN)
     q["vn_sum"] = q["vn_message_leg"] + q["vn_dual_leg"]
-    p_ml = _en.table_guess(det)
+    p_ml = _en._table_guess(det)
     q_dual = ensemble_decoupling(ens1, seed=seed).value
     q["guess_message_leg"] = p_ml
     q["decouple_dual_leg"] = q_dual
@@ -372,7 +372,7 @@ def coded_duality_check(p: float, cp: CodePair, seed: int = 0) -> CodedAnalysis:
     q["vn_syndrome_leg"] = _en.table_entropy(rand, _en.VON_NEUMANN)
     q["vn_dual_det_leg"] = ensemble_cond_entropy(ens2, _en.VON_NEUMANN)
     q["vn_sum_2"] = q["vn_syndrome_leg"] + q["vn_dual_det_leg"]
-    p_ml2 = _en.table_guess(rand)
+    p_ml2 = _en._table_guess(rand)
     q_dual2 = ensemble_decoupling(ens2, seed=seed).value
     q["minmax_sum_2"] = -np.log2(p_ml2) + np.log2(ens2.num_labels * q_dual2)
     hmax_cls2 = _en.table_entropy(rand, _en.MAX_ENTROPY)
@@ -634,7 +634,7 @@ def _best_guess_by_dim(source: _en.CqState, n: int) -> dict[int, float]:
         for span in spans:
             val = 0.0
             for coset in _cosets_of(span, n):
-                val += _en.table_guess(lik[coset])
+                val += _en._table_guess(lik[coset])
             top = max(top, val)
         best[dim] = top
     return best

@@ -15,9 +15,9 @@ import numpy as np
 from .config import TOL
 from . import channels as _ch
 from .linalg import (
+    _eigh,
     assert_density,
     diagonal_table,
-    eigh,
     hermitian_eig,
     hermitian_part,
     projector_onto_support,
@@ -39,9 +39,6 @@ __all__ = [
     "from_channel",
     "cond_entropy",
     "table_entropy",
-    "table_guess",
-    "table_decoupling",
-    "table_petz",
     "petz_curve",
     "guessing_prob",
     "decoupling_q",
@@ -218,12 +215,12 @@ def _xlog2x(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def table_guess(joint: np.ndarray) -> float:
+def _table_guess(joint: np.ndarray) -> float:
     """Maximum-likelihood probability of guessing the row label of P(x, y)."""
     return float(joint.max(axis=0).sum())
 
 
-def table_decoupling(joint: np.ndarray) -> float:
+def _table_decoupling(joint: np.ndarray) -> float:
     """Decoupling quality of the row label of P(x, y).
 
     The optimal sigma is diagonal here (pinching monotonicity of the
@@ -233,7 +230,7 @@ def table_decoupling(joint: np.ndarray) -> float:
     return min(1.0, float((amp**2).sum()))
 
 
-def table_petz(joint: np.ndarray, alphas: Sequence[float]) -> list[float]:
+def _table_petz(joint: np.ndarray, alphas: Sequence[float]) -> list[float]:
     """Petz downarrow conditional entropies of the row label of P(x, y), in bits."""
     py = joint.sum(axis=0)
     cols = py > TOL.rank_cut
@@ -250,10 +247,10 @@ def table_entropy(joint: np.ndarray, family: EntropyFamily) -> float:
     if family.kind == "von_neumann":
         return float(-_xlog2x(joint).sum() + _xlog2x(joint.sum(axis=0)).sum())
     if family.kind == "min":
-        return -float(np.log2(table_guess(joint)))
+        return -float(np.log2(_table_guess(joint)))
     if family.kind == "max":
-        return float(np.log2(joint.shape[0]) + np.log2(table_decoupling(joint)))
-    return table_petz(joint, [family.alpha])[0]
+        return float(np.log2(joint.shape[0]) + np.log2(_table_decoupling(joint)))
+    return _table_petz(joint, [family.alpha])[0]
 
 
 def _classical_joint(state: CqState) -> np.ndarray | None:
@@ -286,7 +283,7 @@ def petz_curve(state: CqState, alphas: Sequence[float]) -> list[float]:
     """
     joint = _classical_joint(state)
     if joint is not None:
-        return table_petz(joint, alphas)
+        return _table_petz(joint, alphas)
     rbar = state.average()
     mu, wvec = hermitian_eig(rbar)
     keep = mu > TOL.rank_cut
@@ -319,7 +316,7 @@ def guessing_prob(state: CqState) -> GuessResult:
     """
     joint = _classical_joint(state)
     if joint is not None:
-        return GuessResult(table_guess(joint), True, "classical_ml")
+        return GuessResult(_table_guess(joint), True, "classical_ml")
     sup = state.supported()
     if len(sup) == 1:
         return GuessResult(1.0, True, "trivial")
@@ -392,7 +389,7 @@ def max_fidelity_sum(
         burst = 0
         mix = 0.0
         for it in range(max_iter):
-            w, v = eigh(sigma)
+            w, v = _eigh(sigma)
             w = np.clip(w, 0.0, None)
             root = np.where(w > 1e-14, np.sqrt(w), 0.0)
             g = 0.0
@@ -400,7 +397,7 @@ def max_fidelity_sum(
             for c, y in zip(cs, ys):
                 vy = v.conj().T @ y
                 b = root[:, None] * vy  # sqrt(sigma) y in the sigma eigenbasis
-                wm, vm = eigh(hermitian_part(b.conj().T @ b))
+                wm, vm = _eigh(hermitian_part(b.conj().T @ b))
                 wm = np.clip(wm, 0.0, None)
                 sm = np.sqrt(wm)
                 g += c * float(sm.sum())
@@ -460,14 +457,14 @@ def decoupling_q(
 
     Computed by direct concave ascent over sigma, never through any duality
     shortcut. Commuting conditionals instead use the exact closed form of
-    table_decoupling.
+    _table_decoupling.
     cross_check, when given, records the gap to an independently predicted
     value without influencing the computation.
     """
     m = state.num_symbols
     joint = _classical_joint(state)
     if joint is not None:
-        q = table_decoupling(joint)
+        q = _table_decoupling(joint)
         gap = None if cross_check is None else abs(q - cross_check)
         return QResult(q, True, 0, 0, gap)
     state = _compressed(state)

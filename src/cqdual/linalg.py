@@ -18,7 +18,6 @@ __all__ = [
     "hermitian_part",
     "assert_hermitian",
     "assert_density",
-    "eigh",
     "hermitian_eig",
     "diagonal_table",
     "spectral_fn",
@@ -86,7 +85,7 @@ def assert_density(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a matrix the caller already holds Hermitian.
 
     Uses LAPACK's default Hermitian driver; when that fails to converge (seen
@@ -107,7 +106,7 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns eigenvalues in ascending order and orthonormal eigenvectors as
     columns, so that A = V diag(w) V†.
     """
-    return eigh(assert_hermitian(a))
+    return _eigh(assert_hermitian(a))
 
 
 def diagonal_table(ops) -> np.ndarray | None:

@@ -183,9 +183,22 @@ def test_config_file_defaults(tmp_path):
     flags.write_text("complement=maybe\n")
     assert run_cli(["--config", str(flags), "polarize", "--channel", "bec:0.3"]) == 2
     flags.write_text("no_such_option=1\n")
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["--config", str(flags), "polarize", "--channel", "bec:0.3"])
-    assert exc.value.code == 2
+    assert run_cli(["--config", str(flags), "polarize", "--channel", "bec:0.3"]) == 2
+    # keys of other commands are skipped, so one file serves several commands
+    out4 = tmp_path / "code.json"
+    assert run_cli([
+        "--config", str(cfg), "code-analyze", "--code", "rep31", "--out", str(out4),
+    ]) == 0
+    assert json.loads(out4.read_text())["meta"]["params"]["p"] == 0.3
+
+
+def test_internal_errors_are_not_usage_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("matrix not Hermitian")
+
+    monkeypatch.setattr(cli._en, "duality_check", broken)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        run_cli(["check-duality", "--channel", "bsc:0.11"])
 
 
 def test_selftest_fast():

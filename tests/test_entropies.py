@@ -145,7 +145,7 @@ def test_decoupling_q_deterministic_and_flagged(rng):
 
 
 def test_ascent_recovers_from_eigensolver_failure(rng, monkeypatch):
-    # the LAPACK fallback in linalg.eigh must leave the ascent's value unchanged
+    # the LAPACK fallback in linalg._eigh must leave the ascent's value unchanged
     s = en.from_channel(random_channel(rng, 3))
     factors = [en._factorize(c) for c in s.conditionals]
     coeffs = [np.sqrt(0.25)] * 2
