@@ -262,7 +262,8 @@ def ensemble_decoupling(e: PureEnsemble, seed: int = 0) -> _en.QResult:
         factors.append(np.ascontiguousarray(cols))
         coeffs.append(np.sqrt(pl / nlab))
     res = _en.max_fidelity_sum(factors, coeffs, seed=seed)
-    return _en.QResult(min(1.0, res.value**2), res.converged, res.iterations, res.restarts)
+    return _en.QResult(min(1.0, res.value**2), res.converged, res.iterations, res.restarts,
+                       upper=_en._squared_upper(res))
 
 
 def ensemble_cond_entropy(e: PureEnsemble, family: _en.EntropyFamily, seed: int = 0) -> float:

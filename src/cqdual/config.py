@@ -13,7 +13,10 @@ class Tolerances:
     treated as exact zeros, which keeps purification dimensions minimal and
     logarithms finite. diagonal is the largest off-diagonal magnitude for which
     a family of operators still counts as diagonal (classical) and takes the
-    closed-form table paths.
+    closed-form table paths. ascent_value is the width at which the decoupling
+    ascent's certified bracket [value, upper] counts as closed; where no
+    bracket closes it is still the step-to-step change below which the
+    fallback rules (rescue burst, restarts) treat the ascent as stalled.
     """
 
     hermiticity: float = 1e-10

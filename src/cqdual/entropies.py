@@ -160,6 +160,7 @@ class QResult:
     iterations: int
     restarts: int
     cross_check_gap: float | None = None
+    upper: float | None = None  # certified upper bound on value, if one was found
 
 
 @dataclass(frozen=True)
@@ -335,7 +336,7 @@ def guessing_prob(state: CqState) -> GuessResult:
 
 def _factorize(a: np.ndarray) -> np.ndarray:
     """Low-rank factor Y with A = Y Y† for a PSD matrix."""
-    w, v = np.linalg.eigh(hermitian_part(np.asarray(a, dtype=complex)))
+    w, v = _eigh(hermitian_part(np.asarray(a, dtype=complex)))
     keep = w > TOL.rank_cut
     return v[:, keep] * np.sqrt(w[keep])
 
@@ -355,11 +356,26 @@ def max_fidelity_sum(
     per operator in its rank. The objective is concave in sigma; each step
     applies the fixed-point map sigma -> R sigma R / tr with R the summed
     gradient, which converges to the global optimum from interior points.
-    Components driven numerically to zero can park the iteration on a face of
-    the cone slightly below the optimum, so on first apparent convergence a
-    rescue cycle re-mixes a vanishing amount of the identity and lets the map
-    resettle; random restarts remain as an extra guard. Operators may be
-    subnormalized.
+    Operators may be subnormalized.
+
+    Each step also certifies an upper bound. By Alberti's theorem,
+    F(rho, tau) = min over X > 0 of (Tr rho X + Tr tau X^-1) / 2; taking X_i
+    at the current sigma (the Fuchs-Caves operator) gives Tr rho_i X_i =
+    F(rho_i, sigma) and sum_i c_i X_i^-1 = R, so for every density tau
+    sum_i c_i F(rho_i, tau) <= (g + lambda_max(R)) / 2 with g the current
+    value. The bound is used only where sigma is full rank and every
+    Y_i† sigma Y_i is invertible. The ascent returns as soon as the lowest
+    bound lies within tol of the best value reached, with that bound as
+    `upper`.
+
+    Where the bracket never closes, as on optima at which sigma is rank
+    deficient, the earlier rules stop the ascent: components driven
+    numerically to zero can park the iteration on a face of the cone slightly
+    below the optimum, so on first apparent convergence (a step moving the
+    value by less than tol) a rescue cycle re-mixes a vanishing amount of the
+    identity and lets the map resettle; random restarts remain as an extra
+    guard. `upper` is then the lowest bound met, or None if no step allowed
+    one.
     """
     ys = [np.asarray(y, dtype=complex) for y in factors]
     cs = np.asarray(coeffs, dtype=float)
@@ -374,6 +390,7 @@ def max_fidelity_sum(
         m = g @ g.conj().T
         starts.append(hermitian_part(m / np.trace(m).real))
     eye = np.eye(dim, dtype=complex) / dim
+    lower, upper = -np.inf, np.inf  # the certified bracket
     best = -np.inf
     best_iters = 0
     converged = False
@@ -394,6 +411,7 @@ def max_fidelity_sum(
             root = np.where(w > 1e-14, np.sqrt(w), 0.0)
             g = 0.0
             r_op = np.zeros((dim, dim), dtype=complex)
+            bounded = w[0] > 1e-14
             for c, y in zip(cs, ys):
                 vy = v.conj().T @ y
                 b = root[:, None] * vy  # sqrt(sigma) y in the sigma eigenbasis
@@ -401,11 +419,20 @@ def max_fidelity_sum(
                 wm = np.clip(wm, 0.0, None)
                 sm = np.sqrt(wm)
                 g += c * float(sm.sum())
+                bounded = bounded and sm.min(initial=np.inf) > 1e-150
                 # grad F = (proj y) vm diag(1/sm) vm† (proj y)†
                 inv_sm = np.where(sm > 1e-150, 1.0 / np.maximum(sm, 1e-300), 0.0)
                 proj_y = v @ (np.where(w > 1e-14, 1.0, 0.0)[:, None] * vy)
                 half = proj_y @ (vm * np.sqrt(inv_sm))
                 r_op += c * (half @ half.conj().T)
+            lower = max(lower, g)
+            if bounded:
+                try:
+                    upper = min(upper, 0.5 * (g + float(np.linalg.eigvalsh(r_op)[-1])))
+                except np.linalg.LinAlgError:
+                    pass  # no bound from this step
+            if upper - lower <= tol:
+                return QResult(float(lower), True, it, used, upper=float(upper))
             d = abs(g - g_prev)
             g_prev = g
             if burst == 0 and d < tol:
@@ -434,7 +461,8 @@ def max_fidelity_sum(
             stale += 1
         if used >= 2 and (stale >= 2 or (converged and used >= 2)):
             break
-    return QResult(float(best), converged, best_iters, used)
+    return QResult(float(best), converged, best_iters, used,
+                   upper=None if upper == np.inf else float(upper))
 
 
 def _compressed(state: CqState) -> CqState:
@@ -445,6 +473,11 @@ def _compressed(state: CqState) -> CqState:
     conds = tuple(hermitian_part(iso.conj().T @ c @ iso) for c in state.conditionals)
     conds = tuple(c / max(np.trace(c).real, 1e-300) for c in conds)
     return CqState(state.prior, conds)
+
+
+def _squared_upper(res: QResult) -> float | None:
+    """Certified bound on a decoupling quality Q = min(1, value^2)."""
+    return None if res.upper is None else min(1.0, res.upper**2)
 
 
 def decoupling_q(
@@ -466,7 +499,7 @@ def decoupling_q(
     if joint is not None:
         q = _table_decoupling(joint)
         gap = None if cross_check is None else abs(q - cross_check)
-        return QResult(q, True, 0, 0, gap)
+        return QResult(q, True, 0, 0, gap, upper=q)
     state = _compressed(state)
     sup = state.supported()
     factors = [_factorize(c) for _, c in sup]
@@ -474,7 +507,7 @@ def decoupling_q(
     res = max_fidelity_sum(factors, coeffs, seed=seed, restarts=restarts)
     q = min(1.0, res.value**2)
     gap = None if cross_check is None else abs(q - cross_check)
-    return QResult(q, res.converged, res.iterations, res.restarts, gap)
+    return QResult(q, res.converged, res.iterations, res.restarts, gap, upper=_squared_upper(res))
 
 
 def cond_entropy(state: CqState, family: EntropyFamily, seed: int = 0, base: float = 2.0) -> float:

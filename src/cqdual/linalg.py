@@ -238,7 +238,7 @@ def gram_embed(gram: np.ndarray, cut: float = TOL.rank_cut) -> np.ndarray:
     rank-deficient inputs.
     """
     gram = assert_hermitian(gram, tol=TOL.gram_psd)
-    w, v = np.linalg.eigh(gram)
+    w, v = _eigh(gram)
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
     if w.min() < -TOL.gram_psd * scale:
         raise ValueError(f"Gram matrix indefinite: eigenvalue {w.min():.3e}")

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from cqdual import channels as ch
 from cqdual import entropies as en
+from cqdual import polar
+from cqdual.config import TOL
 from cqdual.corpus import binary_channel_corpus, random_channel, random_density
 from cqdual.linalg import fidelity, partial_trace, tensor
 
@@ -164,6 +166,71 @@ def test_ascent_recovers_from_eigensolver_failure(rng, monkeypatch):
     assert len(calls) > 1
     assert abs(patched.value - clean.value) < 1e-12
     assert patched.converged == clean.converged
+
+
+@pytest.mark.parametrize("s", [0.0, 0.02, 0.05, 0.1, 0.3, 0.6])
+def test_ascent_bracket_holds_pure_pair_oracle(s):
+    # two pure qubit states with overlap s, equal weights: the optimal sigma is
+    # the pure state on their bisector, with value sqrt((1 + s) / 2)
+    a = np.array([[1.0], [0.0]], dtype=complex)
+    b = np.array([[s], [np.sqrt(1.0 - s * s)]], dtype=complex)
+    res = en.max_fidelity_sum([a, b], [0.5, 0.5])
+    oracle = np.sqrt((1.0 + s) / 2.0)
+    assert res.upper is not None
+    assert res.value <= oracle + 1e-13 <= res.upper + 2e-13
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 6), st.integers(2, 4))
+def test_ascent_bracket_is_certified(seed, dim, num_ops):
+    r = np.random.default_rng(seed)
+    factors, coeffs = [], []
+    for _ in range(num_ops):
+        rank = int(r.integers(1, dim + 1))
+        y = r.normal(size=(dim, rank)) + 1j * r.normal(size=(dim, rank))
+        scale = 1.0 if r.random() < 0.5 else r.uniform(0.2, 1.0)  # some subnormalized
+        factors.append(np.sqrt(scale) * y / np.linalg.norm(y))
+        coeffs.append(r.uniform(0.1, 1.0))
+    res = en.max_fidelity_sum(factors, coeffs)
+    if res.upper is not None:
+        assert res.value <= res.upper + 1e-12
+        for _ in range(3):
+            tau = random_density(r, dim)
+            objective = sum(c * fidelity(y @ y.conj().T, tau) for c, y in zip(coeffs, factors))
+            assert objective <= res.upper + 1e-12
+    # the fallback always runs a second start, so one start means the bracket closed
+    if res.restarts == 1:
+        assert res.upper - res.value <= TOL.ascent_value
+
+
+def test_ascent_certified_stop_skips_burst_and_restarts():
+    res = en.decoupling_q(en.from_channel(ch.dual(ch.make_bsc(0.11))))
+    assert res.restarts == 1
+    assert res.iterations < 80  # the rescue burst alone runs 80 steps
+    assert res.value <= res.upper <= res.value + 1e-9
+
+
+def test_ascent_without_bound_falls_back(rng, monkeypatch):
+    # a failing lambda_max solve only removes the bound, never the result
+    s = en.from_channel(random_channel(rng, 3))
+    factors = [en._factorize(c) for c in s.conditionals]
+    coeffs = [np.sqrt(0.25)] * 2
+    certified = en.max_fidelity_sum(factors, coeffs)
+
+    def broken(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", broken)
+    plain = en.max_fidelity_sum(factors, coeffs)
+    assert plain.upper is None and plain.converged and plain.restarts >= 2
+    assert abs(plain.value - certified.value) < 1e-9
+
+
+def test_ascent_fallback_on_open_brackets():
+    # criterion 5's pool[2]: its brackets do not close, so the burst and the
+    # restarts decide the stop
+    gap = polar.trajectory_duality_gap(ch.make_bsc_dual(0.4894482978221381), [0, 1])
+    assert gap <= 1e-5
 
 
 @settings(max_examples=15, deadline=None)
