@@ -470,8 +470,8 @@ def profile_gap(a: InvariantProfile, b: InvariantProfile) -> float:
     return float(np.max(np.abs(a.as_array() - b.as_array())))
 
 
-def profiles_match(a: InvariantProfile, b: InvariantProfile, tol: float = TOL.profile_match) -> bool:
-    return profile_gap(a, b) <= tol
+def profiles_match(a: InvariantProfile, b: InvariantProfile) -> bool:
+    return profile_gap(a, b) <= TOL.profile_match
 
 
 def trace_distance_vs_dual_fidelity(w: CqChannel) -> tuple[float, float]:

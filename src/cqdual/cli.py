@@ -145,8 +145,9 @@ def _families_from_flag(flag: str) -> list[_en.EntropyFamily]:
 
 def _cmd_check_duality(args) -> int:
     w = _parse(parse_channel_spec, args.channel)
+    wd = _ch.dual(w)
     reports = [
-        _en.duality_check(w, fam, seed=args.seed).to_dict()
+        _en.duality_check(w, fam, seed=args.seed, dual_channel=wd).to_dict()
         for fam in _families_from_flag(args.family)
     ]
     _emit(args, {"meta": _meta(args, channel=args.channel, family=args.family), "reports": reports})
@@ -168,7 +169,7 @@ def _cmd_convolve(args) -> int:
 
 def _cmd_polarize(args) -> int:
     w = _parse(parse_channel_spec, args.channel)
-    if w.kind != "bec" and args.n > _polar.GENERIC_LEVEL_CAP:
+    if args.n > _polar.GENERIC_LEVEL_CAP and _polar._erasure_probability(w) is None:
         raise _UsageError(
             f"generic channels support n <= {_polar.GENERIC_LEVEL_CAP}; "
             "only erasure channels have a deep scalar path"

@@ -8,7 +8,7 @@ equals the spectrum of its weighted Gram matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -19,9 +19,11 @@ from . import entropies as _en
 from .codes import CodePair, all_vectors
 from .linalg import (
     diagonal_table,
+    fidelity,
     gram_embed,
     hermitian_part,
     psd_sqrt,
+    purify,
     tensor,
     von_neumann_entropy,
 )
@@ -131,7 +133,6 @@ class PureEnsemble:
     weights: np.ndarray
     gram: np.ndarray
     labels: np.ndarray
-    meta: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -169,6 +170,13 @@ class PureEnsemble:
         return np.array([self.weights[idx].sum() for idx in self.label_indices()])
 
 
+def _word_gram(xs: np.ndarray, overlap: float) -> np.ndarray:
+    """Gram matrix overlap^hamming(x, x') of the product states of the words xs,
+    for per-position states with real overlap."""
+    ham = (xs[:, None, :] != xs[None, :, :]).sum(axis=2)
+    return (overlap**ham).astype(complex)
+
+
 def dual_coded_ensemble(p: float, cp: CodePair, mode: str) -> PureEnsemble:
     """Coded ensemble of modulated pure dual-channel states.
 
@@ -189,15 +197,8 @@ def dual_coded_ensemble(p: float, cp: CodePair, mode: str) -> PureEnsemble:
         labels = np.tile(np.arange(2**cp.k), 2 ** (cp.n - cp.k))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    ham = (xs[:, None, :] != xs[None, :, :]).sum(axis=2)
-    gram = (1.0 - 2.0 * p) ** ham
     m = xs.shape[0]
-    return PureEnsemble(
-        np.full(m, 1.0 / m),
-        gram.astype(complex),
-        labels,
-        meta={"p": p, "mode": mode, "n": cp.n, "k": cp.k},
-    )
+    return PureEnsemble(np.full(m, 1.0 / m), _word_gram(xs, 1.0 - 2.0 * p), labels)
 
 
 def dual_coded_states_dense(p: float, xs: np.ndarray) -> np.ndarray:
@@ -427,8 +428,9 @@ def exit_function(channel, cp: CodePair, family: _en.EntropyFamily, seed: int = 
     """Average per-position entropy of a codeword digit given the other outputs.
 
     The position's own output is deleted, not conditioned on. Classical
-    channels are enumerated exactly; the pure-output dual of the BSC goes
-    through Gram-matrix ensembles.
+    channels are enumerated exactly. A binary-input CQ channel with pure
+    outputs (such as the dual of the BSC) goes through Gram-matrix ensembles:
+    up to phases, its two states have the real overlap F(W(0), W(1)).
     """
     words = cp.codewords()
     mcount = words.shape[0]
@@ -448,23 +450,23 @@ def exit_function(channel, cp: CodePair, family: _en.EntropyFamily, seed: int = 
             np.add.at(joint, words[:, i], lik / mcount)
             total += _en.table_entropy(joint, family)
         return total / cp.n
-    if isinstance(channel, _ch.CqChannel) and channel.kind == "bscdual":
+    if (
+        isinstance(channel, _ch.CqChannel)
+        and channel.input_size == 2
+        and all(purify(o).dims[1] == 1 for o in channel.outputs)
+    ):
+        if cp.q != 2:
+            raise ValueError("channel alphabet must match the code field")
         if cp.n > 10:
             raise ValueError("pure-dual EXIT blocklength capped at 10")
-        p = float(channel.params["p"])
+        overlap = fidelity(channel.outputs[0], channel.outputs[1])
         total = 0.0
         for i in range(cp.n):
-            others = np.delete(words, i, axis=1)
-            ham = (others[:, None, :] != others[None, :, :]).sum(axis=2)
-            ens = PureEnsemble(
-                np.full(mcount, 1.0 / mcount),
-                ((1.0 - 2.0 * p) ** ham).astype(complex),
-                words[:, i],
-                meta={"p": p, "position": i},
-            )
+            gram = _word_gram(np.delete(words, i, axis=1), overlap)
+            ens = PureEnsemble(np.full(mcount, 1.0 / mcount), gram, words[:, i])
             total += ensemble_cond_entropy(ens, family, seed=seed)
         return total / cp.n
-    raise ValueError("channel must be classical or the pure dual of a BSC")
+    raise ValueError("channel must be classical or have binary input and pure outputs")
 
 
 @dataclass(frozen=True)

@@ -159,7 +159,6 @@ class QResult:
     converged: bool
     iterations: int
     restarts: int
-    cross_check_gap: float | None = None
     upper: float | None = None  # certified upper bound on value, if one was found
 
 
@@ -326,7 +325,7 @@ def guessing_prob(state: CqState) -> GuessResult:
         w = np.linalg.eigvalsh(hermitian_part(p0 * r0 - p1 * r1))
         return GuessResult(float(0.5 * (1.0 + np.abs(w).sum())), True, "helstrom")
     rbar = state.average()
-    inv_sqrt = spectral_fn(rbar, lambda w: 1.0 / np.sqrt(w), cut=TOL.rank_cut)
+    inv_sqrt = spectral_fn(rbar, lambda w: 1.0 / np.sqrt(w))
     val = 0.0
     for p, c in sup:
         m = inv_sqrt @ c @ inv_sqrt
@@ -346,8 +345,6 @@ def max_fidelity_sum(
     coeffs: Sequence[float],
     seed: int = 0,
     restarts: int = TOL.ascent_restarts,
-    tol: float = TOL.ascent_value,
-    max_iter: int = TOL.ascent_max_iter,
 ) -> QResult:
     """max over density operators sigma of sum_i c_i F(Y_i Y_i†, sigma).
 
@@ -356,7 +353,9 @@ def max_fidelity_sum(
     per operator in its rank. The objective is concave in sigma; each step
     applies the fixed-point map sigma -> R sigma R / tr with R the summed
     gradient, which converges to the global optimum from interior points.
-    Operators may be subnormalized.
+    Operators may be subnormalized. A factor with more columns than rows is
+    replaced on entry by a full-rank factor of Y Y†, which leaves F unchanged
+    and keeps Y_i† sigma Y_i invertible.
 
     Each step also certifies an upper bound. By Alberti's theorem,
     F(rho, tau) = min over X > 0 of (Tr rho X + Tr tau X^-1) / 2; taking X_i
@@ -365,19 +364,20 @@ def max_fidelity_sum(
     sum_i c_i F(rho_i, tau) <= (g + lambda_max(R)) / 2 with g the current
     value. The bound is used only where sigma is full rank and every
     Y_i† sigma Y_i is invertible. The ascent returns as soon as the lowest
-    bound lies within tol of the best value reached, with that bound as
-    `upper`.
+    bound lies within TOL.ascent_value of the best value reached, with that
+    bound as `upper`.
 
     Where the bracket never closes, as on optima at which sigma is rank
     deficient, the earlier rules stop the ascent: components driven
     numerically to zero can park the iteration on a face of the cone slightly
     below the optimum, so on first apparent convergence (a step moving the
-    value by less than tol) a rescue cycle re-mixes a vanishing amount of the
-    identity and lets the map resettle; random restarts remain as an extra
-    guard. `upper` is then the lowest bound met, or None if no step allowed
-    one.
+    value by less than TOL.ascent_value) a rescue cycle re-mixes a vanishing
+    amount of the identity and lets the map resettle; random restarts remain
+    as an extra guard. `upper` is then the lowest bound met, or None if no
+    step allowed one.
     """
     ys = [np.asarray(y, dtype=complex) for y in factors]
+    ys = [_factorize(y @ y.conj().T) if y.shape[1] > y.shape[0] else y for y in ys]
     cs = np.asarray(coeffs, dtype=float)
     dim = ys[0].shape[0]
     avg = hermitian_part(sum(c * (y @ y.conj().T) for c, y in zip(cs, ys)))
@@ -405,7 +405,7 @@ def max_fidelity_sum(
         rescues = 1
         burst = 0
         mix = 0.0
-        for it in range(max_iter):
+        for it in range(TOL.ascent_max_iter):
             w, v = _eigh(sigma)
             w = np.clip(w, 0.0, None)
             root = np.where(w > 1e-14, np.sqrt(w), 0.0)
@@ -431,11 +431,11 @@ def max_fidelity_sum(
                     upper = min(upper, 0.5 * (g + float(np.linalg.eigvalsh(r_op)[-1])))
                 except np.linalg.LinAlgError:
                     pass  # no bound from this step
-            if upper - lower <= tol:
+            if upper - lower <= TOL.ascent_value:
                 return QResult(float(lower), True, it, used, upper=float(upper))
             d = abs(g - g_prev)
             g_prev = g
-            if burst == 0 and d < tol:
+            if burst == 0 and d < TOL.ascent_value:
                 if rescues > 0:
                     rescues -= 1
                     burst, mix = 80, 1e-5
@@ -480,53 +480,37 @@ def _squared_upper(res: QResult) -> float | None:
     return None if res.upper is None else min(1.0, res.upper**2)
 
 
-def decoupling_q(
-    state: CqState,
-    seed: int = 0,
-    restarts: int = TOL.ascent_restarts,
-    cross_check: float | None = None,
-) -> QResult:
+def decoupling_q(state: CqState, seed: int = 0) -> QResult:
     """Decoupling quality Q(X|B): squared fidelity to the nearest product state.
 
     Computed by direct concave ascent over sigma, never through any duality
     shortcut. Commuting conditionals instead use the exact closed form of
     _table_decoupling.
-    cross_check, when given, records the gap to an independently predicted
-    value without influencing the computation.
     """
     m = state.num_symbols
     joint = _classical_joint(state)
     if joint is not None:
         q = _table_decoupling(joint)
-        gap = None if cross_check is None else abs(q - cross_check)
-        return QResult(q, True, 0, 0, gap, upper=q)
+        return QResult(q, True, 0, 0, upper=q)
     state = _compressed(state)
     sup = state.supported()
     factors = [_factorize(c) for _, c in sup]
     coeffs = [np.sqrt(p / m) for p, _ in sup]
-    res = max_fidelity_sum(factors, coeffs, seed=seed, restarts=restarts)
+    res = max_fidelity_sum(factors, coeffs, seed=seed)
     q = min(1.0, res.value**2)
-    gap = None if cross_check is None else abs(q - cross_check)
-    return QResult(q, res.converged, res.iterations, res.restarts, gap, upper=_squared_upper(res))
+    return QResult(q, res.converged, res.iterations, res.restarts, upper=_squared_upper(res))
 
 
-def cond_entropy(state: CqState, family: EntropyFamily, seed: int = 0, base: float = 2.0) -> float:
-    """Conditional entropy of the symbol given the quantum system, in bits.
-
-    For base != 2 the value is rescaled by log2(base) (alphabet-sized units).
-    """
+def cond_entropy(state: CqState, family: EntropyFamily, seed: int = 0) -> float:
+    """Conditional entropy of the symbol given the quantum system, in bits."""
     if family.kind == "von_neumann":
-        val = _vn_cond(state)
-    elif family.kind == "petz_down":
-        val = petz_curve(state, [family.alpha])[0]
-    elif family.kind == "min":
-        val = -float(np.log2(guessing_prob(state).value))
-    else:  # max
-        q = decoupling_q(state, seed=seed).value
-        val = float(np.log2(state.num_symbols) + np.log2(q))
-    if base != 2.0:
-        val = val / np.log2(base)
-    return val
+        return _vn_cond(state)
+    if family.kind == "petz_down":
+        return petz_curve(state, [family.alpha])[0]
+    if family.kind == "min":
+        return -float(np.log2(guessing_prob(state).value))
+    q = decoupling_q(state, seed=seed).value
+    return float(np.log2(state.num_symbols) + np.log2(q))
 
 
 # ---------------------------------------------------------------------------
@@ -541,11 +525,11 @@ def dispersion(state: CqState) -> tuple[float, float]:
     blockwise on the support; variance subtracts the squared conditional
     entropy. Only the variance form is invariant under the channel dual.
     """
-    lbar = spectral_fn(state.average(), np.log2, cut=TOL.rank_cut)
+    lbar = spectral_fn(state.average(), np.log2)
     second = 0.0
     for p, c in state.supported():
         block = p * c
-        y = spectral_fn(block, np.log2, cut=TOL.rank_cut) - lbar
+        y = spectral_fn(block, np.log2) - lbar
         second += float(np.trace(block @ y @ y).real)
     h = _vn_cond(state)
     return second, second - h * h

@@ -122,10 +122,10 @@ def diagonal_table(ops) -> np.ndarray | None:
     return np.asarray(rows)
 
 
-def spectral_fn(a: np.ndarray, fn, cut: float = 0.0) -> np.ndarray:
-    """Apply fn to eigenvalues above cut; eigenvalues <= cut map to 0."""
+def spectral_fn(a: np.ndarray, fn) -> np.ndarray:
+    """Apply fn to eigenvalues above TOL.rank_cut; the rest map to 0."""
     w, v = hermitian_eig(a)
-    fw = np.where(w > cut, fn(np.maximum(w, cut if cut > 0 else 1e-300)), 0.0)
+    fw = np.where(w > TOL.rank_cut, fn(np.maximum(w, TOL.rank_cut)), 0.0)
     return (v * fw) @ v.conj().T
 
 
@@ -210,7 +210,7 @@ def partial_trace(state: np.ndarray, dims, keep) -> np.ndarray:
     return np.einsum("ajbj->ab", rho)
 
 
-def purify(rho: np.ndarray, cut: float = TOL.rank_cut) -> PureState:
+def purify(rho: np.ndarray) -> PureState:
     """Purification of rho on B (x) D with |D| equal to the numerical rank.
 
     The returned state satisfies Tr_D |phi><phi| = rho and has subsystem
@@ -218,7 +218,7 @@ def purify(rho: np.ndarray, cut: float = TOL.rank_cut) -> PureState:
     """
     rho = assert_density(rho)
     w, v = hermitian_eig(rho)
-    keep = np.where(w > cut)[0][::-1]  # descending weight
+    keep = np.where(w > TOL.rank_cut)[0][::-1]  # descending weight
     r = max(1, len(keep))
     dim = rho.shape[0]
     vec = np.zeros((dim, r), dtype=complex)
@@ -229,7 +229,7 @@ def purify(rho: np.ndarray, cut: float = TOL.rank_cut) -> PureState:
     return PureState(flat, (dim, r))
 
 
-def gram_embed(gram: np.ndarray, cut: float = TOL.rank_cut) -> np.ndarray:
+def gram_embed(gram: np.ndarray) -> np.ndarray:
     """Coordinate vectors reproducing a PSD Gram matrix.
 
     Returns an (m, r) array with r = rank(gram) such that
@@ -242,23 +242,23 @@ def gram_embed(gram: np.ndarray, cut: float = TOL.rank_cut) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
     if w.min() < -TOL.gram_psd * scale:
         raise ValueError(f"Gram matrix indefinite: eigenvalue {w.min():.3e}")
-    keep = np.where(w > cut * scale)[0]
+    keep = np.where(w > TOL.rank_cut * scale)[0]
     # columns of X are the embedded vectors: X†X = gram
     x = (np.sqrt(w[keep])[:, None]) * v[:, keep].conj().T
     return np.ascontiguousarray(x.T)
 
 
-def von_neumann_entropy(rho: np.ndarray, cut: float = TOL.rank_cut) -> float:
+def von_neumann_entropy(rho: np.ndarray) -> float:
     """S(rho) in bits."""
     w = np.linalg.eigvalsh(assert_hermitian(rho))
-    w = w[w > cut]
+    w = w[w > TOL.rank_cut]
     return float(-(w * np.log2(w)).sum()) if w.size else 0.0
 
 
-def projector_onto_support(a: np.ndarray, cut: float = TOL.rank_cut) -> np.ndarray:
+def projector_onto_support(a: np.ndarray) -> np.ndarray:
     """Isometry (dim x rank) whose columns span the support of a PSD matrix."""
     w, v = hermitian_eig(a)
-    keep = np.where(w > cut)[0]
+    keep = np.where(w > TOL.rank_cut)[0]
     if len(keep) == 0:
         return np.zeros((a.shape[0], 0), dtype=complex)
     return np.ascontiguousarray(v[:, keep])

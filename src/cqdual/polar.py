@@ -152,15 +152,15 @@ def _channel_stats(w: _ch.CqChannel, level: int, bit: int, trunc: float, seed: i
     return LevelStats(level, bit, h, hmin, hmax, b, w.dim, trunc)
 
 
-def _truncate_to_joint_support(w: _ch.CqChannel, tau: float) -> tuple[_ch.CqChannel, float]:
-    """Project outputs onto the tau-support of the average output and renormalize."""
+def _truncate_to_joint_support(w: _ch.CqChannel) -> tuple[_ch.CqChannel, float]:
+    """Project outputs onto the support of the average output and renormalize."""
     table = diagonal_table(w.outputs)
     if table is not None:
         # diagonality-preserving path: drop zero-probability symbols, then
         # merge symbols with proportional likelihood columns (a sufficient
         # statistic, so every entropy quantity is unchanged)
         py = table.mean(axis=0)
-        keep = np.where(py > tau)[0]
+        keep = np.where(py > TOL.rank_cut)[0]
         lost = float(max(0.0, 1.0 - table[:, keep].sum(axis=1).max()))
         table = table[:, keep]
         groups: dict[tuple, int] = {}
@@ -177,7 +177,7 @@ def _truncate_to_joint_support(w: _ch.CqChannel, tau: float) -> tuple[_ch.CqChan
         outs = tuple(np.diag(row).astype(complex) for row in table)
         return _ch.CqChannel(outs, kind=w.kind, params=dict(w.params)), lost
     avg = hermitian_part(sum(w.outputs) / w.input_size)
-    iso = projector_onto_support(avg, cut=tau)
+    iso = projector_onto_support(avg)
     if iso.shape[1] == w.dim:
         return w, 0.0
     lost = 0.0
@@ -205,42 +205,57 @@ def _bec_stats(eps: float, level: int, bit: int) -> LevelStats:
     return LevelStats(level, bit, float(eps), float(hmin), float(hmax), float(eps), 3, 0.0)
 
 
-def trajectory(
-    w: _ch.CqChannel,
-    bits,
-    tau: float = TOL.rank_cut,
-    level_cap: int = GENERIC_LEVEL_CAP,
-    dim_cap: int = DIM_CAP,
-    seed: int = 0,
-) -> Trajectory:
+def _erasure_probability(w: _ch.CqChannel) -> float | None:
+    """Mass of the output symbols both inputs see, if w has binary input and
+    diagonal outputs whose every symbol is seen by one input only or equally
+    likely under both (within TOL.diagonal); else None."""
+    if w.input_size != 2:
+        return None
+    table = diagonal_table(w.outputs)
+    if table is None:
+        return None
+    t0, t1 = table
+    seen_by_one = np.minimum(t0, t1) <= TOL.diagonal
+    if not np.all(seen_by_one | (np.abs(t0 - t1) <= TOL.diagonal)):
+        return None
+    return float(t0[~seen_by_one].sum())
+
+
+def trajectory(w: _ch.CqChannel, bits, seed: int = 0) -> Trajectory:
     """Repeated self-convolution along a bit string (0 = variable, 1 = check).
 
-    Erasure channels take an exact scalar path with no depth limit. Generic
-    channels are capped in depth and dimension; outputs are compressed to the
-    joint tau-support after each level, and the discarded mass is reported.
+    Erasure channels, recognised from their outputs, take an exact scalar
+    path with no depth limit; every other channel takes _dense_trajectory.
     """
     bits = tuple(int(b) for b in bits)
     if any(b not in (0, 1) for b in bits):
         raise ValueError("bits must be 0 (variable) or 1 (check)")
-    if w.kind == "bec":
-        eps = float(w.params["p"])
-        levels = []
-        for i, b in enumerate(bits):
-            eps = eps * eps if b == 0 else eps * (2.0 - eps)
-            levels.append(_bec_stats(eps, i + 1, b))
-        return Trajectory(bits, tuple(levels), True, _ch.make_bec(min(1.0, eps)))
-    if len(bits) > level_cap:
+    eps = _erasure_probability(w)
+    if eps is None:
+        return _dense_trajectory(w, bits, seed)
+    levels = []
+    for i, b in enumerate(bits):
+        eps = eps * eps if b == 0 else eps * (2.0 - eps)
+        levels.append(_bec_stats(eps, i + 1, b))
+    return Trajectory(bits, tuple(levels), True, _ch.make_bec(min(1.0, eps)))
+
+
+def _dense_trajectory(w: _ch.CqChannel, bits: tuple[int, ...], seed: int) -> Trajectory:
+    """Self-convolution of the output matrices, capped at GENERIC_LEVEL_CAP
+    levels and DIM_CAP dimensions; outputs are compressed to their joint
+    support after each level, and the discarded mass is reported."""
+    if len(bits) > GENERIC_LEVEL_CAP:
         raise ValueError(
-            f"generic trajectories are capped at {level_cap} levels; got {len(bits)}"
+            f"generic trajectories are capped at {GENERIC_LEVEL_CAP} levels; got {len(bits)}"
         )
     cur = w
     levels = []
     acc_trunc = 0.0
     for i, b in enumerate(bits):
-        if cur.dim * cur.dim > dim_cap:
+        if cur.dim * cur.dim > DIM_CAP:
             return Trajectory(bits, tuple(levels), False, cur)
         nxt = convolve(cur, cur, VARIABLE if b == 0 else CHECK)
-        nxt, lost = _truncate_to_joint_support(nxt, tau)
+        nxt, lost = _truncate_to_joint_support(nxt)
         acc_trunc += lost
         levels.append(_channel_stats(nxt, i + 1, b, acc_trunc, seed))
         cur = nxt
@@ -320,24 +335,23 @@ def polarization_experiment(
     beta: float = 0.4,
     seed: int = 0,
     complement: bool = False,
-    threshold: float | None = None,
-    threshold_fn=polynomial_threshold,
 ) -> PolarizationReport:
     """Monte-Carlo polarization fractions under uniformly random convolution bits.
 
     Uses a counter-based generator keyed by the seed, so the complemented run
     (complement=True) sees exactly the complements of the same bit sequences.
-    Erasure channels run the exact scalar recursion; other channels are limited
-    to the generic level cap. The threshold defaults to 2^(-n^beta); pass an
-    explicit threshold or threshold_fn for other scalings.
+    Erasure channels, recognised from their outputs, run the exact scalar
+    recursion; on other channels trajectory() refuses n > GENERIC_LEVEL_CAP.
+    The threshold is 2^(-n^beta).
     """
-    f = threshold_fn(n, beta) if threshold is None else float(threshold)
+    f = polynomial_threshold(n, beta)
     bits = _sequence_bits(trials, n, seed)
     if complement:
         bits = 1 - bits
     cap = _en.capacity(w) if w.is_symmetric else float("nan")
-    if w.kind == "bec":
-        eps = np.full(trials, float(w.params["p"]))
+    erasure = _erasure_probability(w)
+    if erasure is not None:
+        eps = np.full(trials, erasure)
         delta = 1.0 - eps
         for j in range(n):
             b = bits[:, j]
@@ -356,11 +370,6 @@ def polarization_experiment(
             n, trials, seed, f, complement, cap,
             frac_hmin, frac_hmax, frac_b_small, frac_b_large,
             bridge_lo, bridge_hi, final_b=eps, final_b_complement=delta,
-        )
-    if n > GENERIC_LEVEL_CAP:
-        raise ValueError(
-            f"generic channels support n <= {GENERIC_LEVEL_CAP}; "
-            "only erasure channels have a deep scalar path"
         )
     hmins = np.empty(trials)
     hmaxs = np.empty(trials)

@@ -76,6 +76,20 @@ def test_polarize_csv_deterministic(tmp_path):
     assert len(lines) == 202
 
 
+def test_polarize_erasure_channel_from_file(tmp_path, capsys):
+    # the deep scalar path is chosen from the transition, not the spec's kind
+    path = tmp_path / "bec.json"
+    path.write_text(json.dumps({"transition": [[0.7, 0.0, 0.3], [0.0, 0.7, 0.3]]}))
+    rows = []
+    for spec in (f"classical:@{path}", "bec:0.3"):
+        assert run_cli(["polarize", "--channel", spec, "--n", "16", "--trials", "200",
+                        "--format", "csv"]) == 0
+        rows.append([ln for ln in capsys.readouterr().out.splitlines()
+                     if not ln.startswith("#")])
+    assert rows[0] == rows[1]
+    assert len(rows[0]) == 201
+
+
 def test_code_analyze(tmp_path):
     out = tmp_path / "code.json"
     assert run_cli([

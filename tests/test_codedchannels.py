@@ -269,6 +269,19 @@ def test_exit_duality_bec_exact():
         assert rep.gap <= 1e-10
 
 
+def test_exit_pure_channel_matches_bsc_dual():
+    # the Gram path is chosen from the outputs: any two pure states with
+    # overlap 1 - 2p give the EXIT function of the BSC(p) dual
+    p = 0.11
+    c = 1.0 - 2.0 * p
+    phase = np.exp(0.7j)
+    w = ch.make_pure([np.array([1.0, 0.0, 0.0]), phase * np.array([c, 0.0, np.sqrt(1 - c * c)])])
+    for fam in (en.VON_NEUMANN, en.MIN_ENTROPY, en.MAX_ENTROPY):
+        want = cc.exit_function(ch.make_bsc_dual(p), codes.repetition_pair(3), fam)
+        got = cc.exit_function(w, codes.repetition_pair(3), fam)
+        assert abs(got - want) < 1e-12
+
+
 def test_exit_duality_bsc():
     for preset in ("rep31", "hamming74"):
         rep = cc.exit_duality_check(0.11, codes.preset_pair(preset), channel_family="bsc")
@@ -302,6 +315,22 @@ def test_bruteforce_noiseless_source():
     for eps in (0.1, 0.5, 1.0):
         m, l, total = cc.compression_extraction_bruteforce(src, 2, eps)
         assert (m, l, total) == (0, 2, 2)
+
+
+def test_bruteforce_noiseless_ascents_certify(monkeypatch):
+    # wide factors (more columns than rows) are compressed on entry, so every
+    # bracket of the noiseless source closes in the first start
+    results = []
+    ascent = en.max_fidelity_sum
+
+    def recording(*args, **kwargs):
+        results.append(ascent(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(en, "max_fidelity_sum", recording)
+    cc.compression_extraction_tables(en.from_channel(ch.make_bsc(0.0)), 2)
+    assert results
+    assert all(r.upper is not None and r.restarts == 1 for r in results)
 
 
 def test_bruteforce_sums(acceptance_corpus):

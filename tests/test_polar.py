@@ -125,12 +125,12 @@ def test_trajectory_pure_channel_multiplicativity(rng):
 
 
 def test_bec_scalar_matches_generic_path():
-    # the same transition probabilities pushed through the generic matrix
+    # the same transition probabilities pushed through the dense matrix
     # machinery must reproduce the scalar recursion at every level
     p = 0.45
     scalar = polar.trajectory(ch.make_bec(p), [0, 1, 1, 0])
-    generic = polar.trajectory(
-        ch.make_classical(np.array([[1 - p, 0, p], [0, 1 - p, p]])), [0, 1, 1, 0]
+    generic = polar._dense_trajectory(
+        ch.make_classical(np.array([[1 - p, 0, p], [0, 1 - p, p]])), (0, 1, 1, 0), 0
     )
     for a, b in zip(scalar.levels, generic.levels):
         assert abs(a.h - b.h) < 1e-9
@@ -138,6 +138,18 @@ def test_bec_scalar_matches_generic_path():
         assert abs(a.hmax - b.hmax) < 1e-9
         assert abs(a.bhattacharyya - b.bhattacharyya) < 1e-9
         assert b.truncation_error <= 1e-11
+
+
+def test_erasure_path_follows_the_outputs_not_the_label():
+    # a channel labelled BEC(0.3) whose outputs are those of BSC(0.11)
+    doc = ch.channel_to_dict(ch.make_bsc(0.11))
+    doc.update(kind="bec", params={"p": 0.3})
+    mislabelled = polar.trajectory(ch.channel_from_dict(doc), [0, 1])
+    real = polar.trajectory(ch.make_bsc(0.11), [0, 1])
+    assert mislabelled.levels == real.levels
+    # an erasure channel without the label still takes the exact scalar path
+    unlabelled = polar.trajectory(ch.make_classical([[0.7, 0, 0.3], [0, 0.7, 0.3]]), [0, 1])
+    assert unlabelled.levels == polar.trajectory(ch.make_bec(0.3), [0, 1]).levels
 
 
 def test_trajectory_duality_small(rng):
