@@ -17,6 +17,10 @@ class Tolerances:
     ascent's certified bracket [value, upper] counts as closed; where no
     bracket closes it is still the step-to-step change below which the
     fallback rules (rescue burst, restarts) treat the ascent as stalled.
+    bound_mix is the weight delta of I/d in sigma_delta = (1 - delta) sigma +
+    delta I/d, the full-rank density at which the two-operator ascent takes
+    Alberti's bound when its Uhlmann start sigma is rank deficient; delta/d
+    stays above the ascent's 1e-14 rank test up to dimension 4096.
     """
 
     hermiticity: float = 1e-10
@@ -29,6 +33,7 @@ class Tolerances:
     witness: float = 1e-8
     profile_match: float = 1e-7
     ascent_value: float = 1e-10
+    bound_mix: float = 1e-10
     ascent_max_iter: int = 4000
     ascent_restarts: int = 10
 

@@ -340,6 +340,57 @@ def _factorize(a: np.ndarray) -> np.ndarray:
     return v[:, keep] * np.sqrt(w[keep])
 
 
+def _uhlmann_start(cs: np.ndarray, ys: list[np.ndarray]) -> np.ndarray | None:
+    """Uhlmann's maximiser of c0 F(Y0 Y0†, sigma) + c1 F(Y1 Y1†, sigma).
+
+    With both factors padded to a common width, Y0† Y1 = A S B† and U = B A†,
+    phi = c0 Y0 + c1 Y1 U gives sigma* = phi phi† / |phi|_F^2. The optimum is
+    |phi|_F = sqrt(c0^2 |Y0|^2 + c1^2 |Y1|^2 + 2 c0 c1 |Y0† Y1|_1). None if
+    phi vanishes.
+    """
+    width = max(y.shape[1] for y in ys)
+    y0, y1 = (np.pad(y, ((0, 0), (0, width - y.shape[1]))) for y in ys)
+    a, _, bh = np.linalg.svd(y0.conj().T @ y1)
+    phi = cs[0] * y0 + cs[1] * (y1 @ (bh.conj().T @ a.conj().T))
+    t = float(np.vdot(phi, phi).real)
+    return hermitian_part(phi @ phi.conj().T) / t if t > 1e-300 else None
+
+
+def _ascent_terms(
+    w: np.ndarray, v: np.ndarray, cs: np.ndarray, ys: list[np.ndarray]
+) -> tuple[float, np.ndarray, bool]:
+    """Objective g, summed gradient R and whether Alberti's bound holds.
+
+    sigma = v diag(w) v† is given by its eigendecomposition.
+    """
+    root = np.where(w > 1e-14, np.sqrt(w), 0.0)
+    g = 0.0
+    r_op = np.zeros((v.shape[0], v.shape[0]), dtype=complex)
+    bounded = w[0] > 1e-14
+    for c, y in zip(cs, ys):
+        vy = v.conj().T @ y
+        b = root[:, None] * vy  # sqrt(sigma) y in the sigma eigenbasis
+        wm, vm = _eigh(hermitian_part(b.conj().T @ b))
+        wm = np.clip(wm, 0.0, None)
+        sm = np.sqrt(wm)
+        g += c * float(sm.sum())
+        bounded = bounded and sm.min(initial=np.inf) > 1e-150
+        # grad F = (proj y) vm diag(1/sm) vm† (proj y)†
+        inv_sm = np.where(sm > 1e-150, 1.0 / np.maximum(sm, 1e-300), 0.0)
+        proj_y = v @ (np.where(w > 1e-14, 1.0, 0.0)[:, None] * vy)
+        half = proj_y @ (vm * np.sqrt(inv_sm))
+        r_op += c * (half @ half.conj().T)
+    return g, r_op, bounded
+
+
+def _alberti_bound(g: float, r_op: np.ndarray) -> float:
+    """(g + lambda_max(R)) / 2, or inf when the eigensolver fails."""
+    try:
+        return 0.5 * (g + float(np.linalg.eigvalsh(r_op)[-1]))
+    except np.linalg.LinAlgError:
+        return np.inf  # no bound from this step
+
+
 def max_fidelity_sum(
     factors: Sequence[np.ndarray],
     coeffs: Sequence[float],
@@ -364,8 +415,20 @@ def max_fidelity_sum(
     sum_i c_i F(rho_i, tau) <= (g + lambda_max(R)) / 2 with g the current
     value. The bound is used only where sigma is full rank and every
     Y_i† sigma Y_i is invertible. The ascent returns as soon as the lowest
-    bound lies within TOL.ascent_value of the best value reached, with that
-    bound as `upper`.
+    bound lies within TOL.ascent_value of the best value reached, with
+    max(bound, value) as `upper`, so a crossing by rounding never puts
+    `upper` below `value`.
+
+    With exactly two operators the first start is Uhlmann's maximiser
+    sigma* (see _uhlmann_start), and the value is the objective evaluated
+    there, never the closed form. The rank of sigma* is at most the wider
+    factor's column count, so sigma* is often rank deficient; then
+    (w[0] <= 1e-14) its bound is taken at the full-rank mix
+    sigma_delta = (1 - delta) sigma* + delta I/d with delta =
+    TOL.bound_mix; since delta/d >= 2.4e-14 stays above the rank test's
+    1e-14 up to d = polar.DIM_CAP = 4096, that bound exists at every
+    dimension. Such a bracket closes at iteration 0. Other numbers of
+    operators start at 0.7 sigma_avg + 0.3 I/d.
 
     Where the bracket never closes, as on optima at which sigma is rank
     deficient, the earlier rules stop the ascent: components driven
@@ -384,7 +447,9 @@ def max_fidelity_sum(
     tr = np.trace(avg).real
     base = avg / tr if tr > 1e-14 else np.eye(dim) / dim
     rng = np.random.default_rng(seed)
-    starts = [hermitian_part(0.7 * base + 0.3 * np.eye(dim) / dim)]
+    uhlmann = _uhlmann_start(cs, ys) if len(ys) == 2 else None
+    first = uhlmann if uhlmann is not None else hermitian_part(0.7 * base + 0.3 * np.eye(dim) / dim)
+    starts = [first]
     for _ in range(max(0, restarts - 1)):
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         m = g @ g.conj().T
@@ -408,31 +473,18 @@ def max_fidelity_sum(
         for it in range(TOL.ascent_max_iter):
             w, v = _eigh(sigma)
             w = np.clip(w, 0.0, None)
-            root = np.where(w > 1e-14, np.sqrt(w), 0.0)
-            g = 0.0
-            r_op = np.zeros((dim, dim), dtype=complex)
-            bounded = w[0] > 1e-14
-            for c, y in zip(cs, ys):
-                vy = v.conj().T @ y
-                b = root[:, None] * vy  # sqrt(sigma) y in the sigma eigenbasis
-                wm, vm = _eigh(hermitian_part(b.conj().T @ b))
-                wm = np.clip(wm, 0.0, None)
-                sm = np.sqrt(wm)
-                g += c * float(sm.sum())
-                bounded = bounded and sm.min(initial=np.inf) > 1e-150
-                # grad F = (proj y) vm diag(1/sm) vm† (proj y)†
-                inv_sm = np.where(sm > 1e-150, 1.0 / np.maximum(sm, 1e-300), 0.0)
-                proj_y = v @ (np.where(w > 1e-14, 1.0, 0.0)[:, None] * vy)
-                half = proj_y @ (vm * np.sqrt(inv_sm))
-                r_op += c * (half @ half.conj().T)
+            g, r_op, bounded = _ascent_terms(w, v, cs, ys)
             lower = max(lower, g)
             if bounded:
-                try:
-                    upper = min(upper, 0.5 * (g + float(np.linalg.eigvalsh(r_op)[-1])))
-                except np.linalg.LinAlgError:
-                    pass  # no bound from this step
+                upper = min(upper, _alberti_bound(g, r_op))
+            elif uhlmann is not None and used == 1 and it == 0 and w[0] <= 1e-14:
+                # the bound at sigma_delta, which shares sigma*'s eigenvectors
+                w_mix = (1.0 - TOL.bound_mix) * w + TOL.bound_mix / dim
+                g_mix, r_mix, mix_bounded = _ascent_terms(w_mix, v, cs, ys)
+                if mix_bounded:
+                    upper = min(upper, _alberti_bound(g_mix, r_mix))
             if upper - lower <= TOL.ascent_value:
-                return QResult(float(lower), True, it, used, upper=float(upper))
+                return QResult(float(lower), True, it, used, upper=float(max(upper, lower)))
             d = abs(g - g_prev)
             g_prev = g
             if burst == 0 and d < TOL.ascent_value:

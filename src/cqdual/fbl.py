@@ -90,6 +90,17 @@ def bsc_metaconverse(n: int, p: float, eps: float) -> float:
     return float(min(float(n), -log2_beta_bsc(n, p, eps)))
 
 
+def _log2_tie_split_sums(n: int) -> np.ndarray:
+    """log2(sum_{s<t} C(n,s) + C(n,t)/2) for t = 0..n.
+
+    The running sum is accumulated left to right, in the order of a scalar
+    loop, so the result is bit-identical to one.
+    """
+    lb = _log2_binom(n)
+    prev = np.concatenate(([-np.inf], np.logaddexp2.accumulate(lb)[:-1]))
+    return np.logaddexp2(prev, lb - 1.0)
+
+
 def _union_bound(n: int, k: int, lw: np.ndarray, log2_cum: np.ndarray) -> float:
     inner = np.minimum(0.0, k - n + log2_cum)
     return float(np.sum(2.0 ** (lw + inner)))
@@ -108,13 +119,8 @@ def bsc_union_achievability(n: int, p: float, eps: float) -> int:
         raise ValueError("p must lie in [0, 1/2)")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    lb = _log2_binom(n)
     lw = _log2_pmf(n, p)
-    log2_cum = np.empty(n + 1)
-    run = -np.inf
-    for t in range(n + 1):
-        log2_cum[t] = np.logaddexp2(run, lb[t] - 1.0)
-        run = np.logaddexp2(run, lb[t])
+    log2_cum = _log2_tie_split_sums(n)
     lo, hi = 0, n  # bound is monotone nondecreasing in k
     if _union_bound(n, 0, lw, log2_cum) > eps:
         return 0

@@ -313,7 +313,7 @@ class PolarizationReport:
             "seed": self.seed,
             "threshold": self.threshold,
             "complemented": self.complemented,
-            "capacity": self.capacity,
+            "capacity": None if np.isnan(self.capacity) else self.capacity,  # JSON has no NaN
             "frac_hmin_small": self.frac_hmin_small,
             "frac_hmax_large": self.frac_hmax_large,
             "frac_b_small": self.frac_b_small,

@@ -90,6 +90,20 @@ def test_polarize_erasure_channel_from_file(tmp_path, capsys):
     assert len(rows[0]) == 201
 
 
+def test_polarize_json_without_capacity_is_strict(tmp_path, capsys):
+    # a channel without symmetry witnesses has no capacity; strict JSON gets null, not NaN
+    path = tmp_path / "bec.json"
+    path.write_text(json.dumps({"transition": [[0.7, 0.0, 0.3], [0.0, 0.7, 0.3]]}))
+    assert run_cli(["polarize", "--channel", f"classical:@{path}", "--n", "4",
+                    "--trials", "50"]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert doc["report"]["capacity"] is None
+
+
 def test_code_analyze(tmp_path):
     out = tmp_path / "code.json"
     assert run_cli([

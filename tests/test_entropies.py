@@ -176,6 +176,8 @@ def test_ascent_bracket_holds_pure_pair_oracle(s):
     oracle = np.sqrt((1.0 + s) / 2.0)
     assert res.upper is not None
     assert res.value <= oracle + 1e-13 <= res.upper + 2e-13
+    assert res.upper - res.value <= TOL.ascent_value
+    assert abs(res.value - oracle) <= 1e-13
 
 
 @settings(max_examples=25, deadline=None)
@@ -199,6 +201,14 @@ def test_ascent_bracket_is_certified(seed, dim, num_ops):
     # the fallback always runs a second start, so one start means the bracket closed
     if res.restarts == 1:
         assert res.upper - res.value <= TOL.ascent_value
+    if num_ops == 2:
+        # Uhlmann: the optimum is sqrt(c0^2 |Y0|^2 + c1^2 |Y1|^2 + 2 c0 c1 |Y0† Y1|_1)
+        (y0, y1), (c0, c1) = factors, coeffs
+        cross = np.linalg.svd(y0.conj().T @ y1, compute_uv=False).sum()
+        optimum = np.sqrt(c0**2 * np.linalg.norm(y0) ** 2 + c1**2 * np.linalg.norm(y1) ** 2
+                          + 2 * c0 * c1 * cross)
+        assert abs(res.value - optimum) <= 1e-12
+        assert res.restarts == 1
 
 
 def test_ascent_certified_stop_skips_burst_and_restarts():

@@ -59,6 +59,18 @@ def test_achievability_small_p_approaches_n():
     assert n - 12 <= k < n
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 59, 100, 1000, 9999])
+def test_tie_split_sums_match_scalar_loop(n):
+    # the accumulate form keeps the loop's order of operations, so bit for bit
+    lb = fbl._log2_binom(n)
+    ref = np.empty(n + 1)
+    run = -np.inf
+    for t in range(n + 1):
+        ref[t] = np.logaddexp2(run, lb[t] - 1.0)
+        run = np.logaddexp2(run, lb[t])
+    assert np.array_equal(fbl._log2_tie_split_sums(n), ref)
+
+
 def test_union_bound_dominates_specific_code_error():
     # the random-code union bound cannot beat the exact [3,1] ML error
     ml_error = 1 - 0.966362  # repetition code on BSC(0.11), majority vote
