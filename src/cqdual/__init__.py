@@ -77,7 +77,6 @@ from .codes import CodePair, build_code, preset_pair, weight_enumerator
 from .codedchannels import (
     CodedAnalysis,
     PureEnsemble,
-    classical_coded_entropy,
     coded_duality_check,
     compression_extraction_bruteforce,
     dual_coded_ensemble,

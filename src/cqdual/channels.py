@@ -447,7 +447,7 @@ class InvariantProfile:
         }
 
 
-def invariant_profile(w: CqChannel, seed: int = 0) -> InvariantProfile:
+def invariant_profile(w: CqChannel) -> InvariantProfile:
     """Profile of a binary-input channel under the uniform input."""
     from . import entropies  # local import: entropies depends on this module
 
@@ -458,7 +458,7 @@ def invariant_profile(w: CqChannel, seed: int = 0) -> InvariantProfile:
     bhat = fidelity(w.outputs[0], w.outputs[1])
     h = entropies.cond_entropy(state, entropies.VON_NEUMANN)
     hmin = entropies.cond_entropy(state, entropies.MIN_ENTROPY)
-    hmax = entropies.cond_entropy(state, entropies.MAX_ENTROPY, seed=seed)
+    hmax = entropies.cond_entropy(state, entropies.MAX_ENTROPY)
     petz = tuple(
         (a, entropies.cond_entropy(state, entropies.petz_down(a)))
         for a in PROFILE_ALPHAS

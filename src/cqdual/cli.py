@@ -117,7 +117,7 @@ def _cmd_dual(args) -> int:
         "dual": _ch.channel_to_dict(wd),
     }
     if w.input_size == 2:
-        doc["profile"] = _ch.invariant_profile(wd, seed=args.seed).to_dict()
+        doc["profile"] = _ch.invariant_profile(wd).to_dict()
     _emit(args, doc)
     return 0
 
@@ -147,7 +147,7 @@ def _cmd_check_duality(args) -> int:
     w = _parse(parse_channel_spec, args.channel)
     wd = _ch.dual(w)
     reports = [
-        _en.duality_check(w, fam, seed=args.seed, dual_channel=wd).to_dict()
+        _en.duality_check(w, fam, dual_channel=wd).to_dict()
         for fam in _families_from_flag(args.family)
     ]
     _emit(args, {"meta": _meta(args, channel=args.channel, family=args.family), "reports": reports})
@@ -161,7 +161,7 @@ def _cmd_convolve(args) -> int:
     doc = {
         "meta": _meta(args, channel=args.channel, channel2=args.channel2, kind=args.kind),
         "channel": _ch.channel_to_dict(out),
-        "profile": _ch.invariant_profile(out, seed=args.seed).to_dict(),
+        "profile": _ch.invariant_profile(out).to_dict(),
     }
     _emit(args, doc)
     return 0
@@ -198,7 +198,7 @@ def _cmd_polarize(args) -> int:
 
 def _cmd_code_analyze(args) -> int:
     cp = _parse(parse_code_spec, args.code)
-    ana = _cc.coded_duality_check(args.p, cp, seed=args.seed)
+    ana = _cc.coded_duality_check(args.p, cp)
     meta = _meta(args, code=args.code, p=args.p)
     if args.format == "csv":
         rows = [f"{k},{float(v)!r}" for k, v in sorted(ana.quantities.items())]
@@ -212,7 +212,7 @@ def _cmd_exit_scan(args) -> int:
     cp = _parse(parse_code_spec, args.code)
     grid = _parse(parse_grid, args.grid)
     grid = [p for p in grid if 0.0 < p < 1.0]
-    scan = _cc.exit_scan(args.channel, cp, grid, seed=args.seed)
+    scan = _cc.exit_scan(args.channel, cp, grid)
     meta = _meta(args, channel=args.channel, code=args.code, grid=args.grid)
     if args.format == "json":
         _emit(args, {"meta": meta, "scan": scan.to_dict()})
@@ -248,14 +248,14 @@ def _selftest_checks(fast: bool, seed: int):
     count = 8 if fast else 20
     chans = _corpus.binary_channel_corpus(seed, count)
     for i, w in enumerate(chans):
-        rep = _en.duality_check(w, _en.VON_NEUMANN, seed=seed)
+        rep = _en.duality_check(w, _en.VON_NEUMANN)
         yield f"entropy_sum_vn[{i}]", rep.gap, 1e-6
         yield f"state_disjointness[{i}]", rep.disjointness_gap, 1e-9
     for i, w in enumerate(chans[: count // 2]):
         for fam in (_en.petz_down(0.5), _en.petz_down(1.5)):
-            yield f"entropy_sum_{fam.label}[{i}]", _en.duality_check(w, fam, seed=seed).gap, 1e-6
-        yield f"entropy_sum_minmax[{i}]", _en.duality_check(w, _en.MIN_ENTROPY, seed=seed).gap, 1e-4
-        yield f"entropy_sum_maxmin[{i}]", _en.duality_check(w, _en.MAX_ENTROPY, seed=seed).gap, 1e-4
+            yield f"entropy_sum_{fam.label}[{i}]", _en.duality_check(w, fam).gap, 1e-6
+        yield f"entropy_sum_minmax[{i}]", _en.duality_check(w, _en.MIN_ENTROPY).gap, 1e-4
+        yield f"entropy_sum_maxmin[{i}]", _en.duality_check(w, _en.MAX_ENTROPY).gap, 1e-4
         st, std = _en.from_channel(w), _en.from_channel(_ch.dual(w))
         yield f"dispersion_match[{i}]", abs(_en.dispersion(st)[1] - _en.dispersion(std)[1]), 1e-5
     for p in (0.05, 0.11, 0.25, 0.45):
@@ -265,14 +265,14 @@ def _selftest_checks(fast: bool, seed: int):
     for i in range(pairs):
         w = _corpus.random_channel(rng, 2)
         wp = _corpus.random_symmetric_channel(rng, 2)
-        rep = _polar.convolution_duality_check(w, wp, seed=seed)
+        rep = _polar.convolution_duality_check(w, wp)
         yield f"convolution_duality[{i}]", rep.max_gap, 1e-6
-    yield "trajectory_duality_bsc", _polar.trajectory_duality_gap(_ch.make_bsc(0.11), [0, 1], seed=seed), 1e-5
+    yield "trajectory_duality_bsc", _polar.trajectory_duality_gap(_ch.make_bsc(0.11), [0, 1]), 1e-5
     pol = _polar.polarization_experiment(_ch.make_bec(0.3), 16, 10_000, beta=0.4, seed=seed)
     yield "polarization_good_fraction", abs(pol.frac_b_small - 0.7), 0.05
     dualpol = _polar.polarization_experiment(_ch.make_bec(0.7), 16, 10_000, beta=0.4, seed=seed, complement=True)
     yield "polarization_dual_fraction", abs(dualpol.frac_b_small - 0.3), 0.05
-    ana = _cc.coded_duality_check(0.11, _codes.hamming74_pair(), seed=seed)
+    ana = _cc.coded_duality_check(0.11, _codes.hamming74_pair())
     yield "coded_sum_vn", abs(ana.quantities["vn_sum"] - 4.0), 1e-6
     yield "coded_sum_minmax", abs(ana.quantities["minmax_sum"] - 4.0), 1e-5
     yield "coded_sum_vn_2", abs(ana.quantities["vn_sum_2"] - 3.0), 1e-6
@@ -282,7 +282,7 @@ def _selftest_checks(fast: bool, seed: int):
     src = _en.from_channel(_ch.make_bsc(0.11))
     nmax = 3 if fast else 4
     for n in range(2, nmax + 1):
-        tables = _cc.compression_extraction_tables(src, n, seed=seed)
+        tables = _cc.compression_extraction_tables(src, n)
         for eps in (0.2, 0.3, 0.5):
             _, _, total = _cc.compression_extraction_bruteforce(src, n, eps, tables)
             yield f"blocklength_sum_n{n}_eps{eps}", abs(total - n), 0.5
@@ -290,7 +290,7 @@ def _selftest_checks(fast: bool, seed: int):
     for i in range(5 if fast else 20):
         py = rng.dirichlet([1.0, 1.0])
         sig = [_corpus.random_density(rng, 2) for _ in range(2)]
-        gap = max(gap, _cc.structured_state_gap(py, sig, seed=seed))
+        gap = max(gap, _cc.structured_state_gap(py, sig))
     yield "structured_state_identity", gap, 1e-7
     curves = _fbl.compute_curves([100, 300, 500], 0.11, 1e-3)
     worst = max(c.union_achievability - c.metaconverse for c in curves)

@@ -33,7 +33,6 @@ __all__ = [
     "CodedAnalysis",
     "bsc_classical",
     "bec_classical",
-    "classical_coded_entropy",
     "classical_coded_table",
     "dual_coded_ensemble",
     "dual_coded_states_dense",
@@ -105,16 +104,6 @@ def classical_coded_table(
             acc += _product_likelihood(cp.coset(s), ys, t)
         return acc / cp.q**cp.n
     raise ValueError(f"unknown leg {leg!r}")
-
-
-def classical_coded_entropy(
-    channel: _ch.ClassicalChannel,
-    cp: CodePair,
-    leg: str,
-    family: _en.EntropyFamily,
-) -> float:
-    """Exact coded conditional entropy of the message over a classical channel."""
-    return _en.table_entropy(classical_coded_table(channel, cp, leg), family)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +234,7 @@ def ensemble_guessing(e: PureEnsemble) -> _en.GuessResult:
     return _en.GuessResult(val, False, "srm")
 
 
-def ensemble_decoupling(e: PureEnsemble, seed: int = 0) -> _en.QResult:
+def ensemble_decoupling(e: PureEnsemble) -> _en.QResult:
     """Decoupling quality of the label, by ascent in embedding coordinates.
 
     The label conditionals enter the ascent through their natural low-rank
@@ -262,12 +251,10 @@ def ensemble_decoupling(e: PureEnsemble, seed: int = 0) -> _en.QResult:
         cols = (vecs[idx] * np.sqrt(e.weights[idx] / pl)[:, None]).T
         factors.append(np.ascontiguousarray(cols))
         coeffs.append(np.sqrt(pl / nlab))
-    res = _en.max_fidelity_sum(factors, coeffs, seed=seed)
-    return _en.QResult(min(1.0, res.value**2), res.converged, res.iterations, res.restarts,
-                       upper=_en._squared_upper(res))
+    return _en._decoupling(factors, coeffs)
 
 
-def ensemble_cond_entropy(e: PureEnsemble, family: _en.EntropyFamily, seed: int = 0) -> float:
+def ensemble_cond_entropy(e: PureEnsemble, family: _en.EntropyFamily) -> float:
     """Conditional entropy of the label given the quantum states, in bits."""
     if family.kind == "von_neumann":
         s = _weighted_gram(e)
@@ -283,7 +270,7 @@ def ensemble_cond_entropy(e: PureEnsemble, family: _en.EntropyFamily, seed: int 
     if family.kind == "min":
         return -float(np.log2(ensemble_guessing(e).value))
     if family.kind == "max":
-        q = ensemble_decoupling(e, seed=seed).value
+        q = ensemble_decoupling(e).value
         return float(np.log2(e.num_labels) + np.log2(q))
     return _en.petz_curve(ensemble_to_cqstate(e), [family.alpha])[0]
 
@@ -337,7 +324,7 @@ class CodedAnalysis:
         }
 
 
-def coded_duality_check(p: float, cp: CodePair, seed: int = 0) -> CodedAnalysis:
+def coded_duality_check(p: float, cp: CodePair, seed: int | None = None) -> CodedAnalysis:
     """Coded entropy sums for a BSC against the dual code on the dual channel.
 
     First pairing: message-given-syndrome on the channel plus the randomized
@@ -345,7 +332,8 @@ def coded_duality_check(p: float, cp: CodePair, seed: int = 0) -> CodedAnalysis:
     Second pairing: syndrome-randomized complement encoding plus deterministic
     dual-code encoding, summing to n-k. Min/max legs are evaluated in both
     orders; square-root-measurement values are cross-validated against the
-    sum they should produce and the gap is reported, never patched.
+    sum they should produce and the gap is reported, never patched. seed is
+    accepted and ignored: every computation here is deterministic.
     """
     ch = bsc_classical(p)
     n, k = cp.n, cp.k
@@ -358,7 +346,7 @@ def coded_duality_check(p: float, cp: CodePair, seed: int = 0) -> CodedAnalysis:
     q["vn_dual_leg"] = ensemble_cond_entropy(ens1, _en.VON_NEUMANN)
     q["vn_sum"] = q["vn_message_leg"] + q["vn_dual_leg"]
     p_ml = _en._table_guess(det)
-    q_dual = ensemble_decoupling(ens1, seed=seed).value
+    q_dual = ensemble_decoupling(ens1).value
     q["guess_message_leg"] = p_ml
     q["decouple_dual_leg"] = q_dual
     q["minmax_sum"] = -np.log2(p_ml) + np.log2(ens1.num_labels * q_dual)
@@ -375,7 +363,7 @@ def coded_duality_check(p: float, cp: CodePair, seed: int = 0) -> CodedAnalysis:
     q["vn_dual_det_leg"] = ensemble_cond_entropy(ens2, _en.VON_NEUMANN)
     q["vn_sum_2"] = q["vn_syndrome_leg"] + q["vn_dual_det_leg"]
     p_ml2 = _en._table_guess(rand)
-    q_dual2 = ensemble_decoupling(ens2, seed=seed).value
+    q_dual2 = ensemble_decoupling(ens2).value
     q["minmax_sum_2"] = -np.log2(p_ml2) + np.log2(ens2.num_labels * q_dual2)
     hmax_cls2 = _en.table_entropy(rand, _en.MAX_ENTROPY)
     srm2 = ensemble_guessing(ens2)
@@ -397,7 +385,7 @@ class EncoderDualityReport:
         )
 
 
-def encoder_duality_check(w: _ch.CqChannel, cp: CodePair, seed: int = 0) -> EncoderDualityReport:
+def encoder_duality_check(w: _ch.CqChannel, cp: CodePair) -> EncoderDualityReport:
     """Dual of an encoded channel against the opposite encoding of the dual.
 
     Deterministic encoding dualizes to randomized encoding over the
@@ -409,12 +397,12 @@ def encoder_duality_check(w: _ch.CqChannel, cp: CodePair, seed: int = 0) -> Enco
     wd = _ch.dual(w)
     cpd = cp.dual_complement()
     gap_det = _ch.profile_gap(
-        _ch.invariant_profile(_ch.dual(coded_channel(w, cp, randomized=False)), seed=seed),
-        _ch.invariant_profile(coded_channel(wd, cpd, randomized=True), seed=seed),
+        _ch.invariant_profile(_ch.dual(coded_channel(w, cp, randomized=False))),
+        _ch.invariant_profile(coded_channel(wd, cpd, randomized=True)),
     )
     gap_rand = _ch.profile_gap(
-        _ch.invariant_profile(_ch.dual(coded_channel(w, cp, randomized=True)), seed=seed),
-        _ch.invariant_profile(coded_channel(wd, cpd, randomized=False), seed=seed),
+        _ch.invariant_profile(_ch.dual(coded_channel(w, cp, randomized=True))),
+        _ch.invariant_profile(coded_channel(wd, cpd, randomized=False)),
     )
     return EncoderDualityReport(gap_det, gap_rand)
 
@@ -424,7 +412,7 @@ def encoder_duality_check(w: _ch.CqChannel, cp: CodePair, seed: int = 0) -> Enco
 # ---------------------------------------------------------------------------
 
 
-def exit_function(channel, cp: CodePair, family: _en.EntropyFamily, seed: int = 0) -> float:
+def exit_function(channel, cp: CodePair, family: _en.EntropyFamily) -> float:
     """Average per-position entropy of a codeword digit given the other outputs.
 
     The position's own output is deleted, not conditioned on. Classical
@@ -464,7 +452,7 @@ def exit_function(channel, cp: CodePair, family: _en.EntropyFamily, seed: int = 
         for i in range(cp.n):
             gram = _word_gram(np.delete(words, i, axis=1), overlap)
             ens = PureEnsemble(np.full(mcount, 1.0 / mcount), gram, words[:, i])
-            total += ensemble_cond_entropy(ens, family, seed=seed)
+            total += ensemble_cond_entropy(ens, family)
         return total / cp.n
     raise ValueError("channel must be classical or have binary input and pure outputs")
 
@@ -494,17 +482,16 @@ def exit_duality_check(
     cp: CodePair,
     family: _en.EntropyFamily = _en.VON_NEUMANN,
     channel_family: str = "bec",
-    seed: int = 0,
 ) -> ExitReport:
     """EXIT function of (W(p), C) plus the dual-family EXIT of (W(p) dual, C dual)."""
     dualf = _en.dual_family(family)
     cpd = cp.dual()
     if channel_family == "bec":
-        lhs = exit_function(bec_classical(p), cp, family, seed=seed)
-        rhs = exit_function(bec_classical(1.0 - p), cpd, dualf, seed=seed)
+        lhs = exit_function(bec_classical(p), cp, family)
+        rhs = exit_function(bec_classical(1.0 - p), cpd, dualf)
     elif channel_family == "bsc":
-        lhs = exit_function(bsc_classical(p), cp, family, seed=seed)
-        rhs = exit_function(_ch.make_bsc_dual(p), cpd, dualf, seed=seed)
+        lhs = exit_function(bsc_classical(p), cp, family)
+        rhs = exit_function(_ch.make_bsc_dual(p), cpd, dualf)
     else:
         raise ValueError("channel_family must be 'bec' or 'bsc'")
     lhs, rhs = float(lhs), float(rhs)
@@ -539,7 +526,6 @@ def exit_scan(
     cp: CodePair,
     grid,
     family: _en.EntropyFamily = _en.VON_NEUMANN,
-    seed: int = 0,
 ) -> ExitScan:
     """EXIT curve over a parameter grid with the half-bit crossing located.
 
@@ -548,7 +534,7 @@ def exit_scan(
     """
     rows = []
     for p in grid:
-        rep = exit_duality_check(float(p), cp, family, channel_family, seed=seed)
+        rep = exit_duality_check(float(p), cp, family, channel_family)
         rows.append((float(p), rep.lhs, rep.rhs, rep.total))
     ps = np.array([r[0] for r in rows])
     vals = np.array([r[1] for r in rows])
@@ -653,7 +639,7 @@ def _block_gram(y: np.ndarray, xs: np.ndarray, py: np.ndarray, mod: np.ndarray) 
     return g
 
 
-def _best_decouple_by_dim(source: _en.CqState, n: int, seed: int = 0) -> dict[int, float]:
+def _best_decouple_by_dim(source: _en.CqState, n: int) -> dict[int, float]:
     """Best decoupling quality over linear extractions with each kernel dimension.
 
     The conjugate-side states are block diagonal over the classical output
@@ -686,10 +672,7 @@ def _best_decouple_by_dim(source: _en.CqState, n: int, seed: int = 0) -> dict[in
                 factors = [
                     np.ascontiguousarray(scale * vecs[coset].T) for coset in cosets
                 ]
-                g = _en.max_fidelity_sum(
-                    factors, [1.0 / nlab] * nlab, seed=seed, restarts=3
-                )
-                q += g.value**2
+                q += _en.max_fidelity_sum(factors, [1.0 / nlab] * nlab).value ** 2
             top = max(top, q)
         best[dim] = min(1.0, top)
     return best
@@ -702,10 +685,15 @@ class BruteForceTables:
     best_decouple_by_k: dict[int, float]  # output size k -> best Q
 
 
-def compression_extraction_tables(source: _en.CqState, n: int, seed: int = 0) -> BruteForceTables:
-    """Exhaustive best guessing/decoupling values over all linear codes."""
+def compression_extraction_tables(
+    source: _en.CqState, n: int, seed: int | None = None
+) -> BruteForceTables:
+    """Exhaustive best guessing/decoupling values over all linear codes.
+
+    seed is accepted and ignored: every computation here is deterministic.
+    """
     guess = _best_guess_by_dim(source, n)
-    dec_by_kernel = _best_decouple_by_dim(source, n, seed=seed)
+    dec_by_kernel = _best_decouple_by_dim(source, n)
     decouple = {n - kdim: v for kdim, v in dec_by_kernel.items()}
     return BruteForceTables(n, guess, decouple)
 
@@ -715,7 +703,6 @@ def compression_extraction_bruteforce(
     n: int,
     eps: float,
     tables: BruteForceTables | None = None,
-    seed: int = 0,
 ) -> tuple[int, int, int]:
     """(smallest syndrome size, largest extractable size, their sum).
 
@@ -724,7 +711,7 @@ def compression_extraction_bruteforce(
     are exhaustive and independent.
     """
     if tables is None:
-        tables = compression_extraction_tables(source, n, seed=seed)
+        tables = compression_extraction_tables(source, n)
     thr = 1.0 - eps * eps
     ks = [k for k in range(n + 1) if tables.best_guess_by_k[k] >= thr]
     m_len = n - max(ks)
@@ -742,7 +729,6 @@ def structured_state_gap(
     p_y: np.ndarray,
     sigmas,
     families=(_en.VON_NEUMANN, _en.MIN_ENTROPY, _en.MAX_ENTROPY),
-    seed: int = 0,
 ) -> float:
     """Max gap in H(X | Y B) = H(Y | B) for shift-structured states.
 
@@ -764,7 +750,7 @@ def structured_state_gap(
     rhs_state = _en.CqState(p_y, tuple(sigmas))
     gap = 0.0
     for fam in families:
-        lhs = _en.cond_entropy(lhs_state, fam, seed=seed)
-        rhs = _en.cond_entropy(rhs_state, fam, seed=seed)
+        lhs = _en.cond_entropy(lhs_state, fam)
+        rhs = _en.cond_entropy(rhs_state, fam)
         gap = max(gap, abs(lhs - rhs))
     return gap

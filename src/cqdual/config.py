@@ -14,9 +14,11 @@ class Tolerances:
     logarithms finite. diagonal is the largest off-diagonal magnitude for which
     a family of operators still counts as diagonal (classical) and takes the
     closed-form table paths. ascent_value is the width at which the decoupling
-    ascent's certified bracket [value, upper] counts as closed; where no
-    bracket closes it is still the step-to-step change below which the
-    fallback rules (rescue burst, restarts) treat the ascent as stalled.
+    ascent's certified bracket [value, upper] counts as closed, and the
+    step-to-step change below which an ascent whose bracket stays open counts
+    as stalled: its first stall starts the one rescue burst, its second ends
+    the ascent, reported as not converged. ascent_max_iter caps the steps of
+    the ascent's single run of the fixed-point map.
     bound_mix is the weight delta of I/d in sigma_delta = (1 - delta) sigma +
     delta I/d, the full-rank density at which the two-operator ascent takes
     Alberti's bound when its Uhlmann start sigma is rank deficient; delta/d
@@ -35,7 +37,6 @@ class Tolerances:
     ascent_value: float = 1e-10
     bound_mix: float = 1e-10
     ascent_max_iter: int = 4000
-    ascent_restarts: int = 10
 
 
 TOL = Tolerances()

@@ -7,7 +7,7 @@ quality), and the downarrow Renyi family built on the Petz divergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -155,6 +155,15 @@ class GuessResult(NamedTuple):
 
 @dataclass(frozen=True)
 class QResult:
+    """Result of a decoupling ascent (see max_fidelity_sum).
+
+    converged is true exactly when the certified bracket [value, upper]
+    closed within TOL.ascent_value; for a decoupling quality that is the
+    bracket of the ascent before squaring. restarts counts the starts of the
+    fixed-point map, the rescue burst's re-mix counted as one; closed forms
+    report 0.
+    """
+
     value: float
     converged: bool
     iterations: int
@@ -391,12 +400,7 @@ def _alberti_bound(g: float, r_op: np.ndarray) -> float:
         return np.inf  # no bound from this step
 
 
-def max_fidelity_sum(
-    factors: Sequence[np.ndarray],
-    coeffs: Sequence[float],
-    seed: int = 0,
-    restarts: int = TOL.ascent_restarts,
-) -> QResult:
+def max_fidelity_sum(factors: Sequence[np.ndarray], coeffs: Sequence[float]) -> QResult:
     """max over density operators sigma of sum_i c_i F(Y_i Y_i†, sigma).
 
     Operators enter through low-rank factors (columns of Y_i), so each
@@ -419,7 +423,7 @@ def max_fidelity_sum(
     max(bound, value) as `upper`, so a crossing by rounding never puts
     `upper` below `value`.
 
-    With exactly two operators the first start is Uhlmann's maximiser
+    With exactly two operators the map starts at Uhlmann's maximiser
     sigma* (see _uhlmann_start), and the value is the objective evaluated
     there, never the closed form. The rank of sigma* is at most the wider
     factor's column count, so sigma* is often rank deficient; then
@@ -430,91 +434,66 @@ def max_fidelity_sum(
     dimension. Such a bracket closes at iteration 0. Other numbers of
     operators start at 0.7 sigma_avg + 0.3 I/d.
 
-    Where the bracket never closes, as on optima at which sigma is rank
-    deficient, the earlier rules stop the ascent: components driven
-    numerically to zero can park the iteration on a face of the cone slightly
-    below the optimum, so on first apparent convergence (a step moving the
-    value by less than TOL.ascent_value) a rescue cycle re-mixes a vanishing
-    amount of the identity and lets the map resettle; random restarts remain
-    as an extra guard. `upper` is then the lowest bound met, or None if no
-    step allowed one.
+    Where the bracket does not close, as on optima at which sigma is rank
+    deficient, components driven numerically to zero can park the map on a
+    face of the cone slightly below the optimum. So on the first stall (a
+    step moving the value by less than TOL.ascent_value) one rescue burst
+    re-mixes a vanishing amount of the identity for 80 steps and lets the
+    map resettle; the second stall ends the ascent. The result then reports
+    converged=False, the best value reached, and as `upper` the lowest
+    bound met, or None if no step allowed one. `restarts` counts the starts
+    of the map, the burst's re-mix included: 1, or 2 once the burst ran.
     """
     ys = [np.asarray(y, dtype=complex) for y in factors]
     ys = [_factorize(y @ y.conj().T) if y.shape[1] > y.shape[0] else y for y in ys]
     cs = np.asarray(coeffs, dtype=float)
     dim = ys[0].shape[0]
-    avg = hermitian_part(sum(c * (y @ y.conj().T) for c, y in zip(cs, ys)))
-    tr = np.trace(avg).real
-    base = avg / tr if tr > 1e-14 else np.eye(dim) / dim
-    rng = np.random.default_rng(seed)
     uhlmann = _uhlmann_start(cs, ys) if len(ys) == 2 else None
-    first = uhlmann if uhlmann is not None else hermitian_part(0.7 * base + 0.3 * np.eye(dim) / dim)
-    starts = [first]
-    for _ in range(max(0, restarts - 1)):
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        m = g @ g.conj().T
-        starts.append(hermitian_part(m / np.trace(m).real))
+    if uhlmann is None:
+        avg = hermitian_part(sum(c * (y @ y.conj().T) for c, y in zip(cs, ys)))
+        tr = np.trace(avg).real
+        base = avg / tr if tr > 1e-14 else np.eye(dim) / dim
+        sigma = hermitian_part(0.7 * base + 0.3 * np.eye(dim) / dim)
+    else:
+        sigma = uhlmann
     eye = np.eye(dim, dtype=complex) / dim
     lower, upper = -np.inf, np.inf  # the certified bracket
-    best = -np.inf
-    best_iters = 0
-    converged = False
-    used = 0
-    stale = 0
-    for sigma in starts:
-        used += 1
-        g_prev = -np.inf
-        ok = False
-        it = 0
-        g = 0.0
-        rescues = 1
-        burst = 0
-        mix = 0.0
-        for it in range(TOL.ascent_max_iter):
-            w, v = _eigh(sigma)
-            w = np.clip(w, 0.0, None)
-            g, r_op, bounded = _ascent_terms(w, v, cs, ys)
-            lower = max(lower, g)
-            if bounded:
-                upper = min(upper, _alberti_bound(g, r_op))
-            elif uhlmann is not None and used == 1 and it == 0 and w[0] <= 1e-14:
-                # the bound at sigma_delta, which shares sigma*'s eigenvectors
-                w_mix = (1.0 - TOL.bound_mix) * w + TOL.bound_mix / dim
-                g_mix, r_mix, mix_bounded = _ascent_terms(w_mix, v, cs, ys)
-                if mix_bounded:
-                    upper = min(upper, _alberti_bound(g_mix, r_mix))
-            if upper - lower <= TOL.ascent_value:
-                return QResult(float(lower), True, it, used, upper=float(max(upper, lower)))
-            d = abs(g - g_prev)
-            g_prev = g
-            if burst == 0 and d < TOL.ascent_value:
-                if rescues > 0:
-                    rescues -= 1
-                    burst, mix = 80, 1e-5
-                else:
-                    ok = True
-                    break
-            sigma = hermitian_part(r_op @ sigma @ r_op.conj().T)
-            t = np.trace(sigma).real
-            if t < 1e-300:
-                break
-            sigma = sigma / t
-            if burst > 0:
-                sigma = hermitian_part((1.0 - mix) * sigma + mix * eye)
-                burst -= 1
-                if burst == 40:
-                    mix = 1e-10
-        if g > best + 1e-12:
-            best = g
-            best_iters = it
-            converged = ok
-            stale = 0
-        else:
-            stale += 1
-        if used >= 2 and (stale >= 2 or (converged and used >= 2)):
+    g_prev = -np.inf
+    rescues, burst, mix = 1, 0, 0.0
+    for it in range(TOL.ascent_max_iter):
+        w, v = _eigh(sigma)
+        w = np.clip(w, 0.0, None)
+        g, r_op, bounded = _ascent_terms(w, v, cs, ys)
+        lower = max(lower, g)
+        if bounded:
+            upper = min(upper, _alberti_bound(g, r_op))
+        elif uhlmann is not None and it == 0 and w[0] <= 1e-14:
+            # the bound at sigma_delta, which shares sigma*'s eigenvectors
+            w_mix = (1.0 - TOL.bound_mix) * w + TOL.bound_mix / dim
+            g_mix, r_mix, mix_bounded = _ascent_terms(w_mix, v, cs, ys)
+            if mix_bounded:
+                upper = min(upper, _alberti_bound(g_mix, r_mix))
+        if upper - lower <= TOL.ascent_value:
             break
-    return QResult(float(best), converged, best_iters, used,
-                   upper=None if upper == np.inf else float(upper))
+        d = abs(g - g_prev)
+        g_prev = g
+        if burst == 0 and d < TOL.ascent_value:
+            if rescues == 0:
+                break
+            rescues -= 1
+            burst, mix = 80, 1e-5
+        sigma = hermitian_part(r_op @ sigma @ r_op.conj().T)
+        t = np.trace(sigma).real
+        if t < 1e-300:
+            break
+        sigma = sigma / t
+        if burst > 0:
+            sigma = hermitian_part((1.0 - mix) * sigma + mix * eye)
+            burst -= 1
+            if burst == 40:
+                mix = 1e-10
+    return QResult(float(lower), bool(upper - lower <= TOL.ascent_value), it, 2 - rescues,
+                   upper=None if upper == np.inf else float(max(upper, lower)))
 
 
 def _compressed(state: CqState) -> CqState:
@@ -527,12 +506,15 @@ def _compressed(state: CqState) -> CqState:
     return CqState(state.prior, conds)
 
 
-def _squared_upper(res: QResult) -> float | None:
-    """Certified bound on a decoupling quality Q = min(1, value^2)."""
-    return None if res.upper is None else min(1.0, res.upper**2)
+def _decoupling(factors: Sequence[np.ndarray], coeffs: Sequence[float]) -> QResult:
+    """Decoupling quality min(1, value^2) of the ascent on (factors, coeffs),
+    its bound squared and clipped alike."""
+    res = max_fidelity_sum(factors, coeffs)
+    return replace(res, value=min(1.0, res.value**2),
+                   upper=None if res.upper is None else min(1.0, res.upper**2))
 
 
-def decoupling_q(state: CqState, seed: int = 0) -> QResult:
+def decoupling_q(state: CqState) -> QResult:
     """Decoupling quality Q(X|B): squared fidelity to the nearest product state.
 
     Computed by direct concave ascent over sigma, never through any duality
@@ -546,14 +528,10 @@ def decoupling_q(state: CqState, seed: int = 0) -> QResult:
         return QResult(q, True, 0, 0, upper=q)
     state = _compressed(state)
     sup = state.supported()
-    factors = [_factorize(c) for _, c in sup]
-    coeffs = [np.sqrt(p / m) for p, _ in sup]
-    res = max_fidelity_sum(factors, coeffs, seed=seed)
-    q = min(1.0, res.value**2)
-    return QResult(q, res.converged, res.iterations, res.restarts, upper=_squared_upper(res))
+    return _decoupling([_factorize(c) for _, c in sup], [np.sqrt(p / m) for p, _ in sup])
 
 
-def cond_entropy(state: CqState, family: EntropyFamily, seed: int = 0) -> float:
+def cond_entropy(state: CqState, family: EntropyFamily) -> float:
     """Conditional entropy of the symbol given the quantum system, in bits."""
     if family.kind == "von_neumann":
         return _vn_cond(state)
@@ -561,7 +539,7 @@ def cond_entropy(state: CqState, family: EntropyFamily, seed: int = 0) -> float:
         return petz_curve(state, [family.alpha])[0]
     if family.kind == "min":
         return -float(np.log2(guessing_prob(state).value))
-    q = decoupling_q(state, seed=seed).value
+    q = decoupling_q(state).value
     return float(np.log2(state.num_symbols) + np.log2(q))
 
 
@@ -623,7 +601,6 @@ def state_disjointness_gap(w: _ch.CqChannel) -> float:
 def duality_check(
     w: _ch.CqChannel,
     family: EntropyFamily,
-    seed: int = 0,
     check_disjointness: bool = True,
     dual_channel: _ch.CqChannel | None = None,
 ) -> DualityReport:
@@ -634,9 +611,9 @@ def duality_check(
     several families of the same channel.
     """
     dualf = dual_family(family)
-    lhs = cond_entropy(from_channel(w), family, seed=seed)
+    lhs = cond_entropy(from_channel(w), family)
     wd = _ch.dual(w) if dual_channel is None else dual_channel
-    rhs = cond_entropy(from_channel(wd), dualf, seed=seed)
+    rhs = cond_entropy(from_channel(wd), dualf)
     target = float(np.log2(w.input_size))
     total = lhs + rhs
     dis = state_disjointness_gap(w) if check_disjointness else None

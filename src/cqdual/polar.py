@@ -96,9 +96,7 @@ class ConvolutionDualityReport:
         return max(self.variable_to_check_gap, self.check_to_variable_gap)
 
 
-def convolution_duality_check(
-    w: _ch.CqChannel, wp: _ch.CqChannel, seed: int = 0
-) -> ConvolutionDualityReport:
+def convolution_duality_check(w: _ch.CqChannel, wp: _ch.CqChannel) -> ConvolutionDualityReport:
     """Profile gaps for dual(conv(W,W')) against conv(dual W, dual W'), both kinds.
 
     The check-to-variable direction holds for arbitrary binary-input channels
@@ -108,12 +106,12 @@ def convolution_duality_check(
     """
     wd, wpd = _ch.dual(w), _ch.dual(wp)
     gap_v = _ch.profile_gap(
-        _ch.invariant_profile(_ch.dual(convolve(w, wp, VARIABLE)), seed=seed),
-        _ch.invariant_profile(convolve(wd, wpd, CHECK), seed=seed),
+        _ch.invariant_profile(_ch.dual(convolve(w, wp, VARIABLE))),
+        _ch.invariant_profile(convolve(wd, wpd, CHECK)),
     )
     gap_c = _ch.profile_gap(
-        _ch.invariant_profile(_ch.dual(convolve(w, wp, CHECK)), seed=seed),
-        _ch.invariant_profile(convolve(wd, wpd, VARIABLE), seed=seed),
+        _ch.invariant_profile(_ch.dual(convolve(w, wp, CHECK))),
+        _ch.invariant_profile(convolve(wd, wpd, VARIABLE)),
     )
     return ConvolutionDualityReport(gap_v, gap_c)
 
@@ -143,11 +141,11 @@ class Trajectory:
     final_channel: _ch.CqChannel | None = field(default=None, repr=False)
 
 
-def _channel_stats(w: _ch.CqChannel, level: int, bit: int, trunc: float, seed: int) -> LevelStats:
+def _channel_stats(w: _ch.CqChannel, level: int, bit: int, trunc: float) -> LevelStats:
     state = _en.from_channel(w)
     h = _en.cond_entropy(state, _en.VON_NEUMANN)
     hmin = _en.cond_entropy(state, _en.MIN_ENTROPY)
-    hmax = _en.cond_entropy(state, _en.MAX_ENTROPY, seed=seed)
+    hmax = _en.cond_entropy(state, _en.MAX_ENTROPY)
     b = fidelity(w.outputs[0], w.outputs[1])
     return LevelStats(level, bit, h, hmin, hmax, b, w.dim, trunc)
 
@@ -221,7 +219,14 @@ def _erasure_probability(w: _ch.CqChannel) -> float | None:
     return float(t0[~seen_by_one].sum())
 
 
-def trajectory(w: _ch.CqChannel, bits, seed: int = 0) -> Trajectory:
+def _erasure_step(eps, bits):
+    """Erasure probability after one level, elementwise over eps and bits: a
+    variable convolution (0) squares it, a check convolution (1) takes it to
+    eps (2 - eps)."""
+    return np.where(bits == 0, eps * eps, eps * (2.0 - eps))
+
+
+def trajectory(w: _ch.CqChannel, bits) -> Trajectory:
     """Repeated self-convolution along a bit string (0 = variable, 1 = check).
 
     Erasure channels, recognised from their outputs, take an exact scalar
@@ -232,15 +237,15 @@ def trajectory(w: _ch.CqChannel, bits, seed: int = 0) -> Trajectory:
         raise ValueError("bits must be 0 (variable) or 1 (check)")
     eps = _erasure_probability(w)
     if eps is None:
-        return _dense_trajectory(w, bits, seed)
+        return _dense_trajectory(w, bits)
     levels = []
     for i, b in enumerate(bits):
-        eps = eps * eps if b == 0 else eps * (2.0 - eps)
+        eps = float(_erasure_step(eps, b))
         levels.append(_bec_stats(eps, i + 1, b))
     return Trajectory(bits, tuple(levels), True, _ch.make_bec(min(1.0, eps)))
 
 
-def _dense_trajectory(w: _ch.CqChannel, bits: tuple[int, ...], seed: int) -> Trajectory:
+def _dense_trajectory(w: _ch.CqChannel, bits: tuple[int, ...]) -> Trajectory:
     """Self-convolution of the output matrices, capped at GENERIC_LEVEL_CAP
     levels and DIM_CAP dimensions; outputs are compressed to their joint
     support after each level, and the discarded mass is reported."""
@@ -257,25 +262,25 @@ def _dense_trajectory(w: _ch.CqChannel, bits: tuple[int, ...], seed: int) -> Tra
         nxt = convolve(cur, cur, VARIABLE if b == 0 else CHECK)
         nxt, lost = _truncate_to_joint_support(nxt)
         acc_trunc += lost
-        levels.append(_channel_stats(nxt, i + 1, b, acc_trunc, seed))
+        levels.append(_channel_stats(nxt, i + 1, b, acc_trunc))
         cur = nxt
     return Trajectory(bits, tuple(levels), True, cur)
 
 
-def trajectory_duality_gap(w: _ch.CqChannel, bits, seed: int = 0) -> float:
+def trajectory_duality_gap(w: _ch.CqChannel, bits) -> float:
     """Profile gap between dual(W_{bits}) and dual(W)_{complement(bits)}.
 
     The identity is stated for symmetric channels; non-symmetric inputs can
     produce genuine gaps through the variable-convolution leg.
     """
-    t1 = trajectory(w, bits, seed=seed)
+    t1 = trajectory(w, bits)
     comp = [1 - int(b) for b in bits]
-    t2 = trajectory(_ch.dual(w), comp, seed=seed)
+    t2 = trajectory(_ch.dual(w), comp)
     if not (t1.complete and t2.complete):
         raise ValueError("trajectory hit the dimension cap; use fewer levels")
     return _ch.profile_gap(
-        _ch.invariant_profile(_ch.dual(t1.final_channel), seed=seed),
-        _ch.invariant_profile(t2.final_channel, seed=seed),
+        _ch.invariant_profile(_ch.dual(t1.final_channel)),
+        _ch.invariant_profile(t2.final_channel),
     )
 
 
@@ -351,14 +356,11 @@ def polarization_experiment(
     cap = _en.capacity(w) if w.is_symmetric else float("nan")
     erasure = _erasure_probability(w)
     if erasure is not None:
+        # the dual of BEC(eps) is BEC(1 - eps) with the convolutions swapped
         eps = np.full(trials, erasure)
         delta = 1.0 - eps
-        for j in range(n):
-            b = bits[:, j]
-            var = b == 0
-            new_eps = np.where(var, eps * eps, eps * (2.0 - eps))
-            new_delta = np.where(var, delta * (2.0 - delta), delta * delta)
-            eps, delta = new_eps, new_delta
+        for b in bits.T:
+            eps, delta = _erasure_step(eps, b), _erasure_step(delta, 1 - b)
         thr_h = float(-2.0 * np.expm1(-f * np.log(2.0)))  # Hmin<=f iff eps<=thr_h
         frac_hmin = float(np.mean(eps <= thr_h))
         frac_hmax = float(np.mean(delta <= thr_h))
@@ -375,7 +377,7 @@ def polarization_experiment(
     hmaxs = np.empty(trials)
     bs = np.empty(trials)
     for t in range(trials):
-        traj = trajectory(w, bits[t], seed=seed)
+        traj = trajectory(w, bits[t])
         last = traj.levels[-1]
         hmins[t], hmaxs[t], bs[t] = last.hmin, last.hmax, last.bhattacharyya
     return PolarizationReport(

@@ -321,7 +321,7 @@ def test_criterion_11_state_identities(acceptance_corpus):
     for _ in range(100):
         py = rng.dirichlet([1.0, 1.0])
         sigmas = [corpus.random_density(rng, 2) for _ in range(2)]
-        worst_struct = max(worst_struct, cc.structured_state_gap(py, sigmas, seed=SEED))
+        worst_struct = max(worst_struct, cc.structured_state_gap(py, sigmas))
     ok = worst_dis <= 1e-9 and worst_sum <= 1e-6 and worst_struct < 1e-7
     _report(
         11,

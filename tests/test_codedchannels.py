@@ -152,6 +152,16 @@ def test_coded_duality_sums(preset, p):
     assert q["srm_cross_gap"] <= 1e-5
 
 
+@pytest.mark.parametrize("preset", ["hamming74", "rm13"])
+def test_open_bracket_reported_unconverged(preset):
+    # at p = 0.4 the ascents over the 8 (hamming74) and 16 (rm13) dual-code
+    # labels stall with the bracket open; a stall is not convergence
+    e = cc.dual_coded_ensemble(0.4, codes.preset_pair(preset).dual(), "deterministic")
+    res = cc.ensemble_decoupling(e)
+    assert not res.converged
+    assert res.upper is not None and res.upper > res.value
+
+
 def test_coded_duality_noiseless_edges():
     cp = codes.repetition_pair(3)
     ana = cc.coded_duality_check(0.0, cp)

@@ -138,8 +138,8 @@ def test_decoupling_bec_closed_form():
 
 def test_decoupling_q_deterministic_and_flagged(rng):
     s = en.from_channel(random_channel(rng, 3))
-    a = en.decoupling_q(s, seed=3)
-    b = en.decoupling_q(s, seed=3)
+    a = en.decoupling_q(s)
+    b = en.decoupling_q(s)
     assert a.value == b.value
     assert a.converged
 
@@ -198,9 +198,8 @@ def test_ascent_bracket_is_certified(seed, dim, num_ops):
             tau = random_density(r, dim)
             objective = sum(c * fidelity(y @ y.conj().T, tau) for c, y in zip(coeffs, factors))
             assert objective <= res.upper + 1e-12
-    # the fallback always runs a second start, so one start means the bracket closed
-    if res.restarts == 1:
-        assert res.upper - res.value <= TOL.ascent_value
+    closed = res.upper is not None and res.upper - res.value <= TOL.ascent_value
+    assert res.converged == closed
     if num_ops == 2:
         # Uhlmann: the optimum is sqrt(c0^2 |Y0|^2 + c1^2 |Y1|^2 + 2 c0 c1 |Y0† Y1|_1)
         (y0, y1), (c0, c1) = factors, coeffs
@@ -208,7 +207,7 @@ def test_ascent_bracket_is_certified(seed, dim, num_ops):
         optimum = np.sqrt(c0**2 * np.linalg.norm(y0) ** 2 + c1**2 * np.linalg.norm(y1) ** 2
                           + 2 * c0 * c1 * cross)
         assert abs(res.value - optimum) <= 1e-12
-        assert res.restarts == 1
+        assert res.converged and res.restarts == 1
 
 
 def test_ascent_certified_stop_skips_burst_and_restarts():
@@ -230,13 +229,13 @@ def test_ascent_without_bound_falls_back(rng, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", broken)
     plain = en.max_fidelity_sum(factors, coeffs)
-    assert plain.upper is None and plain.converged and plain.restarts >= 2
+    assert plain.upper is None and not plain.converged
     assert abs(plain.value - certified.value) < 1e-9
 
 
 def test_ascent_fallback_on_open_brackets():
-    # criterion 5's pool[2]: its brackets do not close, so the burst and the
-    # restarts decide the stop
+    # criterion 5's pool[2]: its brackets do not close, so the rescue burst
+    # and the stall rule decide the stop
     gap = polar.trajectory_duality_gap(ch.make_bsc_dual(0.4894482978221381), [0, 1])
     assert gap <= 1e-5
 

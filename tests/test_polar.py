@@ -130,7 +130,7 @@ def test_bec_scalar_matches_generic_path():
     p = 0.45
     scalar = polar.trajectory(ch.make_bec(p), [0, 1, 1, 0])
     generic = polar._dense_trajectory(
-        ch.make_classical(np.array([[1 - p, 0, p], [0, 1 - p, p]])), (0, 1, 1, 0), 0
+        ch.make_classical(np.array([[1 - p, 0, p], [0, 1 - p, p]])), (0, 1, 1, 0)
     )
     for a, b in zip(scalar.levels, generic.levels):
         assert abs(a.h - b.h) < 1e-9
