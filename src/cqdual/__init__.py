@@ -22,7 +22,6 @@ from .linalg import (
 )
 from .channels import (
     ChannelState,
-    ClassicalChannel,
     CqChannel,
     InvariantProfile,
     channel_from_json,
@@ -36,7 +35,6 @@ from .channels import (
     make_bsc,
     make_bsc_dual,
     make_classical,
-    make_named,
     make_pure,
     profiles_match,
     symmetrize,

@@ -29,7 +29,6 @@ from .linalg import (
 
 __all__ = [
     "CqChannel",
-    "ClassicalChannel",
     "ChannelState",
     "InvariantProfile",
     "PROFILE_ALPHAS",
@@ -38,7 +37,6 @@ __all__ = [
     "make_bsc_dual",
     "make_pure",
     "make_classical",
-    "make_named",
     "channel_state",
     "dual",
     "classical_dual_overlaps",
@@ -114,34 +112,6 @@ class CqChannel:
     @property
     def is_symmetric(self) -> bool:
         return self.witnesses is not None
-
-
-@dataclass(frozen=True)
-class ClassicalChannel:
-    """Channel given by a |Z| x |Y| row-stochastic transition matrix."""
-
-    transition: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.transition, dtype=float)
-        if t.ndim != 2:
-            raise ValueError("transition must be a matrix")
-        if t.min() < 0:
-            raise ValueError("negative transition probability")
-        if np.max(np.abs(t.sum(axis=1) - 1.0)) > 1e-12:
-            raise ValueError("rows must sum to 1 within 1e-12")
-        object.__setattr__(self, "transition", _freeze(t))
-
-    @property
-    def num_inputs(self) -> int:
-        return self.transition.shape[0]
-
-    @property
-    def num_outputs(self) -> int:
-        return self.transition.shape[1]
-
-    def to_cq(self) -> CqChannel:
-        return make_classical(self.transition)
 
 
 @dataclass(frozen=True)
@@ -261,21 +231,6 @@ def make_classical(transition) -> CqChannel:
     return CqChannel(outs, kind="classical")
 
 
-def make_named(kind: str, *args) -> CqChannel:
-    kind = kind.lower()
-    if kind == "bsc":
-        return make_bsc(*args)
-    if kind == "bec":
-        return make_bec(*args)
-    if kind in ("bscdual", "bsc_dual"):
-        return make_bsc_dual(*args)
-    if kind == "pure":
-        return make_pure(*args)
-    if kind == "classical":
-        return make_classical(*args)
-    raise ValueError(f"unknown channel kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # dual construction
 # ---------------------------------------------------------------------------
@@ -345,15 +300,16 @@ def dual(w: CqChannel) -> CqChannel:
     )
 
 
-def classical_dual_overlaps(p: ClassicalChannel) -> list[tuple[float, float]]:
-    """Per-output-symbol (P_Y(y), cos theta_y) for a binary-input classical channel.
+def classical_dual_overlaps(w: CqChannel) -> list[tuple[float, float]]:
+    """Per-output-symbol (P_Y(y), cos theta_y) for a binary-input channel
+    with diagonal (classical) outputs.
 
     cos theta_y = |P(Z=0|y) - P(Z=1|y)| under a uniform input; symbols with
     zero probability are skipped.
     """
-    t = p.transition
-    if t.shape[0] != 2:
-        raise ValueError("overlap formula requires a binary-input channel")
+    t = diagonal_table(w.outputs)
+    if t is None or t.shape[0] != 2:
+        raise ValueError("overlap formula requires binary input and diagonal outputs")
     out = []
     for y in range(t.shape[1]):
         py = 0.5 * (t[0, y] + t[1, y])
@@ -386,14 +342,13 @@ def symmetrize(w: CqChannel) -> CqChannel:
     return CqChannel(tuple(outs), witnesses=witnesses, kind="symmetrized", params=dict(w.params))
 
 
-def degrade_to_bsc(w: CqChannel) -> tuple[ClassicalChannel, float]:
+def degrade_to_bsc(w: CqChannel) -> tuple[CqChannel, float]:
     """Optimal binary measurement turns w into a BSC with crossover (1-delta)/2."""
     if w.input_size != 2:
         raise ValueError("degradation to a BSC needs a binary-input channel")
     delta = trace_distance(w.outputs[0], w.outputs[1])
-    crossover = 0.5 * (1.0 - delta)
-    t = np.array([[1 - crossover, crossover], [crossover, 1 - crossover]])
-    return ClassicalChannel(t), float(crossover)
+    crossover = float(0.5 * (1.0 - delta))
+    return make_bsc(crossover), crossover
 
 
 def upgrade_to_pure(w: CqChannel) -> CqChannel:

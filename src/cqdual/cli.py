@@ -31,8 +31,9 @@ def parse_channel_spec(spec: str):
         raise ValueError(f"channel spec {spec!r} needs the form kind:param")
     kind, arg = spec.split(":", 1)
     kind = kind.lower()
-    if kind in ("bsc", "bec", "bscdual"):
-        return _ch.make_named(kind, float(arg))
+    named = {"bsc": _ch.make_bsc, "bec": _ch.make_bec, "bscdual": _ch.make_bsc_dual}
+    if kind in named:
+        return named[kind](float(arg))
     if not arg.startswith("@"):
         raise ValueError(f"{kind} channels need a @file argument")
     with open(arg[1:], "r", encoding="utf-8") as fh:

@@ -31,8 +31,6 @@ from .linalg import (
 __all__ = [
     "PureEnsemble",
     "CodedAnalysis",
-    "bsc_classical",
-    "bec_classical",
     "classical_coded_table",
     "dual_coded_ensemble",
     "dual_coded_states_dense",
@@ -57,14 +55,6 @@ __all__ = [
 _TABLE_CAP = 1 << 26
 
 
-def bsc_classical(p: float) -> _ch.ClassicalChannel:
-    return _ch.ClassicalChannel(np.array([[1 - p, p], [p, 1 - p]]))
-
-
-def bec_classical(p: float) -> _ch.ClassicalChannel:
-    return _ch.ClassicalChannel(np.array([[1 - p, 0, p], [0, 1 - p, p]]))
-
-
 # ---------------------------------------------------------------------------
 # classical side: exhaustive tables
 # ---------------------------------------------------------------------------
@@ -78,23 +68,24 @@ def _product_likelihood(words: np.ndarray, ys: np.ndarray, t: np.ndarray) -> np.
     return out
 
 
-def classical_coded_table(
-    channel: _ch.ClassicalChannel, cp: CodePair, leg: str
-) -> np.ndarray:
-    """Joint distribution J[message, y^n] for a code over a classical channel.
+def classical_coded_table(channel: _ch.CqChannel, cp: CodePair, leg: str) -> np.ndarray:
+    """Joint distribution J[message, y^n] for a code over a channel with
+    diagonal (classical) outputs.
 
     leg="deterministic": syndrome fixed to zero, messages uniform.
     leg="randomized": syndrome uniform as well, marginalized out.
     """
-    if channel.num_inputs != cp.q:
+    if channel.input_size != cp.q:
         raise ValueError("channel input alphabet must match the code field")
+    t = diagonal_table(channel.outputs)
+    if t is None:
+        raise ValueError("exhaustive tables need diagonal (classical) outputs")
     if cp.n > 14:
         raise ValueError("blocklength capped at 14 for exhaustive tables")
-    ny = channel.num_outputs
+    ny = t.shape[1]
     if (cp.q**cp.k) * (ny**cp.n) > _TABLE_CAP:
         raise ValueError("joint table would exceed the memory cap")
     ys = all_vectors(ny, cp.n)
-    t = channel.transition
     if leg == "deterministic":
         lik = _product_likelihood(cp.codewords(), ys, t)
         return lik / cp.q**cp.k
@@ -161,7 +152,11 @@ class PureEnsemble:
 
 def _word_gram(xs: np.ndarray, overlap: float) -> np.ndarray:
     """Gram matrix overlap^hamming(x, x') of the product states of the words xs,
-    for per-position states with real overlap."""
+    for per-position states with real overlap. Word sets whose m x m x n
+    distance array would exceed _TABLE_CAP entries are refused up front."""
+    m, n = xs.shape
+    if m * m * n > _TABLE_CAP:
+        raise ValueError(f"Gram matrix of {m} words of length {n} would exceed the memory cap")
     ham = (xs[:, None, :] != xs[None, :, :]).sum(axis=2)
     return (overlap**ham).astype(complex)
 
@@ -175,8 +170,6 @@ def dual_coded_ensemble(p: float, cp: CodePair, mode: str) -> PureEnsemble:
     """
     if cp.q != 2:
         raise ValueError("pure dual ensembles are built for binary codes")
-    if cp.n > 16:
-        raise ValueError("ensemble blocklength capped at 16")
     if mode == "deterministic":
         xs = cp.codewords()
         labels = np.arange(xs.shape[0])
@@ -335,7 +328,7 @@ def coded_duality_check(p: float, cp: CodePair, seed: int | None = None) -> Code
     sum they should produce and the gap is reported, never patched. seed is
     accepted and ignored: every computation here is deterministic.
     """
-    ch = bsc_classical(p)
+    ch = _ch.make_bsc(p)
     n, k = cp.n, cp.k
     q: dict[str, float] = {}
 
@@ -412,25 +405,25 @@ def encoder_duality_check(w: _ch.CqChannel, cp: CodePair) -> EncoderDualityRepor
 # ---------------------------------------------------------------------------
 
 
-def exit_function(channel, cp: CodePair, family: _en.EntropyFamily) -> float:
+def exit_function(channel: _ch.CqChannel, cp: CodePair, family: _en.EntropyFamily) -> float:
     """Average per-position entropy of a codeword digit given the other outputs.
 
-    The position's own output is deleted, not conditioned on. Classical
-    channels are enumerated exactly. A binary-input CQ channel with pure
-    outputs (such as the dual of the BSC) goes through Gram-matrix ensembles:
-    up to phases, its two states have the real overlap F(W(0), W(1)).
+    The position's own output is deleted, not conditioned on. The path is
+    chosen from the outputs: diagonal (classical) outputs are enumerated
+    exactly; a binary-input channel with pure outputs (such as the dual of the
+    BSC) goes through Gram-matrix ensembles, since up to phases its two states
+    have the real overlap F(W(0), W(1)). Any other channel is refused.
     """
+    if channel.input_size != cp.q:
+        raise ValueError("channel alphabet must match the code field")
     words = cp.codewords()
     mcount = words.shape[0]
-    if isinstance(channel, _ch.ClassicalChannel):
-        if channel.num_inputs != cp.q:
-            raise ValueError("channel alphabet must match the code field")
+    t = diagonal_table(channel.outputs)
+    if t is not None:
         if cp.n > 12:
             raise ValueError("classical EXIT blocklength capped at 12")
-        ny = channel.num_outputs
-        t = channel.transition
         total = 0.0
-        ys = all_vectors(ny, cp.n - 1)
+        ys = all_vectors(t.shape[1], cp.n - 1)
         for i in range(cp.n):
             others = np.delete(words, i, axis=1)
             lik = _product_likelihood(others, ys, t)
@@ -438,13 +431,7 @@ def exit_function(channel, cp: CodePair, family: _en.EntropyFamily) -> float:
             np.add.at(joint, words[:, i], lik / mcount)
             total += _en.table_entropy(joint, family)
         return total / cp.n
-    if (
-        isinstance(channel, _ch.CqChannel)
-        and channel.input_size == 2
-        and all(purify(o).dims[1] == 1 for o in channel.outputs)
-    ):
-        if cp.q != 2:
-            raise ValueError("channel alphabet must match the code field")
+    if channel.input_size == 2 and all(purify(o).dims[1] == 1 for o in channel.outputs):
         if cp.n > 10:
             raise ValueError("pure-dual EXIT blocklength capped at 10")
         overlap = fidelity(channel.outputs[0], channel.outputs[1])
@@ -454,7 +441,7 @@ def exit_function(channel, cp: CodePair, family: _en.EntropyFamily) -> float:
             ens = PureEnsemble(np.full(mcount, 1.0 / mcount), gram, words[:, i])
             total += ensemble_cond_entropy(ens, family)
         return total / cp.n
-    raise ValueError("channel must be classical or have binary input and pure outputs")
+    raise ValueError("EXIT functions need diagonal outputs, or binary input and pure outputs")
 
 
 @dataclass(frozen=True)
@@ -487,10 +474,10 @@ def exit_duality_check(
     dualf = _en.dual_family(family)
     cpd = cp.dual()
     if channel_family == "bec":
-        lhs = exit_function(bec_classical(p), cp, family)
-        rhs = exit_function(bec_classical(1.0 - p), cpd, dualf)
+        lhs = exit_function(_ch.make_bec(p), cp, family)
+        rhs = exit_function(_ch.make_bec(1.0 - p), cpd, dualf)
     elif channel_family == "bsc":
-        lhs = exit_function(bsc_classical(p), cp, family)
+        lhs = exit_function(_ch.make_bsc(p), cp, family)
         rhs = exit_function(_ch.make_bsc_dual(p), cpd, dualf)
     else:
         raise ValueError("channel_family must be 'bec' or 'bsc'")

@@ -324,24 +324,15 @@ def preset_pair(name: str) -> CodePair:
 # weight enumerators
 # ---------------------------------------------------------------------------
 
-_WHICH = {"code", "dual", "complement", "dual_complement"}
 
-
-def weight_enumerator(cp: CodePair, which: str = "code") -> np.ndarray:
-    """Exhaustive weight distribution A_0..A_n of the selected companion code."""
-    if which not in _WHICH:
-        raise ValueError(f"which must be one of {sorted(_WHICH)}")
-    target = {
-        "code": cp,
-        "dual": cp.dual(),
-        "complement": cp.complement(),
-        "dual_complement": cp.dual_complement(),
-    }[which]
-    if target.n > _ENUM_CAP_N:
+def weight_enumerator(cp: CodePair) -> np.ndarray:
+    """Exhaustive weight distribution A_0..A_n of the code of cp; pass
+    cp.dual() (or another companion pair) for that code's enumerator."""
+    if cp.n > _ENUM_CAP_N:
         raise ValueError(f"weight enumeration capped at n={_ENUM_CAP_N}")
-    words = target.codewords()
+    words = cp.codewords()
     weights = (words != 0).sum(axis=1)
-    return np.bincount(weights, minlength=target.n + 1).astype(np.int64)
+    return np.bincount(weights, minlength=cp.n + 1).astype(np.int64)
 
 
 def macwilliams_transform(a: np.ndarray, q: int = 2) -> np.ndarray:

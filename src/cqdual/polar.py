@@ -347,14 +347,19 @@ def polarization_experiment(
     (complement=True) sees exactly the complements of the same bit sequences.
     Erasure channels, recognised from their outputs, run the exact scalar
     recursion; on other channels trajectory() refuses n > GENERIC_LEVEL_CAP.
-    The threshold is 2^(-n^beta).
+    The threshold is 2^(-n^beta). The capacity log2(d) - H(W) is reported for
+    channels with symmetry witnesses and for erasure channels, NaN otherwise.
     """
     f = polynomial_threshold(n, beta)
     bits = _sequence_bits(trials, n, seed)
     if complement:
         bits = 1 - bits
-    cap = _en.capacity(w) if w.is_symmetric else float("nan")
     erasure = _erasure_probability(w)
+    cap = float("nan")
+    if w.is_symmetric or erasure is not None:
+        # an erasure channel is symmetric by its outputs, so the uniform input is optimal
+        h = _en.cond_entropy(_en.from_channel(w), _en.VON_NEUMANN)
+        cap = float(np.log2(w.input_size)) - h
     if erasure is not None:
         # the dual of BEC(eps) is BEC(1 - eps) with the convolutions swapped
         eps = np.full(trials, erasure)

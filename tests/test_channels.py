@@ -122,7 +122,7 @@ def test_equivalent_channels_have_equivalent_duals(rng):
 
 
 def test_classical_dual_overlaps_bec():
-    vals = ch.classical_dual_overlaps(ch.ClassicalChannel(
+    vals = ch.classical_dual_overlaps(ch.make_classical(
         np.array([[0.7, 0.0, 0.3], [0.0, 0.7, 0.3]])
     ))
     erase, keep0, keep1 = vals[2], vals[0], vals[1]
@@ -133,7 +133,7 @@ def test_classical_dual_overlaps_bec():
 
 def test_classical_dual_overlaps_bsc():
     p = 0.23
-    vals = ch.classical_dual_overlaps(ch.ClassicalChannel(
+    vals = ch.classical_dual_overlaps(ch.make_classical(
         np.array([[1 - p, p], [p, 1 - p]])
     ))
     for _, cos in vals:
@@ -160,7 +160,7 @@ def test_classical_dual_block_structure():
                     expected[a * r + y, b * r + y] = block[a, b]
         assert np.max(np.abs(wd.outputs[x] - expected)) <= 1e-9
     # the formula overlaps match the constructed block overlaps
-    for (py, cos), eta in zip(ch.classical_dual_overlaps(ch.ClassicalChannel(t)), etas):
+    for (py, cos), eta in zip(ch.classical_dual_overlaps(w), etas):
         n2 = float(np.vdot(eta, eta).real)
         assert abs(n2 - py) < 1e-12
         got = abs(np.vdot(eta, zop @ eta)) / n2

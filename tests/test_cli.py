@@ -90,18 +90,29 @@ def test_polarize_erasure_channel_from_file(tmp_path, capsys):
     assert len(rows[0]) == 201
 
 
-def test_polarize_json_without_capacity_is_strict(tmp_path, capsys):
-    # a channel without symmetry witnesses has no capacity; strict JSON gets null, not NaN
-    path = tmp_path / "bec.json"
-    path.write_text(json.dumps({"transition": [[0.7, 0.0, 0.3], [0.0, 0.7, 0.3]]}))
+def _polarize_report(tmp_path, capsys, transition):
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps({"transition": transition}))
     assert run_cli(["polarize", "--channel", f"classical:@{path}", "--n", "4",
                     "--trials", "50"]) == 0
 
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
 
-    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
-    assert doc["report"]["capacity"] is None
+    return json.loads(capsys.readouterr().out, parse_constant=reject)["report"]
+
+
+def test_polarize_json_without_capacity_is_strict(tmp_path, capsys):
+    # a Z-channel is neither symmetric by witnesses nor an erasure channel, so
+    # it has no capacity here; strict JSON gets null, not NaN
+    assert _polarize_report(tmp_path, capsys, [[1.0, 0.0], [0.3, 0.7]])["capacity"] is None
+
+
+def test_polarize_erasure_file_capacity(tmp_path, capsys):
+    # an erasure channel read from a file has no witnesses but is symmetric by
+    # its outputs, so it reports the capacity of bec:0.3
+    report = _polarize_report(tmp_path, capsys, [[0.7, 0.0, 0.3], [0.0, 0.7, 0.3]])
+    assert abs(report["capacity"] - 0.7) < 1e-12
 
 
 def test_code_analyze(tmp_path):

@@ -7,7 +7,7 @@ from cqdual import channels as ch
 from cqdual import codedchannels as cc
 from cqdual import codes
 from cqdual import entropies as en
-from cqdual.corpus import random_density
+from cqdual.corpus import random_channel, random_density
 from cqdual.linalg import partial_trace
 
 
@@ -21,20 +21,17 @@ def h2(p):
 
 
 def test_noiseless_channel_zero_entropy():
-    table = cc.classical_coded_table(cc.bsc_classical(0.0), codes.hamming74_pair(), "deterministic")
+    table = cc.classical_coded_table(ch.make_bsc(0.0), codes.hamming74_pair(), "deterministic")
     assert abs(en.table_entropy(table, en.VON_NEUMANN)) < 1e-12
 
 
 def test_useless_channel_full_entropy():
-    table = cc.classical_coded_table(cc.bsc_classical(0.5), codes.hamming74_pair(), "deterministic")
+    table = cc.classical_coded_table(ch.make_bsc(0.5), codes.hamming74_pair(), "deterministic")
     assert abs(en.table_entropy(table, en.VON_NEUMANN) - 4.0) < 1e-12
 
 
-def test_repetition2_matches_direct_enumeration():
-    # brute force over the 4 output pairs of the [2,1] code on BSC(p)
-    p = 0.23
-    cp = codes.repetition_pair(2)
-    table = cc.classical_coded_table(cc.bsc_classical(p), cp, "deterministic")
+def _rep2_direct_table(p):
+    """Brute force over the 4 output pairs of the [2,1] code on BSC(p)."""
     direct = np.zeros((2, 4))
     for m, word in ((0, (0, 0)), (1, (1, 1))):
         for i, y in enumerate(itertools.product((0, 1), repeat=2)):
@@ -42,13 +39,21 @@ def test_repetition2_matches_direct_enumeration():
             for c, yy in zip(word, y):
                 pr *= (1 - p) if c == yy else p
             direct[m, i] = pr / 2
+    return direct
+
+
+def test_repetition2_matches_direct_enumeration():
+    p = 0.23
+    cp = codes.repetition_pair(2)
+    table = cc.classical_coded_table(ch.make_bsc(p), cp, "deterministic")
+    direct = _rep2_direct_table(p)
     assert np.max(np.abs(np.sort(table, axis=1) - np.sort(direct, axis=1))) < 1e-15
     assert abs(table.max(axis=0).sum() - direct.max(axis=0).sum()) < 1e-15
 
 
 def test_repetition3_ml_value():
     # 1 - (3p^2 - 2p^3) at p = 0.11, derived from the majority-vote rule
-    table = cc.classical_coded_table(cc.bsc_classical(0.11), codes.repetition_pair(3), "deterministic")
+    table = cc.classical_coded_table(ch.make_bsc(0.11), codes.repetition_pair(3), "deterministic")
     p_ml = table.max(axis=0).sum()
     assert abs(p_ml - 0.966362) < 1e-9
     assert abs(p_ml - (1 - (3 * 0.11**2 - 2 * 0.11**3))) < 1e-12
@@ -59,7 +64,7 @@ def test_syndrome_independence_n3():
     # same conditional entropy as the zero syndrome
     cp = codes.repetition_pair(3)
     p = 0.2
-    t = cc.bsc_classical(p).transition
+    t = np.array([[1 - p, p], [p, 1 - p]])
     ys = codes.all_vectors(2, 3)
     base = None
     for s in codes.all_vectors(2, 2):
@@ -70,9 +75,19 @@ def test_syndrome_independence_n3():
         assert abs(val - base) < 1e-12
 
 
+def test_mixed_outputs_refused(rng):
+    # outputs that are neither diagonal nor a pure pair have no exact path
+    w = random_channel(rng)
+    cp = codes.repetition_pair(3)
+    with pytest.raises(ValueError):
+        cc.classical_coded_table(w, cp, "deterministic")
+    with pytest.raises(ValueError):
+        cc.exit_function(w, cp, en.VON_NEUMANN)
+
+
 def test_blocklength_cap():
     with pytest.raises(ValueError):
-        cc.classical_coded_table(cc.bsc_classical(0.1), codes.repetition_pair(15), "deterministic")
+        cc.classical_coded_table(ch.make_bsc(0.1), codes.repetition_pair(15), "deterministic")
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +140,12 @@ def test_hamming_gram_vs_dense_oracle():
     vn_gram = cc.ensemble_cond_entropy(e, en.VON_NEUMANN)
     vn_dense = en.cond_entropy(dense_state, en.VON_NEUMANN)
     assert abs(vn_gram - vn_dense) <= 1e-8
+
+
+def test_ensemble_memory_guard():
+    # 2^15 words of length 16: the distance array alone would take 16 GiB
+    with pytest.raises(ValueError):
+        cc.dual_coded_ensemble(0.11, codes.single_parity_pair(16), "deterministic")
 
 
 def test_randomized_ensemble_block_structure():
@@ -226,41 +247,60 @@ def _bec_exit_rank_oracle(p, cp):
 def test_exit_bec_matches_rank_oracle():
     p = 0.35
     cp = codes.single_parity_pair(3)
-    got = cc.exit_function(cc.bec_classical(p), cp, en.VON_NEUMANN)
+    got = cc.exit_function(ch.make_bec(p), cp, en.VON_NEUMANN)
     assert abs(got - _bec_exit_rank_oracle(p, cp)) < 1e-12
     cp = codes.hamming74_pair()
-    got = cc.exit_function(cc.bec_classical(p), cp, en.VON_NEUMANN)
+    got = cc.exit_function(ch.make_bec(p), cp, en.VON_NEUMANN)
     assert abs(got - _bec_exit_rank_oracle(p, cp)) < 1e-12
 
 
 def test_exit_extreme_erasure_rates():
     cp = codes.hamming74_pair()
-    assert abs(cc.exit_function(cc.bec_classical(0.0), cp, en.VON_NEUMANN)) < 1e-12
-    assert abs(cc.exit_function(cc.bec_classical(1.0), cp, en.VON_NEUMANN) - 1.0) < 1e-12
+    assert abs(cc.exit_function(ch.make_bec(0.0), cp, en.VON_NEUMANN)) < 1e-12
+    assert abs(cc.exit_function(ch.make_bec(1.0), cp, en.VON_NEUMANN) - 1.0) < 1e-12
+
+
+def _bsc_exit_terms(p, cp):
+    """Per-position H(X_i | Y without Y_i) of a binary code on BSC(p), by enumeration."""
+    t = np.array([[1 - p, p], [p, 1 - p]])
+    words = cp.codewords()
+    ys = codes.all_vectors(2, cp.n - 1)
+    vals = []
+    for i in range(cp.n):
+        others = np.delete(words, i, axis=1)
+        lik = cc._product_likelihood(others, ys, t)
+        joint = np.zeros((2, ys.shape[0]))
+        np.add.at(joint, words[:, i], lik / words.shape[0])
+        vals.append(en.table_entropy(joint, en.VON_NEUMANN))
+    return vals
 
 
 def test_exit_positions_equal_for_hamming():
     # doubly transitive code: every position contributes the same term
-    p = 0.11
-    cp = codes.hamming74_pair()
-    t = cc.bsc_classical(p).transition
-    words = cp.codewords()
-    ys = codes.all_vectors(2, 6)
-    vals = []
-    for i in range(7):
-        others = np.delete(words, i, axis=1)
-        lik = cc._product_likelihood(others, ys, t)
-        joint = np.zeros((2, ys.shape[0]))
-        np.add.at(joint, words[:, i], lik / 16)
-        vals.append(en.table_entropy(joint, en.VON_NEUMANN))
+    vals = _bsc_exit_terms(0.11, codes.hamming74_pair())
     assert max(vals) - min(vals) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "bsc",
+    [ch.make_bsc, lambda p: ch.make_classical(np.array([[1 - p, p], [p, 1 - p]]))],
+    ids=["make_bsc", "make_classical"],
+)
+def test_diagonal_outputs_take_the_classical_paths(bsc):
+    # a classical channel is a CqChannel with diagonal outputs, however it is built
+    table = cc.classical_coded_table(bsc(0.23), codes.repetition_pair(2), "deterministic")
+    direct = _rep2_direct_table(0.23)
+    assert np.max(np.abs(np.sort(table, axis=1) - np.sort(direct, axis=1))) < 1e-15
+    cp = codes.hamming74_pair()
+    want = sum(_bsc_exit_terms(0.11, cp)) / cp.n
+    assert abs(cc.exit_function(bsc(0.11), cp, en.VON_NEUMANN) - want) < 1e-12
 
 
 def test_exit_deletes_rather_than_conditions():
     # conditioning on all n outputs is strictly more informative
     p = 0.11
     cp = codes.hamming74_pair()
-    t = cc.bsc_classical(p).transition
+    t = np.array([[1 - p, p], [p, 1 - p]])
     words = cp.codewords()
     ys = codes.all_vectors(2, 7)
     conditioned = 0.0
@@ -269,7 +309,7 @@ def test_exit_deletes_rather_than_conditions():
         joint = np.zeros((2, ys.shape[0]))
         np.add.at(joint, words[:, i], lik / 16)
         conditioned += en.table_entropy(joint, en.VON_NEUMANN) / 7
-    deleted = cc.exit_function(cc.bsc_classical(p), cp, en.VON_NEUMANN)
+    deleted = cc.exit_function(ch.make_bsc(p), cp, en.VON_NEUMANN)
     assert conditioned < deleted - 1e-3
 
 

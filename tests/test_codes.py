@@ -58,7 +58,7 @@ def test_repetition_two_structure():
 def test_hamming_weight_enumerators():
     cp = codes.hamming74_pair()
     assert codes.weight_enumerator(cp).tolist() == [1, 0, 0, 7, 7, 0, 0, 1]
-    assert codes.weight_enumerator(cp, "dual").tolist() == [1, 0, 0, 0, 7, 0, 0, 0]
+    assert codes.weight_enumerator(cp.dual()).tolist() == [1, 0, 0, 0, 7, 0, 0, 0]
 
 
 def test_orthogonality_identities_all_presets():
@@ -132,14 +132,14 @@ def test_macwilliams_identity_binary():
     for name in ("rep31", "parity32", "hamming74", "rm13"):
         cp = codes.preset_pair(name)
         a = codes.weight_enumerator(cp)
-        b = codes.weight_enumerator(cp, "dual")
+        b = codes.weight_enumerator(cp.dual())
         assert (codes.macwilliams_transform(a, 2) == b).all()
 
 
 def test_macwilliams_identity_gf3():
     cp = codes.build_from_parity(np.array([[1, 2]]), q=3)
     a = codes.weight_enumerator(cp)
-    b = codes.weight_enumerator(cp, "dual")
+    b = codes.weight_enumerator(cp.dual())
     assert (codes.macwilliams_transform(a, 3) == b).all()
 
 
