@@ -224,11 +224,33 @@ def make_pure(vectors) -> CqChannel:
     return CqChannel(outs, witnesses=witnesses, kind="pure")
 
 
+def _classical_swap_witness(t: np.ndarray) -> np.ndarray | None:
+    """Permutation matrix of the output symbols that maps row 0 of a binary
+    transition table onto row 1 and row 1 onto row 0, or None if none does."""
+    # pair the k-th symbol in (t0, t1) order with the k-th in (t1, t0) order
+    rows = np.lexsort((t[1], t[0]))
+    swapped = np.lexsort((t[0], t[1]))
+    if np.max(np.abs(t[:, rows] - t[::-1, swapped])) > TOL.witness:
+        return None
+    perm = np.zeros((t.shape[1], t.shape[1]), dtype=complex)
+    perm[rows, swapped] = 1.0
+    return perm
+
+
 def make_classical(transition) -> CqChannel:
-    """CQ form of a classical channel: diagonal outputs over the Y alphabet."""
+    """CQ form of a classical channel: diagonal outputs over the Y alphabet.
+
+    A binary-input channel whose rows are exchanged by a permutation of the
+    output symbols gets that permutation as its symmetry witness.
+    """
     t = np.asarray(transition, dtype=float)
     outs = tuple(np.diag(row).astype(complex) for row in t)
-    return CqChannel(outs, kind="classical")
+    witnesses = None
+    if t.shape[0] == 2:
+        swap = _classical_swap_witness(t)
+        if swap is not None:
+            witnesses = (np.eye(t.shape[1], dtype=complex), swap)
+    return CqChannel(outs, witnesses=witnesses, kind="classical")
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ class PureEnsemble:
         m = len(w)
         if g.shape != (m, m) or lab.shape != (m,):
             raise ValueError("weights, gram and labels sizes disagree")
-        if abs(w.sum() - 1.0) > 1e-12 or w.min() < 0:
+        if abs(w.sum() - 1.0) > TOL.prior_sum or w.min() < 0:
             raise ValueError("weights must form a distribution")
         if np.max(np.abs(np.diag(g) - 1.0)) > 1e-10:
             raise ValueError("Gram diagonal must be 1 within 1e-10")

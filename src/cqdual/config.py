@@ -11,14 +11,16 @@ class Tolerances:
 
     rank_cut is the global spectral cutoff: eigenvalues at or below it are
     treated as exact zeros, which keeps purification dimensions minimal and
-    logarithms finite. diagonal is the largest off-diagonal magnitude for which
-    a family of operators still counts as diagonal (classical) and takes the
-    closed-form table paths. ascent_value is the width at which the decoupling
-    ascent's certified bracket [value, upper] counts as closed, and the
-    step-to-step change below which an ascent whose bracket stays open counts
-    as stalled: its first stall starts the one rescue burst, its second ends
-    the ascent, reported as not converged. ascent_max_iter caps the steps of
-    the ascent's single run of the fixed-point map.
+    logarithms finite. prior_sum is the largest distance from 1 allowed for
+    the sum of a state's prior or of an ensemble's weights. diagonal is the
+    largest off-diagonal magnitude for which a family of operators still
+    counts as diagonal (classical) and takes the closed-form table paths.
+    ascent_value is the width at which the decoupling ascent's certified
+    bracket [value, upper] counts as closed, and the step-to-step change below
+    which an ascent whose bracket stays open counts as stalled: its first
+    stall starts the one rescue burst, its second ends the ascent, reported as
+    not converged. ascent_max_iter caps the steps of the ascent's single run
+    of the fixed-point map.
     bound_mix is the weight delta of I/d in sigma_delta = (1 - delta) sigma +
     delta I/d, the full-rank density at which the two-operator ascent takes
     Alberti's bound when its Uhlmann start sigma is rank deficient; delta/d
@@ -28,6 +30,7 @@ class Tolerances:
     hermiticity: float = 1e-10
     density_eigenvalue_floor: float = -1e-10
     trace_one: float = 1e-9
+    prior_sum: float = 1e-12
     unit_norm: float = 1e-9
     rank_cut: float = 1e-12
     diagonal: float = 1e-12

@@ -116,8 +116,8 @@ class CqState:
         p = np.asarray(self.prior, dtype=float)
         if p.min() < 0:
             raise ValueError("negative prior probability")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"prior sums to {p.sum()}, not 1 within 1e-12")
+        if abs(p.sum() - 1.0) > TOL.prior_sum:
+            raise ValueError(f"prior sums to {p.sum()}, not 1 within {TOL.prior_sum}")
         conds = tuple(assert_density(c) for c in self.conditionals)
         if len(conds) != len(p):
             raise ValueError("need one conditional per prior atom")

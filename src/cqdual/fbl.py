@@ -13,7 +13,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .config import SCHEMA_VERSION
 
@@ -37,6 +36,9 @@ CSV_HEADER = (
 
 
 def _log2_binom(n: int) -> np.ndarray:
+    # imported here so that only the bounds pay for loading scipy
+    from scipy.special import gammaln
+
     t = np.arange(n + 1)
     return (gammaln(n + 1) - gammaln(t + 1) - gammaln(n - t + 1)) / LN2
 

@@ -41,6 +41,25 @@ def test_bad_witness_rejected():
         ch.CqChannel(out, witnesses=(np.eye(2, dtype=complex),) * 2)
 
 
+@pytest.mark.parametrize(
+    "transition, symmetric",
+    [
+        ([[0.89, 0.11], [0.11, 0.89]], True),
+        ([[0.7, 0.0, 0.3], [0.0, 0.7, 0.3]], True),
+        ([[0.1, 0.4, 0.2, 0.3], [0.2, 0.3, 0.1, 0.4]], True),
+        ([[0.5, 0.5], [0.5, 0.5]], True),
+        ([[1.0, 0.0], [0.3, 0.7]], False),
+        ([[0.2, 0.3, 0.5], [0.3, 0.1, 0.6]], False),
+    ],
+)
+def test_classical_swap_witness(transition, symmetric):
+    # the witness is checked by CqChannel itself; here only its presence
+    w = ch.make_classical(transition)
+    assert w.is_symmetric == symmetric
+    if symmetric:
+        assert np.array_equal(w.witnesses[0], np.eye(w.dim))
+
+
 # ---------------------------------------------------------------------------
 # channel state
 # ---------------------------------------------------------------------------

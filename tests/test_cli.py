@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cqdual
 from cqdual import cli, codes
 from cqdual.fbl import CSV_HEADER
 
@@ -109,10 +114,18 @@ def test_polarize_json_without_capacity_is_strict(tmp_path, capsys):
 
 
 def test_polarize_erasure_file_capacity(tmp_path, capsys):
-    # an erasure channel read from a file has no witnesses but is symmetric by
-    # its outputs, so it reports the capacity of bec:0.3
+    # an erasure channel read from a file reports the capacity of bec:0.3
     report = _polarize_report(tmp_path, capsys, [[0.7, 0.0, 0.3], [0.0, 0.7, 0.3]])
     assert abs(report["capacity"] - 0.7) < 1e-12
+
+
+def test_polarize_symmetric_file_capacity(tmp_path, capsys):
+    # a BSC read from a file is symmetric by the swap of its output symbols,
+    # so it reports the capacity of bsc:0.11
+    report = _polarize_report(tmp_path, capsys, [[0.89, 0.11], [0.11, 0.89]])
+    assert run_cli(["polarize", "--channel", "bsc:0.11", "--n", "4", "--trials", "50"]) == 0
+    named = json.loads(capsys.readouterr().out)["report"]
+    assert abs(report["capacity"] - named["capacity"]) < 1e-12
 
 
 def test_code_analyze(tmp_path):
@@ -242,3 +255,41 @@ def test_internal_errors_are_not_usage_errors(monkeypatch):
 
 def test_selftest_fast():
     assert run_cli(["selftest", "--fast"]) == 0
+
+
+# The README's commands other than fbl and the full selftest.
+_SCIPY_FREE_COMMANDS = [
+    ["--version"],
+    ["check-duality", "--channel", "bsc:0.11", "--family", "all"],
+    ["dual", "--channel", "bec:0.3"],
+    ["convolve", "--channel", "bsc:0.11", "--channel2", "bsc:0.3", "--kind", "check"],
+    ["polarize", "--channel", "bec:0.3", "--n", "16", "--trials", "10000", "--seed", "7",
+     "--format", "csv"],
+    ["code-analyze", "--code", "hamming74", "--p", "0.11"],
+    ["exit-scan", "--channel", "bec", "--code", "hamming74", "--grid", "0.05:0.95:0.05"],
+]
+
+_STARTUP_PROBE = """
+import contextlib, io, json, sys
+import cqdual, cqdual.cli
+assert "scipy" not in sys.modules, "import"
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cqdual.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 0, argv
+    assert "scipy" not in sys.modules, argv
+"""
+
+
+def test_startup_leaves_scipy_unloaded():
+    # only fbl and the evr retry of the eigensolver need scipy; a fresh
+    # interpreter is used because this test module's neighbours import it
+    env = dict(os.environ, PYTHONPATH=str(Path(cqdual.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, json.dumps(_SCIPY_FREE_COMMANDS)],
+        capture_output=True, text=True, env=env, timeout=300, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
