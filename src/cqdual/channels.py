@@ -436,10 +436,7 @@ def invariant_profile(w: CqChannel) -> InvariantProfile:
     h = entropies.cond_entropy(state, entropies.VON_NEUMANN)
     hmin = entropies.cond_entropy(state, entropies.MIN_ENTROPY)
     hmax = entropies.cond_entropy(state, entropies.MAX_ENTROPY)
-    petz = tuple(
-        (a, entropies.cond_entropy(state, entropies.petz_down(a)))
-        for a in PROFILE_ALPHAS
-    )
+    petz = tuple(zip(PROFILE_ALPHAS, entropies.petz_curve(state, PROFILE_ALPHAS)))
     return InvariantProfile(float(delta), float(bhat), h, hmin, hmax, petz)
 
 

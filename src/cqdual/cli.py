@@ -170,14 +170,14 @@ def _cmd_convolve(args) -> int:
 
 def _cmd_polarize(args) -> int:
     w = _parse(parse_channel_spec, args.channel)
-    if args.n > _polar.GENERIC_LEVEL_CAP and _polar._erasure_probability(w) is None:
-        raise _UsageError(
-            f"generic channels support n <= {_polar.GENERIC_LEVEL_CAP}; "
-            "only erasure channels have a deep scalar path"
+    try:
+        report = _polar.polarization_experiment(
+            w, args.n, args.trials, beta=args.beta, seed=args.seed, complement=args.complement
         )
-    report = _polar.polarization_experiment(
-        w, args.n, args.trials, beta=args.beta, seed=args.seed, complement=args.complement
-    )
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:  # a depth or input size the channel's trajectories cannot take
+        raise _UsageError(exc) from exc
     meta = _meta(
         args,
         channel=args.channel,
@@ -340,10 +340,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     parser.add_argument("--config", help="key=value file supplying flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, fmt=None):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if fmt:  # only the commands that can write both JSON and CSV take --format
+            p.add_argument("--format", choices=("json", "csv"), default=fmt)
 
     p = sub.add_parser("dual", help="construct the dual channel")
     p.add_argument("--channel", required=True)
@@ -369,29 +370,28 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--beta", type=float, default=0.4)
     p.add_argument("--complement", action="store_true")
-    common(p)
+    common(p, "json")
     p.set_defaults(func=_cmd_polarize)
 
     p = sub.add_parser("code-analyze", help="coded entropy sums for a BSC and a code")
     p.add_argument("--code", required=True, help="preset name or @file")
     p.add_argument("--p", type=float, required=True)
-    common(p)
+    common(p, "json")
     p.set_defaults(func=_cmd_code_analyze)
 
     p = sub.add_parser("exit-scan", help="EXIT curve over a parameter grid")
     p.add_argument("--channel", choices=("bec", "bsc"), required=True)
     p.add_argument("--code", required=True)
     p.add_argument("--grid", default="0.05:0.95:0.05")
-    common(p)
+    common(p, "csv")
     p.set_defaults(func=_cmd_exit_scan)
-    p.set_defaults(format="csv")
 
     p = sub.add_parser("fbl", help="finite-blocklength bound curves for the BSC")
     p.add_argument("--n-grid", default="100:500:100")
     p.add_argument("--p", type=float, default=0.11)
     p.add_argument("--eps", type=float, default=1e-3)
     common(p)
-    p.set_defaults(func=_cmd_fbl, format="csv")
+    p.set_defaults(func=_cmd_fbl)
 
     p = sub.add_parser("selftest", help="run the invariant suite; nonzero exit on failure")
     p.add_argument("--fast", action="store_true")

@@ -508,20 +508,15 @@ class ExitScan:
         }
 
 
-def exit_scan(
-    channel_family: str,
-    cp: CodePair,
-    grid,
-    family: _en.EntropyFamily = _en.VON_NEUMANN,
-) -> ExitScan:
-    """EXIT curve over a parameter grid with the half-bit crossing located.
+def exit_scan(channel_family: str, cp: CodePair, grid) -> ExitScan:
+    """Von Neumann EXIT curve over a grid with the half-bit crossing located.
 
     The crossing estimate is linear interpolation; the residual compares the
     channel capacity there with the code rate and is reported, not asserted.
     """
     rows = []
     for p in grid:
-        rep = exit_duality_check(float(p), cp, family, channel_family)
+        rep = exit_duality_check(float(p), cp, channel_family=channel_family)
         rows.append((float(p), rep.lhs, rep.rhs, rep.total))
     ps = np.array([r[0] for r in rows])
     vals = np.array([r[1] for r in rows])
@@ -637,11 +632,8 @@ def _best_decouple_by_dim(source: _en.CqState, n: int) -> dict[int, float]:
     prior = source.prior
     py = prior @ t  # per-copy output distribution
     mod = prior[0] * t[0] - prior[1] * t[1]  # <eta_y| Z |eta_y>
-    xs = all_vectors(2, n)
+    xs = all_vectors(2, n)  # row r encodes integer r, most significant bit first
     ys = all_vectors(2, n)
-    xs_int = np.array([int("".join(map(str, row)), 2) for row in xs])
-    order = np.argsort(xs_int)
-    xs = xs[order]  # row r encodes integer r
     best: dict[int, float] = {}
     blocks = [_block_gram(y, xs, py, mod) for y in ys]
     embeds = [gram_embed(b.astype(complex)) for b in blocks]

@@ -565,13 +565,14 @@ def dispersion(state: CqState) -> tuple[float, float]:
     return second, second - h * h
 
 
-def dispersion_derivative_gap(state: CqState, h: float = 1e-4) -> float:
+def dispersion_derivative_gap(state: CqState) -> float:
     """Relative error between the Renyi-order derivative at 1 and variance/2.
 
     The derivative of the Petz divergence in alpha at alpha=1 equals half the
     variance (in matching log units); this evaluates both sides by central
-    finite differences and returns the relative mismatch.
+    finite differences of step 1e-4 and returns the relative mismatch.
     """
+    h = 1e-4
     lo, hi = petz_curve(state, [1.0 - h, 1.0 + h])
     fd_bits = (lo - hi) / (2.0 * h)  # derivative of the divergence, bits
     _, var = dispersion(state)

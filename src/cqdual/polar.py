@@ -151,7 +151,8 @@ def _channel_stats(w: _ch.CqChannel, level: int, bit: int, trunc: float) -> Leve
 
 
 def _truncate_to_joint_support(w: _ch.CqChannel) -> tuple[_ch.CqChannel, float]:
-    """Project outputs onto the support of the average output and renormalize."""
+    """Project outputs onto the support of the average output and renormalize;
+    the loss reported is the largest mass any one output loses."""
     table = diagonal_table(w.outputs)
     if table is not None:
         # diagonality-preserving path: drop zero-probability symbols, then
@@ -159,7 +160,7 @@ def _truncate_to_joint_support(w: _ch.CqChannel) -> tuple[_ch.CqChannel, float]:
         # statistic, so every entropy quantity is unchanged)
         py = table.mean(axis=0)
         keep = np.where(py > TOL.rank_cut)[0]
-        lost = float(max(0.0, 1.0 - table[:, keep].sum(axis=1).max()))
+        lost = float(max(0.0, 1.0 - table[:, keep].sum(axis=1).min()))
         table = table[:, keep]
         groups: dict[tuple, int] = {}
         merged = []
@@ -172,35 +173,21 @@ def _truncate_to_joint_support(w: _ch.CqChannel) -> tuple[_ch.CqChannel, float]:
                 merged.append(col.copy())
         table = np.stack(merged, axis=1)
         table /= table.sum(axis=1, keepdims=True)
-        outs = tuple(np.diag(row).astype(complex) for row in table)
-        return _ch.CqChannel(outs, kind=w.kind, params=dict(w.params)), lost
+        return _ch.CqChannel(tuple(np.diag(row).astype(complex) for row in table)), lost
     avg = hermitian_part(sum(w.outputs) / w.input_size)
     iso = projector_onto_support(avg)
     if iso.shape[1] == w.dim:
         return w, 0.0
-    lost = 0.0
-    outs = []
-    for o in w.outputs:
-        c = hermitian_part(iso.conj().T @ o @ iso)
-        tr = np.trace(c).real
-        lost = max(lost, 1.0 - tr)
-        outs.append(c / tr)
-    wit = None
-    if w.is_symmetric:
-        wit_c = tuple(iso.conj().T @ u @ iso for u in w.witnesses)
-        try:
-            return _ch.CqChannel(tuple(outs), witnesses=wit_c, kind=w.kind, params=dict(w.params)), lost
-        except ValueError:
-            wit = None
-    return _ch.CqChannel(tuple(outs), witnesses=wit, kind=w.kind, params=dict(w.params)), lost
+    outs = [hermitian_part(iso.conj().T @ o @ iso) for o in w.outputs]
+    kept = np.array([np.trace(c).real for c in outs])
+    lost = float(max(0.0, 1.0 - kept.min()))
+    return _ch.CqChannel(tuple(c / tr for c, tr in zip(outs, kept))), lost
 
 
-def _bec_stats(eps: float, level: int, bit: int) -> LevelStats:
-    # closed forms for the erasure channel: H = eps, B = eps,
-    # Hmin = -log2(1 - eps/2), Hmax = log2(1 + eps)
-    hmin = -np.log1p(-eps / 2.0) / np.log(2.0)
-    hmax = np.log1p(eps) / np.log(2.0)
-    return LevelStats(level, bit, float(eps), float(hmin), float(hmax), float(eps), 3, 0.0)
+def _erasure_stats(eps):
+    """(H, Hmin, Hmax, B) of the erasure channel with erasure probability eps,
+    elementwise: (eps, -log2(1 - eps/2), log2(1 + eps), eps)."""
+    return eps, -np.log1p(-eps / 2.0) / np.log(2.0), np.log1p(eps) / np.log(2.0), eps
 
 
 def _erasure_probability(w: _ch.CqChannel) -> float | None:
@@ -241,7 +228,7 @@ def trajectory(w: _ch.CqChannel, bits) -> Trajectory:
     levels = []
     for i, b in enumerate(bits):
         eps = float(_erasure_step(eps, b))
-        levels.append(_bec_stats(eps, i + 1, b))
+        levels.append(LevelStats(i + 1, b, *map(float, _erasure_stats(eps)), 3, 0.0))
     return Trajectory(bits, tuple(levels), True, _ch.make_bec(min(1.0, eps)))
 
 
@@ -251,9 +238,10 @@ def _dense_trajectory(w: _ch.CqChannel, bits: tuple[int, ...]) -> Trajectory:
     support after each level, and the discarded mass is reported."""
     if len(bits) > GENERIC_LEVEL_CAP:
         raise ValueError(
-            f"generic trajectories are capped at {GENERIC_LEVEL_CAP} levels; got {len(bits)}"
+            f"trajectories of channels that are not erasure channels are capped at "
+            f"{GENERIC_LEVEL_CAP} levels; got {len(bits)}"
         )
-    cur = w
+    cur = _ch.CqChannel(w.outputs)  # outputs alone, so no level builds witnesses
     levels = []
     acc_trunc = 0.0
     for i, b in enumerate(bits):
@@ -267,17 +255,25 @@ def _dense_trajectory(w: _ch.CqChannel, bits: tuple[int, ...]) -> Trajectory:
     return Trajectory(bits, tuple(levels), True, cur)
 
 
+def _require_complete(traj: Trajectory) -> Trajectory:
+    """traj itself if it ran every bit; else a ValueError naming where it stopped."""
+    if not traj.complete:
+        raise ValueError(
+            f"trajectory hit the dimension cap after level {len(traj.levels)} of "
+            f"{len(traj.bits)} (dim {traj.final_channel.dim}); use fewer levels"
+        )
+    return traj
+
+
 def trajectory_duality_gap(w: _ch.CqChannel, bits) -> float:
     """Profile gap between dual(W_{bits}) and dual(W)_{complement(bits)}.
 
     The identity is stated for symmetric channels; non-symmetric inputs can
     produce genuine gaps through the variable-convolution leg.
     """
-    t1 = trajectory(w, bits)
+    t1 = _require_complete(trajectory(w, bits))
     comp = [1 - int(b) for b in bits]
-    t2 = trajectory(_ch.dual(w), comp)
-    if not (t1.complete and t2.complete):
-        raise ValueError("trajectory hit the dimension cap; use fewer levels")
+    t2 = _require_complete(trajectory(_ch.dual(w), comp))
     return _ch.profile_gap(
         _ch.invariant_profile(_ch.dual(t1.final_channel)),
         _ch.invariant_profile(t2.final_channel),
@@ -345,10 +341,12 @@ def polarization_experiment(
 
     Uses a counter-based generator keyed by the seed, so the complemented run
     (complement=True) sees exactly the complements of the same bit sequences.
-    Erasure channels, recognised from their outputs, run the exact scalar
-    recursion; on other channels trajectory() refuses n > GENERIC_LEVEL_CAP.
-    The threshold is 2^(-n^beta). The capacity log2(d) - H(W) is reported for
-    channels with symmetry witnesses and for erasure channels, NaN otherwise.
+    Every fraction is read off Hmin, Hmax and B of each trial's W_n: closed
+    forms for erasure channels, recognised from their outputs, trajectory()
+    otherwise, which refuses n > GENERIC_LEVEL_CAP or a stop at the dimension
+    cap (ValueError). The threshold is 2^(-n^beta). The capacity
+    log2(d) - H(W) is reported for channels with symmetry witnesses and for
+    erasure channels, NaN otherwise.
     """
     f = polynomial_threshold(n, beta)
     bits = _sequence_bits(trials, n, seed)
@@ -361,30 +359,19 @@ def polarization_experiment(
         h = _en.cond_entropy(_en.from_channel(w), _en.VON_NEUMANN)
         cap = float(np.log2(w.input_size)) - h
     if erasure is not None:
-        # the dual of BEC(eps) is BEC(1 - eps) with the convolutions swapped
+        # the dual of BEC(eps) is BEC(1 - eps) with the convolutions swapped; its
+        # recursion prints 1 - B without cancellation and feeds no fraction
         eps = np.full(trials, erasure)
-        delta = 1.0 - eps
+        b_complement = 1.0 - eps
         for b in bits.T:
-            eps, delta = _erasure_step(eps, b), _erasure_step(delta, 1 - b)
-        thr_h = float(-2.0 * np.expm1(-f * np.log(2.0)))  # Hmin<=f iff eps<=thr_h
-        frac_hmin = float(np.mean(eps <= thr_h))
-        frac_hmax = float(np.mean(delta <= thr_h))
-        frac_b_small = float(np.mean(eps <= f))
-        frac_b_large = float(np.mean(delta <= f))
-        bridge_lo = frac_b_small
-        bridge_hi = float(np.mean(eps <= 2.0 * np.sqrt(f)))
-        return PolarizationReport(
-            n, trials, seed, f, complement, cap,
-            frac_hmin, frac_hmax, frac_b_small, frac_b_large,
-            bridge_lo, bridge_hi, final_b=eps, final_b_complement=delta,
-        )
-    hmins = np.empty(trials)
-    hmaxs = np.empty(trials)
-    bs = np.empty(trials)
-    for t in range(trials):
-        traj = trajectory(w, bits[t])
-        last = traj.levels[-1]
-        hmins[t], hmaxs[t], bs[t] = last.hmin, last.hmax, last.bhattacharyya
+            eps, b_complement = _erasure_step(eps, b), _erasure_step(b_complement, 1 - b)
+        _, hmins, hmaxs, bs = _erasure_stats(eps)
+    else:
+        hmins, hmaxs, bs = np.empty(trials), np.empty(trials), np.empty(trials)
+        for t in range(trials):
+            last = _require_complete(trajectory(w, bits[t])).levels[-1]
+            hmins[t], hmaxs[t], bs[t] = last.hmin, last.hmax, last.bhattacharyya
+        b_complement = 1.0 - bs
     return PolarizationReport(
         n, trials, seed, f, complement, cap,
         float(np.mean(hmins <= f)),
@@ -394,7 +381,7 @@ def polarization_experiment(
         float(np.mean(bs <= f)),
         float(np.mean(bs <= 2.0 * np.sqrt(f))),
         final_b=bs,
-        final_b_complement=1.0 - bs,
+        final_b_complement=b_complement,
     )
 
 

@@ -99,12 +99,12 @@ def test_criterion_4_dispersion(acceptance_corpus):
         _, v = en.dispersion(en.from_channel(w))
         _, vd = en.dispersion(en.from_channel(ch.dual(w)))
         worst = max(worst, abs(v - vd))
-    fd_worst = en.dispersion_derivative_gap(en.from_channel(ch.make_bsc(0.11)), h=1e-4)
+    fd_worst = en.dispersion_derivative_gap(en.from_channel(ch.make_bsc(0.11)))
     rng = np.random.default_rng(SEED)
     for _ in range(10):
         s = en.from_channel(corpus.random_channel(rng, 3))
         if en.dispersion(s)[1] > 1e-2:
-            fd_worst = max(fd_worst, en.dispersion_derivative_gap(s, h=1e-4))
+            fd_worst = max(fd_worst, en.dispersion_derivative_gap(s))
     ok = worst <= 1e-5 and fd_worst <= 1e-3
     _report(
         4,

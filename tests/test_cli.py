@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import cqdual
-from cqdual import cli, codes
+from cqdual import channels as ch, cli, codes
 from cqdual.fbl import CSV_HEADER
 
 
@@ -24,9 +24,15 @@ def test_version(capsys):
 
 
 def test_unknown_flag_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["check-duality", "--nope"])
-    assert exc.value.code == 2
+    # --format is only taken by the commands that can write both JSON and CSV
+    for args in (
+        ["check-duality", "--nope"],
+        ["check-duality", "--channel", "bsc:0.11", "--format", "csv"],
+        ["fbl", "--format", "json"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 2
 
 
 def test_parse_grid_forms():
@@ -251,6 +257,24 @@ def test_internal_errors_are_not_usage_errors(monkeypatch):
     monkeypatch.setattr(cli._en, "duality_check", broken)
     with pytest.raises(ValueError, match="not Hermitian"):
         run_cli(["check-duality", "--channel", "bsc:0.11"])
+
+    def unsolved(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigh did not converge")
+
+    # polarize reports a depth the channel cannot reach as a usage error, but
+    # LinAlgError, a ValueError subclass, stays a fault
+    monkeypatch.setattr(cli._polar, "polarization_experiment", unsolved)
+    with pytest.raises(np.linalg.LinAlgError):
+        run_cli(["polarize", "--channel", "bsc:0.11", "--n", "2", "--trials", "2"])
+
+
+def test_polarize_past_the_dimension_cap_exits_2(tmp_path, capsys):
+    spec = tmp_path / "dualbec.json"
+    spec.write_text(ch.channel_to_json(ch.dual(ch.make_bec(0.3))))
+    assert run_cli(["polarize", "--channel", f"channel:@{spec}", "--n", "4", "--trials", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cqdual: error: trajectory hit the dimension cap after level 2")
 
 
 def test_selftest_fast():

@@ -163,6 +163,14 @@ def test_trajectory_duality_small(rng):
             assert polar.trajectory_duality_gap(w, bits) <= 1e-5
 
 
+def test_truncation_keeps_outputs_and_reports_the_worst_loss():
+    # symbol 2 is below the rank cut on average; only output 0 loses its mass
+    w = ch.make_classical(np.array([[1 - 1e-13, 0.0, 1e-13], [0.0, 1.0, 0.0]]))
+    cut, lost = polar._truncate_to_joint_support(w)
+    assert cut.dim == 2 and cut.witnesses is None and cut.kind == "generic"
+    assert lost == pytest.approx(1e-13, rel=1e-3)
+
+
 def test_trajectory_level_cap(rng):
     with pytest.raises(ValueError):
         polar.trajectory(random_channel(rng, 2), [0] * 7)
@@ -205,6 +213,41 @@ def test_polarization_complement_mirrors_dual():
         ch.make_bec(0.7), 10, 400, seed=5, complement=True
     )
     assert np.max(np.abs(a.final_b - b.final_b_complement)) < 1e-12
+    # independently of that recursion, the dual run's own B(W_n dual) is 1 - B(W_n)
+    assert np.max(np.abs(a.final_b - (1.0 - b.final_b))) < 1e-12
+
+
+def _fractions(stats, f):
+    hmin = np.array([s.hmin for s in stats])
+    hmax = np.array([s.hmax for s in stats])
+    b = np.array([s.bhattacharyya for s in stats])
+    return [
+        float(np.mean(hmin <= f)), float(np.mean(hmax >= 1.0 - f)),
+        float(np.mean(b <= f)), float(np.mean(b >= 1.0 - f)),
+        float(np.mean(b <= f)), float(np.mean(b <= 2.0 * np.sqrt(f))),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_polarization_fractions_come_from_each_trajectory(n):
+    # every fraction is a statistic of W_n: the experiment must agree with
+    # the last level of each trial's own trajectory, scalar and dense alike
+    p, trials, seed = 0.45, 24, 11
+    rep = polar.polarization_experiment(ch.make_bec(p), n, trials, seed=seed)
+    got = [rep.frac_hmin_small, rep.frac_hmax_large, rep.frac_b_small,
+           rep.frac_b_large, rep.bridge_hmin_lower, rep.bridge_hmin_upper]
+    bits = polar._sequence_bits(trials, n, seed)
+    scalar = [polar.trajectory(ch.make_bec(p), row).levels[-1] for row in bits]
+    assert got == _fractions(scalar, rep.threshold)
+    table = ch.make_classical(np.array([[1 - p, 0, p], [0, 1 - p, p]]))
+    dense = [polar._dense_trajectory(table, tuple(int(b) for b in row)).levels[-1] for row in bits]
+    assert got == _fractions(dense, rep.threshold)
+
+
+def test_polarization_refuses_a_trajectory_cut_at_the_dimension_cap():
+    # dual(BEC(0.3)) outgrows DIM_CAP before level 4: no fractions of a shallower level
+    with pytest.raises(ValueError, match="dimension cap after level 2 of 4"):
+        polar.polarization_experiment(ch.dual(ch.make_bec(0.3)), 4, 3, seed=1)
 
 
 def test_polarization_capacity_split():
