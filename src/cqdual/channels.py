@@ -46,6 +46,7 @@ __all__ = [
     "invariant_profile",
     "profiles_match",
     "profile_gap",
+    "dual_profile_gap",
     "trace_distance_vs_dual_fidelity",
     "channel_to_dict",
     "channel_from_dict",
@@ -442,6 +443,11 @@ def invariant_profile(w: CqChannel) -> InvariantProfile:
 
 def profile_gap(a: InvariantProfile, b: InvariantProfile) -> float:
     return float(np.max(np.abs(a.as_array() - b.as_array())))
+
+
+def dual_profile_gap(w: CqChannel, v: CqChannel) -> float:
+    """Profile gap between dual(w) and v: how far v is from looking like w's dual."""
+    return profile_gap(invariant_profile(dual(w)), invariant_profile(v))
 
 
 def profiles_match(a: InvariantProfile, b: InvariantProfile) -> bool:

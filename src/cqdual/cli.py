@@ -147,10 +147,13 @@ def _families_from_flag(flag: str) -> list[_en.EntropyFamily]:
 def _cmd_check_duality(args) -> int:
     w = _parse(parse_channel_spec, args.channel)
     wd = _ch.dual(w)
-    reports = [
-        _en.duality_check(w, fam, dual_channel=wd).to_dict()
-        for fam in _families_from_flag(args.family)
-    ]
+    try:
+        reports = [
+            _en.duality_check(w, fam, dual_channel=wd).to_dict()
+            for fam in _families_from_flag(args.family)
+        ]
+    except _en.UnsupportedFamily as exc:  # any other ValueError is a fault
+        raise _UsageError(exc) from exc
     _emit(args, {"meta": _meta(args, channel=args.channel, family=args.family), "reports": reports})
     return 0
 

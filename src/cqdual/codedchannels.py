@@ -68,12 +68,23 @@ def _product_likelihood(words: np.ndarray, ys: np.ndarray, t: np.ndarray) -> np.
     return out
 
 
+def _encoding(cp: CodePair, randomized: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(words, message labels) of an encoding, one coset of q^k words at a time,
+    each coset indexed by the message: the zero-syndrome coset alone, or every
+    syndrome's coset in enumeration order when the syndrome is randomized."""
+    r = cp.n - cp.k
+    syndromes = all_vectors(cp.q, r) if randomized else np.zeros((1, r), dtype=np.int64)
+    words = np.concatenate([cp.coset(s) for s in syndromes], axis=0)
+    return words, np.tile(np.arange(cp.q**cp.k), len(syndromes))
+
+
 def classical_coded_table(channel: _ch.CqChannel, cp: CodePair, leg: str) -> np.ndarray:
     """Joint distribution J[message, y^n] for a code over a channel with
     diagonal (classical) outputs.
 
     leg="deterministic": syndrome fixed to zero, messages uniform.
     leg="randomized": syndrome uniform as well, marginalized out.
+    The likelihoods are accumulated one coset at a time.
     """
     if channel.input_size != cp.q:
         raise ValueError("channel input alphabet must match the code field")
@@ -85,16 +96,14 @@ def classical_coded_table(channel: _ch.CqChannel, cp: CodePair, leg: str) -> np.
     ny = t.shape[1]
     if (cp.q**cp.k) * (ny**cp.n) > _TABLE_CAP:
         raise ValueError("joint table would exceed the memory cap")
+    if leg not in ("deterministic", "randomized"):
+        raise ValueError(f"unknown leg {leg!r}")
     ys = all_vectors(ny, cp.n)
-    if leg == "deterministic":
-        lik = _product_likelihood(cp.codewords(), ys, t)
-        return lik / cp.q**cp.k
-    if leg == "randomized":
-        acc = np.zeros((cp.q**cp.k, ys.shape[0]))
-        for s in all_vectors(cp.q, cp.n - cp.k):
-            acc += _product_likelihood(cp.coset(s), ys, t)
-        return acc / cp.q**cp.n
-    raise ValueError(f"unknown leg {leg!r}")
+    words, _ = _encoding(cp, leg == "randomized")
+    acc = np.zeros((cp.q**cp.k, ys.shape[0]))
+    for coset in words.reshape(-1, cp.q**cp.k, cp.n):
+        acc += _product_likelihood(coset, ys, t)
+    return acc / len(words)
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +179,9 @@ def dual_coded_ensemble(p: float, cp: CodePair, mode: str) -> PureEnsemble:
     """
     if cp.q != 2:
         raise ValueError("pure dual ensembles are built for binary codes")
-    if mode == "deterministic":
-        xs = cp.codewords()
-        labels = np.arange(xs.shape[0])
-    elif mode == "randomized":
-        blocks = [cp.coset(s) for s in all_vectors(2, cp.n - cp.k)]
-        xs = np.concatenate(blocks, axis=0)
-        labels = np.tile(np.arange(2**cp.k), 2 ** (cp.n - cp.k))
-    else:
+    if mode not in ("deterministic", "randomized"):
         raise ValueError(f"unknown mode {mode!r}")
+    xs, labels = _encoding(cp, mode == "randomized")
     m = xs.shape[0]
     return PureEnsemble(np.full(m, 1.0 / m), _word_gram(xs, 1.0 - 2.0 * p), labels)
 
@@ -279,21 +282,11 @@ def coded_channel(w: _ch.CqChannel, cp: CodePair, randomized: bool) -> _ch.CqCha
         raise ValueError("channel alphabet must match the code field")
     if w.dim**cp.n > 512:
         raise ValueError("coded channel output dimension too large")
+    words, labels = _encoding(cp, randomized)
     outs = []
-    msgs = all_vectors(cp.q, cp.k)
-    if randomized:
-        syn = all_vectors(cp.q, cp.n - cp.k)
-        for m in msgs:
-            acc = None
-            for s in syn:
-                word = cp.encode(s, m)
-                op = tensor(*(w.outputs[int(z)] for z in word))
-                acc = op if acc is None else acc + op
-            outs.append(hermitian_part(acc / len(syn)))
-    else:
-        for m in msgs:
-            word = cp.encode(np.zeros(cp.n - cp.k, dtype=np.int64), m)
-            outs.append(tensor(*(w.outputs[int(z)] for z in word)))
+    for m in range(cp.q**cp.k):
+        ops = [tensor(*(w.outputs[int(z)] for z in x)) for x in words[labels == m]]
+        outs.append(sum(ops[1:], ops[0]) / len(ops))
     return _ch.CqChannel(tuple(outs), kind="coded", params={})
 
 
@@ -389,13 +382,11 @@ def encoder_duality_check(w: _ch.CqChannel, cp: CodePair) -> EncoderDualityRepor
         raise ValueError("profile comparison needs exactly two messages (k=1, q=2)")
     wd = _ch.dual(w)
     cpd = cp.dual_complement()
-    gap_det = _ch.profile_gap(
-        _ch.invariant_profile(_ch.dual(coded_channel(w, cp, randomized=False))),
-        _ch.invariant_profile(coded_channel(wd, cpd, randomized=True)),
+    gap_det = _ch.dual_profile_gap(
+        coded_channel(w, cp, randomized=False), coded_channel(wd, cpd, randomized=True)
     )
-    gap_rand = _ch.profile_gap(
-        _ch.invariant_profile(_ch.dual(coded_channel(w, cp, randomized=True))),
-        _ch.invariant_profile(coded_channel(wd, cpd, randomized=False)),
+    gap_rand = _ch.dual_profile_gap(
+        coded_channel(w, cp, randomized=True), coded_channel(wd, cpd, randomized=False)
     )
     return EncoderDualityReport(gap_det, gap_rand)
 
@@ -464,6 +455,13 @@ class ExitReport:
         }
 
 
+# each channel family's W(p) and its dual W(p)⊥
+_EXIT_CHANNELS = {
+    "bec": lambda p: (_ch.make_bec(p), _ch.make_bec(1.0 - p)),
+    "bsc": lambda p: (_ch.make_bsc(p), _ch.make_bsc_dual(p)),
+}
+
+
 def exit_duality_check(
     p: float,
     cp: CodePair,
@@ -471,17 +469,11 @@ def exit_duality_check(
     channel_family: str = "bec",
 ) -> ExitReport:
     """EXIT function of (W(p), C) plus the dual-family EXIT of (W(p) dual, C dual)."""
-    dualf = _en.dual_family(family)
-    cpd = cp.dual()
-    if channel_family == "bec":
-        lhs = exit_function(_ch.make_bec(p), cp, family)
-        rhs = exit_function(_ch.make_bec(1.0 - p), cpd, dualf)
-    elif channel_family == "bsc":
-        lhs = exit_function(_ch.make_bsc(p), cp, family)
-        rhs = exit_function(_ch.make_bsc_dual(p), cpd, dualf)
-    else:
+    if channel_family not in _EXIT_CHANNELS:
         raise ValueError("channel_family must be 'bec' or 'bsc'")
-    lhs, rhs = float(lhs), float(rhs)
+    w, wd = _EXIT_CHANNELS[channel_family](p)
+    lhs = float(exit_function(w, cp, family))
+    rhs = float(exit_function(wd, cp.dual(), _en.dual_family(family)))
     total = lhs + rhs
     return ExitReport(p, lhs, rhs, total, 1.0, abs(total - 1.0))
 
@@ -512,7 +504,8 @@ def exit_scan(channel_family: str, cp: CodePair, grid) -> ExitScan:
     """Von Neumann EXIT curve over a grid with the half-bit crossing located.
 
     The crossing estimate is linear interpolation; the residual compares the
-    channel capacity there with the code rate and is reported, not asserted.
+    capacity of the scanned channel there (entropies.capacity) with the code
+    rate and is reported, not asserted.
     """
     rows = []
     for p in grid:
@@ -529,10 +522,7 @@ def exit_scan(channel_family: str, cp: CodePair, grid) -> ExitScan:
     rate = cp.k / cp.n
     cap = res = None
     if transition is not None:
-        if channel_family == "bec":
-            cap = 1.0 - transition
-        else:
-            cap = 1.0 - _en.binary_entropy(transition)
+        cap = _en.capacity(_EXIT_CHANNELS[channel_family](transition)[0])
         res = abs(cap - rate)
     return ExitScan(
         channel_family, cp.name or "custom", rate, tuple(rows), transition, cap, res
@@ -544,8 +534,13 @@ def exit_scan(channel_family: str, cp: CodePair, grid) -> ExitScan:
 # ---------------------------------------------------------------------------
 
 
-def _subspaces_by_dim(n: int) -> dict[int, list[tuple[int, ...]]]:
-    """All subspaces of GF(2)^n as sorted tuples of member integers."""
+_Subspaces = dict[int, list[np.ndarray]]  # dimension -> each subspace's coset labels
+
+
+def _coset_labels_by_dim(n: int) -> _Subspaces:
+    """Every subspace of GF(2)^n by dimension, in order of its sorted members,
+    as an array that maps each x in 0..2^n-1 to the number of its coset; cosets
+    are numbered smallest member first."""
     if n > 4:
         raise ValueError("subspace enumeration capped at n=4")
     from itertools import combinations
@@ -558,25 +553,13 @@ def _subspaces_by_dim(n: int) -> dict[int, list[tuple[int, ...]]]:
             for v in basis:
                 span |= {m ^ v for m in span}
             found.add(frozenset(span))
-    out: dict[int, list[tuple[int, ...]]] = {}
-    for s in found:
-        dim = int(np.log2(len(s)))
-        out.setdefault(dim, []).append(tuple(sorted(s)))
-    for lst in out.values():
-        lst.sort()
+    xs = np.arange(1 << n)
+    out: _Subspaces = {}
+    for span in sorted(tuple(sorted(s)) for s in found):
+        smallest = (xs[:, None] ^ np.array(span)[None, :]).min(axis=1)
+        labels = np.unique(smallest, return_inverse=True)[1]
+        out.setdefault(len(span).bit_length() - 1, []).append(labels)
     return out
-
-
-def _cosets_of(span: tuple[int, ...], n: int) -> list[list[int]]:
-    seen = set()
-    cosets = []
-    for x in range(1 << n):
-        if x in seen:
-            continue
-        coset = sorted(x ^ c for c in span)
-        seen.update(coset)
-        cosets.append(coset)
-    return cosets
 
 
 def _source_table(source: _en.CqState) -> np.ndarray:
@@ -589,7 +572,7 @@ def _source_table(source: _en.CqState) -> np.ndarray:
     return t
 
 
-def _best_guess_by_dim(source: _en.CqState, n: int) -> dict[int, float]:
+def _best_guess_by_dim(source: _en.CqState, n: int, subspaces: _Subspaces) -> dict[int, float]:
     """Best achievable P(message | outputs, syndrome) over codes of each dimension."""
     t = _source_table(source)
     prior = source.prior
@@ -600,12 +583,12 @@ def _best_guess_by_dim(source: _en.CqState, n: int) -> dict[int, float]:
         px *= prior[xs[:, i]]
     lik = _product_likelihood(xs, ys, t) * px[:, None]  # joint P(x, y)
     best: dict[int, float] = {}
-    for dim, spans in _subspaces_by_dim(n).items():
+    for dim, spans in subspaces.items():
         top = 0.0
-        for span in spans:
+        for labels in spans:
             val = 0.0
-            for coset in _cosets_of(span, n):
-                val += _en._table_guess(lik[coset])
+            for c in range(1 << (n - dim)):
+                val += _en._table_guess(lik[labels == c])
             top = max(top, val)
         best[dim] = top
     return best
@@ -621,7 +604,7 @@ def _block_gram(y: np.ndarray, xs: np.ndarray, py: np.ndarray, mod: np.ndarray) 
     return g
 
 
-def _best_decouple_by_dim(source: _en.CqState, n: int) -> dict[int, float]:
+def _best_decouple_by_dim(source: _en.CqState, n: int, subspaces: _Subspaces) -> dict[int, float]:
     """Best decoupling quality over linear extractions with each kernel dimension.
 
     The conjugate-side states are block diagonal over the classical output
@@ -637,19 +620,18 @@ def _best_decouple_by_dim(source: _en.CqState, n: int) -> dict[int, float]:
     best: dict[int, float] = {}
     blocks = [_block_gram(y, xs, py, mod) for y in ys]
     embeds = [gram_embed(b.astype(complex)) for b in blocks]
-    for dim, spans in _subspaces_by_dim(n).items():
+    for dim, spans in subspaces.items():
+        nlab = 1 << (n - dim)
+        if nlab == 1:
+            best[dim] = 1.0
+            continue
         top = 0.0
-        for span in spans:
-            cosets = _cosets_of(span, n)
-            nlab = len(cosets)
-            if nlab == 1:
-                top = 1.0
-                break
+        for labels in spans:
             q = 0.0
-            scale = 1.0 / np.sqrt(len(span))
+            scale = 1.0 / np.sqrt(1 << dim)
             for vecs in embeds:
                 factors = [
-                    np.ascontiguousarray(scale * vecs[coset].T) for coset in cosets
+                    np.ascontiguousarray(scale * vecs[labels == c].T) for c in range(nlab)
                 ]
                 q += _en.max_fidelity_sum(factors, [1.0 / nlab] * nlab).value ** 2
             top = max(top, q)
@@ -671,8 +653,9 @@ def compression_extraction_tables(
 
     seed is accepted and ignored: every computation here is deterministic.
     """
-    guess = _best_guess_by_dim(source, n)
-    dec_by_kernel = _best_decouple_by_dim(source, n)
+    subspaces = _coset_labels_by_dim(n)
+    guess = _best_guess_by_dim(source, n, subspaces)
+    dec_by_kernel = _best_decouple_by_dim(source, n, subspaces)
     decouple = {n - kdim: v for kdim, v in dec_by_kernel.items()}
     return BruteForceTables(n, guess, decouple)
 

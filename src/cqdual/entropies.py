@@ -46,6 +46,7 @@ __all__ = [
     "dispersion",
     "dispersion_derivative_gap",
     "duality_check",
+    "UnsupportedFamily",
     "capacity",
     "capacity_duality_check",
     "np_beta",
@@ -599,6 +600,10 @@ def state_disjointness_gap(w: _ch.CqChannel) -> float:
     return gap
 
 
+class UnsupportedFamily(ValueError):
+    """An entropy family whose sum the toolkit cannot evaluate exactly for a channel."""
+
+
 def duality_check(
     w: _ch.CqChannel,
     family: EntropyFamily,
@@ -609,8 +614,16 @@ def duality_check(
 
     Both legs are computed independently; nothing is inferred from the
     identity being tested. A precomputed dual may be passed in when checking
-    several families of the same channel.
+    several families of the same channel. The min and max families are
+    refused (UnsupportedFamily, a ValueError) for more than two inputs, where
+    guessing_prob falls back to the square-root measurement, which is not
+    optimal there.
     """
+    if family.kind in ("min", "max") and w.input_size > 2:
+        raise UnsupportedFamily(
+            f"the {family.label} entropy sum is checked for binary input only; "
+            f"{w.input_size} inputs would need an optimal measurement"
+        )
     dualf = dual_family(family)
     lhs = cond_entropy(from_channel(w), family)
     wd = _ch.dual(w) if dual_channel is None else dual_channel

@@ -105,14 +105,8 @@ def convolution_duality_check(w: _ch.CqChannel, wp: _ch.CqChannel) -> Convolutio
     breaks it at the 1e-2 level, so pass witnessed channels for that leg.
     """
     wd, wpd = _ch.dual(w), _ch.dual(wp)
-    gap_v = _ch.profile_gap(
-        _ch.invariant_profile(_ch.dual(convolve(w, wp, VARIABLE))),
-        _ch.invariant_profile(convolve(wd, wpd, CHECK)),
-    )
-    gap_c = _ch.profile_gap(
-        _ch.invariant_profile(_ch.dual(convolve(w, wp, CHECK))),
-        _ch.invariant_profile(convolve(wd, wpd, VARIABLE)),
-    )
+    gap_v = _ch.dual_profile_gap(convolve(w, wp, VARIABLE), convolve(wd, wpd, CHECK))
+    gap_c = _ch.dual_profile_gap(convolve(w, wp, CHECK), convolve(wd, wpd, VARIABLE))
     return ConvolutionDualityReport(gap_v, gap_c)
 
 
@@ -137,8 +131,7 @@ class LevelStats:
 class Trajectory:
     bits: tuple[int, ...]
     levels: tuple[LevelStats, ...]
-    complete: bool
-    final_channel: _ch.CqChannel | None = field(default=None, repr=False)
+    final_channel: _ch.CqChannel = field(repr=False)
 
 
 def _channel_stats(w: _ch.CqChannel, level: int, bit: int, trunc: float) -> LevelStats:
@@ -229,13 +222,14 @@ def trajectory(w: _ch.CqChannel, bits) -> Trajectory:
     for i, b in enumerate(bits):
         eps = float(_erasure_step(eps, b))
         levels.append(LevelStats(i + 1, b, *map(float, _erasure_stats(eps)), 3, 0.0))
-    return Trajectory(bits, tuple(levels), True, _ch.make_bec(min(1.0, eps)))
+    return Trajectory(bits, tuple(levels), _ch.make_bec(min(1.0, eps)))
 
 
 def _dense_trajectory(w: _ch.CqChannel, bits: tuple[int, ...]) -> Trajectory:
     """Self-convolution of the output matrices, capped at GENERIC_LEVEL_CAP
-    levels and DIM_CAP dimensions; outputs are compressed to their joint
-    support after each level, and the discarded mass is reported."""
+    levels and DIM_CAP dimensions (a ValueError names the level reached);
+    outputs are compressed to their joint support after each level, and the
+    discarded mass is reported."""
     if len(bits) > GENERIC_LEVEL_CAP:
         raise ValueError(
             f"trajectories of channels that are not erasure channels are capped at "
@@ -246,23 +240,16 @@ def _dense_trajectory(w: _ch.CqChannel, bits: tuple[int, ...]) -> Trajectory:
     acc_trunc = 0.0
     for i, b in enumerate(bits):
         if cur.dim * cur.dim > DIM_CAP:
-            return Trajectory(bits, tuple(levels), False, cur)
+            raise ValueError(
+                f"trajectory hit the dimension cap after level {i} of {len(bits)} "
+                f"(dim {cur.dim}); use fewer levels"
+            )
         nxt = convolve(cur, cur, VARIABLE if b == 0 else CHECK)
         nxt, lost = _truncate_to_joint_support(nxt)
         acc_trunc += lost
         levels.append(_channel_stats(nxt, i + 1, b, acc_trunc))
         cur = nxt
-    return Trajectory(bits, tuple(levels), True, cur)
-
-
-def _require_complete(traj: Trajectory) -> Trajectory:
-    """traj itself if it ran every bit; else a ValueError naming where it stopped."""
-    if not traj.complete:
-        raise ValueError(
-            f"trajectory hit the dimension cap after level {len(traj.levels)} of "
-            f"{len(traj.bits)} (dim {traj.final_channel.dim}); use fewer levels"
-        )
-    return traj
+    return Trajectory(bits, tuple(levels), cur)
 
 
 def trajectory_duality_gap(w: _ch.CqChannel, bits) -> float:
@@ -271,13 +258,9 @@ def trajectory_duality_gap(w: _ch.CqChannel, bits) -> float:
     The identity is stated for symmetric channels; non-symmetric inputs can
     produce genuine gaps through the variable-convolution leg.
     """
-    t1 = _require_complete(trajectory(w, bits))
-    comp = [1 - int(b) for b in bits]
-    t2 = _require_complete(trajectory(_ch.dual(w), comp))
-    return _ch.profile_gap(
-        _ch.invariant_profile(_ch.dual(t1.final_channel)),
-        _ch.invariant_profile(t2.final_channel),
-    )
+    t1 = trajectory(w, bits)
+    t2 = trajectory(_ch.dual(w), [1 - int(b) for b in bits])
+    return _ch.dual_profile_gap(t1.final_channel, t2.final_channel)
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +327,12 @@ def polarization_experiment(
     Every fraction is read off Hmin, Hmax and B of each trial's W_n: closed
     forms for erasure channels, recognised from their outputs, trajectory()
     otherwise, which refuses n > GENERIC_LEVEL_CAP or a stop at the dimension
-    cap (ValueError). The threshold is 2^(-n^beta). The capacity
-    log2(d) - H(W) is reported for channels with symmetry witnesses and for
-    erasure channels, NaN otherwise.
+    cap (ValueError); n < 1 or trials < 1 is refused too. The threshold is
+    2^(-n^beta). The capacity log2(d) - H(W) is reported for channels with
+    symmetry witnesses and for erasure channels, NaN otherwise.
     """
+    if n < 1 or trials < 1:
+        raise ValueError(f"polarization needs n >= 1 and trials >= 1; got n={n}, trials={trials}")
     f = polynomial_threshold(n, beta)
     bits = _sequence_bits(trials, n, seed)
     if complement:
@@ -367,10 +352,10 @@ def polarization_experiment(
             eps, b_complement = _erasure_step(eps, b), _erasure_step(b_complement, 1 - b)
         _, hmins, hmaxs, bs = _erasure_stats(eps)
     else:
-        hmins, hmaxs, bs = np.empty(trials), np.empty(trials), np.empty(trials)
-        for t in range(trials):
-            last = _require_complete(trajectory(w, bits[t])).levels[-1]
-            hmins[t], hmaxs[t], bs[t] = last.hmin, last.hmax, last.bhattacharyya
+        # one dense trajectory per distinct bit string (at most 2^n of them)
+        distinct, inverse = np.unique(bits, axis=0, return_inverse=True)
+        last = [trajectory(w, row).levels[-1] for row in distinct]
+        hmins, hmaxs, bs = np.array([(s.hmin, s.hmax, s.bhattacharyya) for s in last])[inverse].T
         b_complement = 1.0 - bs
     return PolarizationReport(
         n, trials, seed, f, complement, cap,

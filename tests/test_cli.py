@@ -9,6 +9,7 @@ import pytest
 
 import cqdual
 from cqdual import channels as ch, cli, codes
+from cqdual.corpus import random_channel
 from cqdual.fbl import CSV_HEADER
 
 
@@ -204,6 +205,9 @@ def test_pure_channel_from_file(tmp_path):
         ["check-duality", "--channel", "bsc:abc"],
         ["dual", "--channel", "classical:@{missing}"],
         ["polarize", "--channel", "bsc:0.11"],
+        ["polarize", "--channel", "bsc:0.11", "--trials", "0"],
+        ["polarize", "--channel", "bsc:0.11", "--n", "0", "--trials", "5"],
+        ["polarize", "--channel", "bsc:0.11", "--n", "-1", "--trials", "5"],
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, args):
@@ -266,6 +270,9 @@ def test_internal_errors_are_not_usage_errors(monkeypatch):
     monkeypatch.setattr(cli._polar, "polarization_experiment", unsolved)
     with pytest.raises(np.linalg.LinAlgError):
         run_cli(["polarize", "--channel", "bsc:0.11", "--n", "2", "--trials", "2"])
+    monkeypatch.setattr(cli._en, "duality_check", unsolved)
+    with pytest.raises(np.linalg.LinAlgError):
+        run_cli(["check-duality", "--channel", "bsc:0.11"])
 
 
 def test_polarize_past_the_dimension_cap_exits_2(tmp_path, capsys):
@@ -275,6 +282,19 @@ def test_polarize_past_the_dimension_cap_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("cqdual: error: trajectory hit the dimension cap after level 2")
+
+
+@pytest.mark.parametrize("family", ["all", "min", "max"])
+def test_check_duality_refuses_min_max_beyond_binary_input(tmp_path, capsys, family):
+    spec = tmp_path / "three.json"
+    spec.write_text(ch.channel_to_json(random_channel(np.random.default_rng(1), 2, d=3)))
+    assert run_cli(["check-duality", "--channel", f"channel:@{spec}", "--family", family]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    first = "max" if family == "max" else "min"  # all stops at min, its first refused family
+    assert captured.err.startswith(f"cqdual: error: the {first} entropy sum")
+    # the families that do not need an optimal measurement still run
+    assert run_cli(["check-duality", "--channel", f"channel:@{spec}", "--family", "petz"]) == 0
 
 
 def test_selftest_fast():

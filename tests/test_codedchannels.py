@@ -7,6 +7,7 @@ from cqdual import channels as ch
 from cqdual import codedchannels as cc
 from cqdual import codes
 from cqdual import entropies as en
+from cqdual.cli import parse_grid
 from cqdual.corpus import random_channel, random_density
 from cqdual.linalg import partial_trace
 
@@ -353,6 +354,20 @@ def test_exit_scan_transition_near_capacity():
     # rate-1/2 code: the capacity residual is reported, not asserted sharp;
     # for this short code it lands within a modest band
     assert scan.capacity_residual < 0.25
+
+
+@pytest.mark.parametrize(
+    "family, make, grid",
+    [("bsc", ch.make_bsc, "0.05:0.45:0.05"), ("bec", ch.make_bec, "0.05:0.95:0.05")],
+)
+def test_exit_scan_capacity_is_the_scanned_channels(family, make, grid):
+    # the capacity at the transition is entropies.capacity of the scanned
+    # channel there, not a closed form chosen by the family name
+    cp = codes.hamming74_pair()
+    scan = cc.exit_scan(family, cp, parse_grid(grid))
+    cap = en.capacity(make(scan.transition))
+    assert scan.capacity_at_transition == cap
+    assert scan.capacity_residual == abs(cap - cp.k / cp.n)
 
 
 # ---------------------------------------------------------------------------

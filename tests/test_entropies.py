@@ -325,6 +325,16 @@ def test_duality_check_petz_pair_random(small_corpus):
             assert rep.gap < 1e-7
 
 
+def test_duality_check_refuses_min_max_beyond_binary_input():
+    # for three inputs guessing_prob falls back to the square-root
+    # measurement, which is not optimal, so the min/max sums are refused
+    w = random_channel(np.random.default_rng(1), 2, d=3)
+    for fam in (en.MIN_ENTROPY, en.MAX_ENTROPY):
+        with pytest.raises(en.UnsupportedFamily, match="binary input only"):
+            en.duality_check(w, fam)
+    assert en.duality_check(w, en.VON_NEUMANN).gap < 1e-6
+
+
 def test_duality_report_serialization():
     rep = en.duality_check(ch.make_bsc(0.2), en.MIN_ENTROPY)
     doc = rep.to_dict()

@@ -114,7 +114,12 @@ def test_variable_to_check_direction_needs_symmetry(rng):
 def test_bec_trajectory_levels():
     traj = polar.trajectory(ch.make_bec(0.5), [0, 1])
     assert [round(s.h, 6) for s in traj.levels] == [0.25, 0.4375]
-    assert traj.complete
+
+
+def test_trajectory_raises_at_the_dimension_cap():
+    # dual(BEC(0.3)) reaches dim 196 by level 2, and 196^2 > DIM_CAP
+    with pytest.raises(ValueError, match=r"dimension cap after level 2 of 3 \(dim 196\)"):
+        polar.trajectory(ch.dual(ch.make_bec(0.3)), [0, 1, 0])
 
 
 def test_trajectory_pure_channel_multiplicativity(rng):
@@ -248,6 +253,26 @@ def test_polarization_refuses_a_trajectory_cut_at_the_dimension_cap():
     # dual(BEC(0.3)) outgrows DIM_CAP before level 4: no fractions of a shallower level
     with pytest.raises(ValueError, match="dimension cap after level 2 of 4"):
         polar.polarization_experiment(ch.dual(ch.make_bec(0.3)), 4, 3, seed=1)
+
+
+@pytest.mark.parametrize("w", [ch.make_bsc(0.11), ch.make_bec(0.3)], ids=["dense", "erasure"])
+@pytest.mark.parametrize("n, trials", [(2, 0), (2, -3), (0, 5), (-1, 5)])
+def test_polarization_refuses_empty_runs(w, n, trials):
+    # no trial or no level leaves no fraction to report
+    with pytest.raises(ValueError, match="n >= 1 and trials >= 1"):
+        polar.polarization_experiment(w, n, trials)
+
+
+def test_polarization_dense_trials_share_trajectories():
+    # one dense trajectory per distinct bit string: the fractions and final B
+    # match a trial-by-trial run
+    w, n, trials, seed = ch.make_bsc(0.11), 2, 40, 4
+    rep = polar.polarization_experiment(w, n, trials, seed=seed)
+    bits = polar._sequence_bits(trials, n, seed)
+    last = [polar.trajectory(w, row).levels[-1] for row in bits]
+    assert rep.final_b.tolist() == [s.bhattacharyya for s in last]
+    assert [rep.frac_hmin_small, rep.frac_hmax_large, rep.frac_b_small, rep.frac_b_large,
+            rep.bridge_hmin_lower, rep.bridge_hmin_upper] == _fractions(last, rep.threshold)
 
 
 def test_polarization_capacity_split():
