@@ -48,7 +48,6 @@ from .entropies import (
     MAX_ENTROPY,
     MIN_ENTROPY,
     VON_NEUMANN,
-    binary_entropy,
     capacity,
     capacity_duality_check,
     cond_entropy,

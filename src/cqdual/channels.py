@@ -10,8 +10,7 @@ retained copy of the input register, whatever the original channel looks like.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,15 +68,10 @@ class CqChannel:
 
     witnesses, when present, are unitaries U_s with U_s W(z) U_s† = W(z+s)
     for all z (addition mod d); they certify the channel is symmetric.
-    dilation_dims records a known C (x) D tensor split of the output space
-    (used by duals so the classical-dual block structure stays visible).
     """
 
     outputs: tuple[np.ndarray, ...]
     witnesses: tuple[np.ndarray, ...] | None = None
-    kind: str = "generic"
-    params: Mapping[str, float] = field(default_factory=dict)
-    dilation_dims: tuple[int, int] | None = None
 
     def __post_init__(self):
         outs = tuple(_freeze(assert_density(o)) for o in self.outputs)
@@ -163,7 +157,7 @@ def make_bsc(p: float) -> CqChannel:
         raise ValueError(f"crossover {p} outside [0, 1]")
     outs = (np.diag([1 - p, p]).astype(complex), np.diag([p, 1 - p]).astype(complex))
     swap = np.array([[0, 1], [1, 0]], dtype=complex)
-    return CqChannel(outs, witnesses=(np.eye(2, dtype=complex), swap), kind="bsc", params={"p": p})
+    return CqChannel(outs, witnesses=(np.eye(2, dtype=complex), swap))
 
 
 def make_bec(p: float) -> CqChannel:
@@ -175,7 +169,7 @@ def make_bec(p: float) -> CqChannel:
         np.diag([0, 1 - p, p]).astype(complex),
     )
     swap01 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
-    return CqChannel(outs, witnesses=(np.eye(3, dtype=complex), swap01), kind="bec", params={"p": p})
+    return CqChannel(outs, witnesses=(np.eye(3, dtype=complex), swap01))
 
 
 def make_bsc_dual(p: float) -> CqChannel:
@@ -186,7 +180,7 @@ def make_bsc_dual(p: float) -> CqChannel:
     eta1 = np.array([np.sqrt(p), -np.sqrt(1 - p)], dtype=complex)
     outs = (np.outer(eta0, eta0.conj()), np.outer(eta1, eta1.conj()))
     zop = np.diag([1.0, -1.0]).astype(complex)
-    return CqChannel(outs, witnesses=(np.eye(2, dtype=complex), zop), kind="bscdual", params={"p": p})
+    return CqChannel(outs, witnesses=(np.eye(2, dtype=complex), zop))
 
 
 def _pure_swap_witness(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -222,7 +216,7 @@ def make_pure(vectors) -> CqChannel:
         w1 = _pure_swap_witness(vecs[0], vecs[1])
         if w1 is not None:
             witnesses = (np.eye(vecs[0].shape[0], dtype=complex), w1)
-    return CqChannel(outs, witnesses=witnesses, kind="pure")
+    return CqChannel(outs, witnesses=witnesses)
 
 
 def _classical_swap_witness(t: np.ndarray) -> np.ndarray | None:
@@ -251,7 +245,7 @@ def make_classical(transition) -> CqChannel:
         swap = _classical_swap_witness(t)
         if swap is not None:
             witnesses = (np.eye(t.shape[1], dtype=complex), swap)
-    return CqChannel(outs, witnesses=witnesses, kind="classical")
+    return CqChannel(outs, witnesses=witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +308,7 @@ def dual(w: CqChannel) -> CqChannel:
     witnesses = tuple(
         np.kron(np.diag(phase**x), np.eye(r, dtype=complex)) for x in range(d)
     )
-    return CqChannel(
-        tuple(outs),
-        witnesses=witnesses,
-        kind="dual",
-        params={"of": w.kind, **dict(w.params)},
-        dilation_dims=(d, r),
-    )
+    return CqChannel(tuple(outs), witnesses=witnesses)
 
 
 def classical_dual_overlaps(w: CqChannel) -> list[tuple[float, float]]:
@@ -362,7 +350,7 @@ def symmetrize(w: CqChannel) -> CqChannel:
         np.kron(np.linalg.matrix_power(shift, s), np.eye(dim, dtype=complex))
         for s in range(d)
     )
-    return CqChannel(tuple(outs), witnesses=witnesses, kind="symmetrized", params=dict(w.params))
+    return CqChannel(tuple(outs), witnesses=witnesses)
 
 
 def degrade_to_bsc(w: CqChannel) -> tuple[CqChannel, float]:
@@ -479,32 +467,22 @@ def _decode_matrix(rows: list) -> np.ndarray:
 def channel_to_dict(w: CqChannel) -> dict:
     doc = {
         "schema": SCHEMA_VERSION,
-        "kind": w.kind,
         "d": w.input_size,
         "dim": w.dim,
         "outputs": [_encode_matrix(o) for o in w.outputs],
-        "params": {k: float(v) if isinstance(v, (int, float)) else v for k, v in w.params.items()},
     }
     if w.witnesses is not None:
         doc["witnesses"] = [_encode_matrix(u) for u in w.witnesses]
-    if w.dilation_dims is not None:
-        doc["dilation_dims"] = list(w.dilation_dims)
     return doc
 
 
 def channel_from_dict(doc: dict) -> CqChannel:
+    """Channel from its outputs and optional witnesses; other keys are ignored."""
     outputs = tuple(_decode_matrix(o) for o in doc["outputs"])
     witnesses = None
     if "witnesses" in doc:
         witnesses = tuple(_decode_matrix(u) for u in doc["witnesses"])
-    dil = tuple(doc["dilation_dims"]) if "dilation_dims" in doc else None
-    return CqChannel(
-        outputs,
-        witnesses=witnesses,
-        kind=doc.get("kind", "generic"),
-        params=doc.get("params", {}),
-        dilation_dims=dil,
-    )
+    return CqChannel(outputs, witnesses=witnesses)
 
 
 def channel_to_json(w: CqChannel) -> str:

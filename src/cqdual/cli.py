@@ -123,9 +123,6 @@ def _cmd_dual(args) -> int:
     return 0
 
 
-_FAMILY_CHOICES = ("all", "von_neumann", "min", "max", "petz")
-
-
 def _families_from_flag(flag: str) -> list[_en.EntropyFamily]:
     if flag == "all":
         fams = [_en.VON_NEUMANN, _en.MIN_ENTROPY, _en.MAX_ENTROPY]
@@ -146,12 +143,10 @@ def _families_from_flag(flag: str) -> list[_en.EntropyFamily]:
 
 def _cmd_check_duality(args) -> int:
     w = _parse(parse_channel_spec, args.channel)
+    families = _parse(_families_from_flag, args.family)
     wd = _ch.dual(w)
     try:
-        reports = [
-            _en.duality_check(w, fam, dual_channel=wd).to_dict()
-            for fam in _families_from_flag(args.family)
-        ]
+        reports = [_en.duality_check(w, fam, dual_channel=wd).to_dict() for fam in families]
     except _en.UnsupportedFamily as exc:  # any other ValueError is a fault
         raise _UsageError(exc) from exc
     _emit(args, {"meta": _meta(args, channel=args.channel, family=args.family), "reports": reports})

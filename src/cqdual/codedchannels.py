@@ -287,7 +287,7 @@ def coded_channel(w: _ch.CqChannel, cp: CodePair, randomized: bool) -> _ch.CqCha
     for m in range(cp.q**cp.k):
         ops = [tensor(*(w.outputs[int(z)] for z in x)) for x in words[labels == m]]
         outs.append(sum(ops[1:], ops[0]) / len(ops))
-    return _ch.CqChannel(tuple(outs), kind="coded", params={})
+    return _ch.CqChannel(tuple(outs))
 
 
 @dataclass(frozen=True)
@@ -443,16 +443,6 @@ class ExitReport:
     total: float
     target: float
     gap: float
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "sum": self.total,
-            "target": self.target,
-            "gap": self.gap,
-        }
 
 
 # each channel family's W(p) and its dual W(p)⊥

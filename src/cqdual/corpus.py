@@ -33,7 +33,7 @@ def random_channel(
 ) -> _ch.CqChannel:
     """Generic (usually non-symmetric) channel with random mixed outputs."""
     outs = tuple(random_density(rng, dim, rank) for _ in range(d))
-    return _ch.CqChannel(outs, kind="random")
+    return _ch.CqChannel(outs)
 
 
 def random_symmetric_channel(rng: np.random.Generator, dim: int = 2) -> _ch.CqChannel:
@@ -42,11 +42,7 @@ def random_symmetric_channel(rng: np.random.Generator, dim: int = 2) -> _ch.CqCh
     refl = np.eye(dim, dtype=complex) - 2.0 * np.outer(v, v.conj())
     out0 = random_density(rng, dim)
     out1 = hermitian_part(refl @ out0 @ refl.conj().T)
-    return _ch.CqChannel(
-        (out0, out1),
-        witnesses=(np.eye(dim, dtype=complex), refl),
-        kind="random_symmetric",
-    )
+    return _ch.CqChannel((out0, out1), witnesses=(np.eye(dim, dtype=complex), refl))
 
 
 def binary_channel_corpus(seed: int, count: int, dims=(2, 3, 4)) -> list[_ch.CqChannel]:

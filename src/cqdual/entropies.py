@@ -51,17 +51,9 @@ __all__ = [
     "capacity_duality_check",
     "np_beta",
     "state_disjointness_gap",
-    "binary_entropy",
 ]
 
 LOG2 = np.log(2.0)
-
-
-def binary_entropy(p: float) -> float:
-    """h2(p) in bits."""
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return float(-p * np.log2(p) - (1 - p) * np.log2(1 - p))
 
 
 @dataclass(frozen=True)

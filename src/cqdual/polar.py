@@ -67,7 +67,7 @@ def convolve(w: _ch.CqChannel, wp: _ch.CqChannel, kind: str) -> _ch.CqChannel:
             witnesses = tuple(np.kron(w.witnesses[s], eye) for s in range(2))
     else:
         raise ValueError(f"unknown convolution kind {kind!r}")
-    return _ch.CqChannel(outs, witnesses=witnesses, kind="convolution", params={})
+    return _ch.CqChannel(outs, witnesses=witnesses)
 
 
 def worse(w: _ch.CqChannel, wp: _ch.CqChannel) -> _ch.CqChannel:
@@ -131,16 +131,15 @@ class LevelStats:
 class Trajectory:
     bits: tuple[int, ...]
     levels: tuple[LevelStats, ...]
-    final_channel: _ch.CqChannel = field(repr=False)
 
 
-def _channel_stats(w: _ch.CqChannel, level: int, bit: int, trunc: float) -> LevelStats:
+def _channel_stats(w: _ch.CqChannel) -> tuple[float, float, float, float]:
+    """(H, Hmin, Hmax, B) of a binary-input channel under the uniform input."""
     state = _en.from_channel(w)
     h = _en.cond_entropy(state, _en.VON_NEUMANN)
     hmin = _en.cond_entropy(state, _en.MIN_ENTROPY)
     hmax = _en.cond_entropy(state, _en.MAX_ENTROPY)
-    b = fidelity(w.outputs[0], w.outputs[1])
-    return LevelStats(level, bit, h, hmin, hmax, b, w.dim, trunc)
+    return h, hmin, hmax, fidelity(w.outputs[0], w.outputs[1])
 
 
 def _truncate_to_joint_support(w: _ch.CqChannel) -> tuple[_ch.CqChannel, float]:
@@ -206,15 +205,20 @@ def _erasure_step(eps, bits):
     return np.where(bits == 0, eps * eps, eps * (2.0 - eps))
 
 
+def _bit_tuple(bits) -> tuple[int, ...]:
+    bits = tuple(int(b) for b in bits)
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError("bits must be 0 (variable) or 1 (check)")
+    return bits
+
+
 def trajectory(w: _ch.CqChannel, bits) -> Trajectory:
     """Repeated self-convolution along a bit string (0 = variable, 1 = check).
 
     Erasure channels, recognised from their outputs, take an exact scalar
     path with no depth limit; every other channel takes _dense_trajectory.
     """
-    bits = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("bits must be 0 (variable) or 1 (check)")
+    bits = _bit_tuple(bits)
     eps = _erasure_probability(w)
     if eps is None:
         return _dense_trajectory(w, bits)
@@ -222,14 +226,14 @@ def trajectory(w: _ch.CqChannel, bits) -> Trajectory:
     for i, b in enumerate(bits):
         eps = float(_erasure_step(eps, b))
         levels.append(LevelStats(i + 1, b, *map(float, _erasure_stats(eps)), 3, 0.0))
-    return Trajectory(bits, tuple(levels), _ch.make_bec(min(1.0, eps)))
+    return Trajectory(bits, tuple(levels))
 
 
-def _dense_trajectory(w: _ch.CqChannel, bits: tuple[int, ...]) -> Trajectory:
-    """Self-convolution of the output matrices, capped at GENERIC_LEVEL_CAP
-    levels and DIM_CAP dimensions (a ValueError names the level reached);
-    outputs are compressed to their joint support after each level, and the
-    discarded mass is reported."""
+def _self_convolutions(w: _ch.CqChannel, bits) -> list[tuple[_ch.CqChannel, float]]:
+    """Each level's channel and the mass lost up to it, from self-convolving the
+    output matrices; capped at GENERIC_LEVEL_CAP levels and DIM_CAP dimensions
+    (a ValueError names the level reached). Outputs are compressed to their
+    joint support after each level."""
     if len(bits) > GENERIC_LEVEL_CAP:
         raise ValueError(
             f"trajectories of channels that are not erasure channels are capped at "
@@ -237,19 +241,37 @@ def _dense_trajectory(w: _ch.CqChannel, bits: tuple[int, ...]) -> Trajectory:
         )
     cur = _ch.CqChannel(w.outputs)  # outputs alone, so no level builds witnesses
     levels = []
-    acc_trunc = 0.0
+    lost = 0.0
     for i, b in enumerate(bits):
         if cur.dim * cur.dim > DIM_CAP:
             raise ValueError(
                 f"trajectory hit the dimension cap after level {i} of {len(bits)} "
                 f"(dim {cur.dim}); use fewer levels"
             )
-        nxt = convolve(cur, cur, VARIABLE if b == 0 else CHECK)
-        nxt, lost = _truncate_to_joint_support(nxt)
-        acc_trunc += lost
-        levels.append(_channel_stats(nxt, i + 1, b, acc_trunc))
-        cur = nxt
-    return Trajectory(bits, tuple(levels), cur)
+        cur, loss = _truncate_to_joint_support(convolve(cur, cur, VARIABLE if b == 0 else CHECK))
+        lost += loss
+        levels.append((cur, lost))
+    return levels
+
+
+def _dense_trajectory(w: _ch.CqChannel, bits: tuple[int, ...]) -> Trajectory:
+    """Statistics of every level of _self_convolutions."""
+    levels = [
+        LevelStats(i + 1, b, *_channel_stats(c), c.dim, lost)
+        for i, (b, (c, lost)) in enumerate(zip(bits, _self_convolutions(w, bits)))
+    ]
+    return Trajectory(bits, tuple(levels))
+
+
+def _final_channel(w: _ch.CqChannel, bits: tuple[int, ...]) -> _ch.CqChannel:
+    """W_{bits}: BEC(eps_n) for erasure channels, else the last self-convolution."""
+    eps = _erasure_probability(w)
+    if eps is None:
+        levels = _self_convolutions(w, bits)
+        return levels[-1][0] if levels else w
+    for b in bits:
+        eps = float(_erasure_step(eps, b))
+    return _ch.make_bec(min(1.0, eps))
 
 
 def trajectory_duality_gap(w: _ch.CqChannel, bits) -> float:
@@ -258,9 +280,10 @@ def trajectory_duality_gap(w: _ch.CqChannel, bits) -> float:
     The identity is stated for symmetric channels; non-symmetric inputs can
     produce genuine gaps through the variable-convolution leg.
     """
-    t1 = trajectory(w, bits)
-    t2 = trajectory(_ch.dual(w), [1 - int(b) for b in bits])
-    return _ch.dual_profile_gap(t1.final_channel, t2.final_channel)
+    bits = _bit_tuple(bits)
+    return _ch.dual_profile_gap(
+        _final_channel(w, bits), _final_channel(_ch.dual(w), tuple(1 - b for b in bits))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +348,10 @@ def polarization_experiment(
     Uses a counter-based generator keyed by the seed, so the complemented run
     (complement=True) sees exactly the complements of the same bit sequences.
     Every fraction is read off Hmin, Hmax and B of each trial's W_n: closed
-    forms for erasure channels, recognised from their outputs, trajectory()
-    otherwise, which refuses n > GENERIC_LEVEL_CAP or a stop at the dimension
-    cap (ValueError); n < 1 or trials < 1 is refused too. The threshold is
-    2^(-n^beta). The capacity log2(d) - H(W) is reported for channels with
+    forms for erasure channels, recognised from their outputs, and otherwise
+    the last of _self_convolutions, which refuses n > GENERIC_LEVEL_CAP or a
+    stop at the dimension cap (ValueError); n < 1 or trials < 1 is refused
+    too. The threshold is 2^(-n^beta). The capacity log2(d) - H(W) is reported for channels with
     symmetry witnesses and for erasure channels, NaN otherwise.
     """
     if n < 1 or trials < 1:
@@ -352,10 +375,10 @@ def polarization_experiment(
             eps, b_complement = _erasure_step(eps, b), _erasure_step(b_complement, 1 - b)
         _, hmins, hmaxs, bs = _erasure_stats(eps)
     else:
-        # one dense trajectory per distinct bit string (at most 2^n of them)
+        # statistics of W_n for each distinct bit string (at most 2^n of them)
         distinct, inverse = np.unique(bits, axis=0, return_inverse=True)
-        last = [trajectory(w, row).levels[-1] for row in distinct]
-        hmins, hmaxs, bs = np.array([(s.hmin, s.hmax, s.bhattacharyya) for s in last])[inverse].T
+        last = [_channel_stats(_self_convolutions(w, row)[-1][0]) for row in distinct]
+        _, hmins, hmaxs, bs = np.array(last)[inverse].T
         b_complement = 1.0 - bs
     return PolarizationReport(
         n, trials, seed, f, complement, cap,

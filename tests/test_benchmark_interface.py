@@ -1,0 +1,63 @@
+"""The names and keywords the benchmark in perfbench/ binds or passes.
+
+perfbench wraps the functions listed in tracer.TRACED and calls some of them
+with keywords. A rename or deletion on the library side should fail here,
+not only in a traced benchmark run.
+"""
+
+import ast
+import dataclasses
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+from cqdual import channels as ch
+from cqdual import entropies, polar
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _traced() -> dict[str, list[str]]:
+    """tracer.TRACED, read from the source without importing perfbench."""
+    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no TRACED")
+
+
+@pytest.mark.parametrize(
+    "name", [f"{mod}.{fn}" for mod, fns in _traced().items() for fn in fns]
+)
+def test_traced_names_exist(name):
+    mod, fn = name.split(".")
+    assert callable(getattr(importlib.import_module(f"cqdual.{mod}"), fn))
+
+
+@pytest.mark.parametrize(
+    "module, fn, keywords",
+    [
+        ("codedchannels", "coded_duality_check", ["seed"]),
+        ("codedchannels", "compression_extraction_tables", ["seed"]),
+        ("codedchannels", "exit_duality_check", ["channel_family"]),
+        ("entropies", "duality_check", ["dual_channel", "check_disjointness"]),
+        ("polar", "polarization_experiment", ["beta", "seed", "complement"]),
+    ],
+)
+def test_benchmark_keywords_are_accepted(module, fn, keywords):
+    params = inspect.signature(getattr(importlib.import_module(f"cqdual.{module}"), fn)).parameters
+    for kw in keywords:
+        assert kw in params and params[kw].kind in (
+            inspect.Parameter.POSITIONAL_OR_KEYWORD,
+            inspect.Parameter.KEYWORD_ONLY,
+        ), f"{module}.{fn} takes no {kw}="
+
+
+def test_benchmark_result_fields():
+    # the tracer reads .levels[*].dim of a trajectory and .restarts of an ascent
+    levels = polar.trajectory(ch.make_bsc(0.11), [0]).levels
+    assert [s.dim for s in levels] == [3]
+    assert "restarts" in {f.name for f in dataclasses.fields(entropies.QResult)}

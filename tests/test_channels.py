@@ -166,7 +166,7 @@ def test_classical_dual_block_structure():
     t = np.array([[1.0, 0.0], [q, 1 - q]])
     w = ch.make_classical(t)
     wd = ch.dual(w)
-    d, r = wd.dilation_dims
+    d, r = w.input_size, wd.dim // w.input_size
     etas = [np.sqrt(t[:, y] / 2.0).astype(complex) for y in range(r)]
     zop = np.diag([1.0, -1.0]).astype(complex)
     for x in range(2):
@@ -324,3 +324,10 @@ def test_channel_json_roundtrip_bit_exact(rng):
         assert (a == b).all()
     assert json.loads(doc)["d"] == 2
     assert ch.channel_to_json(back) == doc
+
+
+def test_channel_dict_holds_outputs_and_witnesses_only():
+    base = {"schema", "d", "dim", "outputs"}
+    assert set(ch.channel_to_dict(ch.make_bsc(0.11))) == base | {"witnesses"}
+    assert set(ch.channel_to_dict(ch.dual(ch.make_bec(0.3)))) == base | {"witnesses"}
+    assert set(ch.channel_to_dict(random_channel(np.random.default_rng(2), 3))) == base

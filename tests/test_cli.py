@@ -190,6 +190,20 @@ def test_classical_channel_from_file(tmp_path):
     assert json.loads(out.read_text())["dual"]["d"] == 2
 
 
+def test_channel_file_with_stale_label_keys_loads(tmp_path):
+    # older channel files also carry kind, params and dilation_dims; only the
+    # outputs and witnesses are read
+    wd = ch.dual(ch.make_bsc(0.11))
+    doc = ch.channel_to_dict(wd)
+    doc.update(kind="dual", params={"of": "bsc", "p": 0.11}, dilation_dims=[2, 2])
+    spec = tmp_path / "old.json"
+    spec.write_text(json.dumps(doc))
+    back = cli.parse_channel_spec(f"channel:@{spec}")
+    for a, b in zip((*wd.outputs, *wd.witnesses), (*back.outputs, *back.witnesses)):
+        assert (a == b).all()
+    assert len(back.witnesses) == len(wd.witnesses)
+
+
 def test_pure_channel_from_file(tmp_path):
     spec = tmp_path / "pure.json"
     s = 1 / np.sqrt(2)
@@ -208,6 +222,9 @@ def test_pure_channel_from_file(tmp_path):
         ["polarize", "--channel", "bsc:0.11", "--trials", "0"],
         ["polarize", "--channel", "bsc:0.11", "--n", "0", "--trials", "5"],
         ["polarize", "--channel", "bsc:0.11", "--n", "-1", "--trials", "5"],
+        ["check-duality", "--channel", "bsc:0.11", "--family", "bogus"],
+        ["check-duality", "--channel", "bsc:0.11", "--family", "petz:abc"],
+        ["check-duality", "--channel", "bsc:0.11", "--family", "petz:3"],
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, args):

@@ -146,7 +146,8 @@ def test_bec_scalar_matches_generic_path():
 
 
 def test_erasure_path_follows_the_outputs_not_the_label():
-    # a channel labelled BEC(0.3) whose outputs are those of BSC(0.11)
+    # a channel file with the label keys of older files, kind and params,
+    # saying BEC(0.3) over the outputs of BSC(0.11)
     doc = ch.channel_to_dict(ch.make_bsc(0.11))
     doc.update(kind="bec", params={"p": 0.3})
     mislabelled = polar.trajectory(ch.channel_from_dict(doc), [0, 1])
@@ -168,11 +169,27 @@ def test_trajectory_duality_small(rng):
             assert polar.trajectory_duality_gap(w, bits) <= 1e-5
 
 
+def _no_stats(*args, **kwargs):
+    raise AssertionError("level statistics computed")
+
+
+@pytest.mark.parametrize("make, bits, gap", [
+    (lambda: ch.make_bsc(0.11), [1, 1], 2.5951463200613034e-15),
+    (lambda: random_symmetric_channel(np.random.default_rng(3), 2), [1, 0], 1.4135864701003698e-10),
+], ids=["bsc", "random_symmetric"])
+def test_trajectory_duality_gap_reads_only_the_final_channels(monkeypatch, make, bits, gap):
+    # the gap compares two final channels; no level's statistics enter it,
+    # and skipping them leaves the value unchanged to the last bit
+    w = make()
+    monkeypatch.setattr(polar, "_channel_stats", _no_stats)
+    assert polar.trajectory_duality_gap(w, bits) == gap
+
+
 def test_truncation_keeps_outputs_and_reports_the_worst_loss():
     # symbol 2 is below the rank cut on average; only output 0 loses its mass
     w = ch.make_classical(np.array([[1 - 1e-13, 0.0, 1e-13], [0.0, 1.0, 0.0]]))
     cut, lost = polar._truncate_to_joint_support(w)
-    assert cut.dim == 2 and cut.witnesses is None and cut.kind == "generic"
+    assert cut.dim == 2 and cut.witnesses is None
     assert lost == pytest.approx(1e-13, rel=1e-3)
 
 
@@ -247,6 +264,21 @@ def test_polarization_fractions_come_from_each_trajectory(n):
     table = ch.make_classical(np.array([[1 - p, 0, p], [0, 1 - p, p]]))
     dense = [polar._dense_trajectory(table, tuple(int(b) for b in row)).levels[-1] for row in bits]
     assert got == _fractions(dense, rep.threshold)
+
+
+def test_dense_polarization_takes_statistics_of_w_n_only(monkeypatch):
+    n, trials, seed = 3, 40, 2
+    stats = polar._channel_stats
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return stats(w)
+
+    monkeypatch.setattr(polar, "_channel_stats", counted)
+    polar.polarization_experiment(ch.make_bsc(0.11), n, trials, seed=seed)
+    distinct = np.unique(polar._sequence_bits(trials, n, seed), axis=0)
+    assert len(calls) == len(distinct)
 
 
 def test_polarization_refuses_a_trajectory_cut_at_the_dimension_cap():
