@@ -331,6 +331,22 @@ def classical_dual_overlaps(w: CqChannel) -> list[tuple[float, float]]:
     return out
 
 
+def _erasure_probability(w: CqChannel) -> float | None:
+    """Mass of the output symbols both inputs see, if w has binary input and
+    diagonal outputs whose every symbol is seen by one input only or equally
+    likely under both (within TOL.diagonal); else None."""
+    if w.input_size != 2:
+        return None
+    table = diagonal_table(w.outputs)
+    if table is None:
+        return None
+    t0, t1 = table
+    seen_by_one = np.minimum(t0, t1) <= TOL.diagonal
+    if not np.all(seen_by_one | (np.abs(t0 - t1) <= TOL.diagonal)):
+        return None
+    return float(t0[~seen_by_one].sum())
+
+
 def symmetrize(w: CqChannel) -> CqChannel:
     """Record a uniformly random input shift next to the shifted output."""
     d, dim = w.input_size, w.dim

@@ -396,17 +396,79 @@ def encoder_duality_check(w: _ch.CqChannel, cp: CodePair) -> EncoderDualityRepor
 # ---------------------------------------------------------------------------
 
 
+def _undetermined_counts(cp: CodePair) -> np.ndarray:
+    """N[i, s]: how many sets S of s positions other than i leave x_i
+    undetermined by x_S on the binary code of cp, i.e. some codeword is 1 at
+    i and 0 on S.
+
+    With U(T) the OR of the codewords whose support lies inside the mask T
+    (bit j for position j), x_i is undetermined by x_S exactly when bit i of
+    U([n] minus S) is set. One subset-OR (zeta) transform over the 2^n masks
+    gives U for every mask; codes whose 2^n mask words would exceed
+    _TABLE_CAP are refused before anything is allocated.
+    """
+    n = cp.n
+    if 1 << n > _TABLE_CAP:
+        raise ValueError(f"erasure EXIT needs 2^{n} mask words, over the memory cap")
+    words = np.zeros(1, dtype=np.uint32)  # the codewords as masks, spanned row by row
+    for row in cp.dual_parity_rows:  # the generator matrix of the code
+        words = np.concatenate([words, words ^ np.uint32(row @ (1 << np.arange(n)))])
+    union = np.zeros(1 << n, dtype=np.uint32)
+    union[words] = words
+    for j in range(n):
+        pairs = union.reshape(-1, 2, 1 << j)  # axis 1 is bit j of the mask
+        pairs[:, 1] |= pairs[:, 0]
+    size = np.zeros(1, dtype=np.uint8)  # popcount of every mask
+    for _ in range(n):
+        size = np.concatenate([size, size + 1])
+    counts = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        by_size = np.bincount(size[(union >> i) & 1 == 1], minlength=n + 1)
+        counts[i] = by_size[:0:-1]  # |[n] minus S| = n - s
+    return counts
+
+
+def _erasure_exit(eps: float, cp: CodePair, family: _en.EntropyFamily) -> float:
+    """EXIT function of a binary code on an erasure channel with erasure
+    probability eps, from _undetermined_counts.
+
+    Given the other outputs, x_i is determined (0 or 1) or undetermined, and
+    undetermined with probability sum_s N[i, s] (1-eps)^s eps^(n-1-s),
+    whatever x_i is. The 2x3 joint over (determined 0, determined 1,
+    undetermined) merges proportional columns of the full joint table, so
+    every entropy family takes the same value on it.
+    """
+    n = cp.n
+    counts = _undetermined_counts(cp)
+    s = np.arange(n)
+    # a probability: rounding can take a full count's sum a hair past 1
+    undetermined = np.clip(counts @ ((1.0 - eps) ** s * eps ** (n - 1 - s)), 0.0, 1.0)
+    ones = 0.5 * (counts[:, 0] > 0)  # P(x_i = 1): 1/2 unless x_i is always 0
+    total = 0.0
+    for p1, u in zip(ones, undetermined):
+        joint = np.array(
+            [[(1.0 - p1) * (1.0 - u), 0.0, (1.0 - p1) * u], [0.0, p1 * (1.0 - u), p1 * u]]
+        )
+        total += _en.table_entropy(joint, family)
+    return total / n
+
+
 def exit_function(channel: _ch.CqChannel, cp: CodePair, family: _en.EntropyFamily) -> float:
     """Average per-position entropy of a codeword digit given the other outputs.
 
     The position's own output is deleted, not conditioned on. The path is
-    chosen from the outputs: diagonal (classical) outputs are enumerated
-    exactly; a binary-input channel with pure outputs (such as the dual of the
+    chosen from the outputs: erasure channels (channels._erasure_probability)
+    take exact counts of undetermined positions, with a memory cap on the 2^n
+    masks; other diagonal (classical) outputs are enumerated exactly, up to
+    n = 12; a binary-input channel with pure outputs (such as the dual of the
     BSC) goes through Gram-matrix ensembles, since up to phases its two states
     have the real overlap F(W(0), W(1)). Any other channel is refused.
     """
     if channel.input_size != cp.q:
         raise ValueError("channel alphabet must match the code field")
+    eps = _ch._erasure_probability(channel)
+    if eps is not None:
+        return _erasure_exit(eps, cp, family)
     words = cp.codewords()
     mcount = words.shape[0]
     t = diagonal_table(channel.outputs)

@@ -133,13 +133,12 @@ class Trajectory:
     levels: tuple[LevelStats, ...]
 
 
-def _channel_stats(w: _ch.CqChannel) -> tuple[float, float, float, float]:
-    """(H, Hmin, Hmax, B) of a binary-input channel under the uniform input."""
-    state = _en.from_channel(w)
-    h = _en.cond_entropy(state, _en.VON_NEUMANN)
+def _channel_stats(state: _en.CqState) -> tuple[float, float, float]:
+    """(Hmin, Hmax, B) of a binary-input channel's uniform-input state: the
+    statistics every polarization fraction reads."""
     hmin = _en.cond_entropy(state, _en.MIN_ENTROPY)
     hmax = _en.cond_entropy(state, _en.MAX_ENTROPY)
-    return h, hmin, hmax, fidelity(w.outputs[0], w.outputs[1])
+    return hmin, hmax, fidelity(*state.conditionals)
 
 
 def _truncate_to_joint_support(w: _ch.CqChannel) -> tuple[_ch.CqChannel, float]:
@@ -182,22 +181,6 @@ def _erasure_stats(eps):
     return eps, -np.log1p(-eps / 2.0) / np.log(2.0), np.log1p(eps) / np.log(2.0), eps
 
 
-def _erasure_probability(w: _ch.CqChannel) -> float | None:
-    """Mass of the output symbols both inputs see, if w has binary input and
-    diagonal outputs whose every symbol is seen by one input only or equally
-    likely under both (within TOL.diagonal); else None."""
-    if w.input_size != 2:
-        return None
-    table = diagonal_table(w.outputs)
-    if table is None:
-        return None
-    t0, t1 = table
-    seen_by_one = np.minimum(t0, t1) <= TOL.diagonal
-    if not np.all(seen_by_one | (np.abs(t0 - t1) <= TOL.diagonal)):
-        return None
-    return float(t0[~seen_by_one].sum())
-
-
 def _erasure_step(eps, bits):
     """Erasure probability after one level, elementwise over eps and bits: a
     variable convolution (0) squares it, a check convolution (1) takes it to
@@ -219,7 +202,7 @@ def trajectory(w: _ch.CqChannel, bits) -> Trajectory:
     path with no depth limit; every other channel takes _dense_trajectory.
     """
     bits = _bit_tuple(bits)
-    eps = _erasure_probability(w)
+    eps = _ch._erasure_probability(w)
     if eps is None:
         return _dense_trajectory(w, bits)
     levels = []
@@ -255,17 +238,18 @@ def _self_convolutions(w: _ch.CqChannel, bits) -> list[tuple[_ch.CqChannel, floa
 
 
 def _dense_trajectory(w: _ch.CqChannel, bits: tuple[int, ...]) -> Trajectory:
-    """Statistics of every level of _self_convolutions."""
-    levels = [
-        LevelStats(i + 1, b, *_channel_stats(c), c.dim, lost)
-        for i, (b, (c, lost)) in enumerate(zip(bits, _self_convolutions(w, bits)))
-    ]
+    """H and the _channel_stats of every level of _self_convolutions."""
+    levels = []
+    for i, (b, (c, lost)) in enumerate(zip(bits, _self_convolutions(w, bits))):
+        state = _en.from_channel(c)
+        h = _en.cond_entropy(state, _en.VON_NEUMANN)
+        levels.append(LevelStats(i + 1, b, h, *_channel_stats(state), c.dim, lost))
     return Trajectory(bits, tuple(levels))
 
 
 def _final_channel(w: _ch.CqChannel, bits: tuple[int, ...]) -> _ch.CqChannel:
     """W_{bits}: BEC(eps_n) for erasure channels, else the last self-convolution."""
-    eps = _erasure_probability(w)
+    eps = _ch._erasure_probability(w)
     if eps is None:
         levels = _self_convolutions(w, bits)
         return levels[-1][0] if levels else w
@@ -360,7 +344,7 @@ def polarization_experiment(
     bits = _sequence_bits(trials, n, seed)
     if complement:
         bits = 1 - bits
-    erasure = _erasure_probability(w)
+    erasure = _ch._erasure_probability(w)
     cap = float("nan")
     if w.is_symmetric or erasure is not None:
         # an erasure channel is symmetric by its outputs, so the uniform input is optimal
@@ -377,8 +361,11 @@ def polarization_experiment(
     else:
         # statistics of W_n for each distinct bit string (at most 2^n of them)
         distinct, inverse = np.unique(bits, axis=0, return_inverse=True)
-        last = [_channel_stats(_self_convolutions(w, row)[-1][0]) for row in distinct]
-        _, hmins, hmaxs, bs = np.array(last)[inverse].T
+        last = [
+            _channel_stats(_en.from_channel(_self_convolutions(w, row)[-1][0]))
+            for row in distinct
+        ]
+        hmins, hmaxs, bs = np.array(last)[inverse].T
         b_complement = 1.0 - bs
     return PolarizationReport(
         n, trials, seed, f, complement, cap,

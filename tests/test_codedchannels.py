@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,19 +263,118 @@ def test_exit_extreme_erasure_rates():
     assert abs(cc.exit_function(ch.make_bec(1.0), cp, en.VON_NEUMANN) - 1.0) < 1e-12
 
 
-def _bsc_exit_terms(p, cp):
-    """Per-position H(X_i | Y without Y_i) of a binary code on BSC(p), by enumeration."""
-    t = np.array([[1 - p, p], [p, 1 - p]])
+def _diagonal_exit_terms(t, cp, family=en.VON_NEUMANN):
+    """Per-position H(X_i | Y without Y_i) of a binary code on the channel with
+    transition table t, by enumeration of every output string."""
     words = cp.codewords()
-    ys = codes.all_vectors(2, cp.n - 1)
+    ys = codes.all_vectors(t.shape[1], cp.n - 1)
     vals = []
     for i in range(cp.n):
         others = np.delete(words, i, axis=1)
         lik = cc._product_likelihood(others, ys, t)
         joint = np.zeros((2, ys.shape[0]))
         np.add.at(joint, words[:, i], lik / words.shape[0])
-        vals.append(en.table_entropy(joint, en.VON_NEUMANN))
+        vals.append(en.table_entropy(joint, family))
     return vals
+
+
+def _rm_pair_16():
+    """RM(1,4) [16,5] against RM(2,4) [16,11]: the parity rows are the monomials
+    of degree <= 2 in four variables, completed by those of degree 3 and 4."""
+    pts = codes.all_vectors(2, 4)
+    monomials = sorted(
+        (s for r in range(5) for s in itertools.combinations(range(4), r)), key=len
+    )
+    m = np.array([[int(all(x[j] for j in s)) for x in pts] for s in monomials])
+    return codes.build_code(m, 5, name="rm14")
+
+
+@pytest.mark.parametrize(
+    "make", [codes.hamming74_pair, codes.rm13_pair, _rm_pair_16], ids=["hamming74", "rm13", "rm14"]
+)
+def test_erasure_counts_satisfy_the_integer_identity(make):
+    # N_i^C(s) + N_i^{C-dual}(n-1-s) = C(n-1, s), each side counted on its own code
+    cp = make()
+    n = cp.n
+    assert (cp.k, cp.dual().k) == {7: (4, 3), 8: (4, 4), 16: (5, 11)}[n]
+    mine, theirs = cc._undetermined_counts(cp), cc._undetermined_counts(cp.dual())
+    binom = np.array([math.comb(n - 1, s) for s in range(n)])
+    assert (mine + theirs[:, ::-1] == binom).all()
+    rep = cc.exit_duality_check(0.37, cp, channel_family="bec")
+    assert rep.gap <= 1e-13
+
+
+_FAMILIES = (en.VON_NEUMANN, en.MIN_ENTROPY, en.MAX_ENTROPY, en.petz_down(0.5))
+_EPS_GRID = (0.0, 0.1, 0.37, 0.9, 1.0)
+
+
+def _no_enumeration(*args):
+    raise AssertionError("output strings enumerated")
+
+
+def _enumerated_erasure_exit(cp):
+    """{(eps, family): EXIT value} over _EPS_GRID x _FAMILIES by _diagonal_exit_terms."""
+    out = {}
+    for eps in _EPS_GRID:
+        t = np.array([[1 - eps, 0, eps], [0, 1 - eps, eps]])
+        for fam in _FAMILIES:
+            out[eps, fam] = sum(_diagonal_exit_terms(t, cp, fam)) / cp.n
+    return out
+
+
+@pytest.mark.parametrize("name", ["rep31", "parity32", "hamming74", "rm13"])
+@pytest.mark.parametrize("dual", [False, True], ids=["code", "dual"])
+def test_erasure_exit_matches_enumeration(monkeypatch, name, dual):
+    # the library enumerates no output string, so the two values are independent
+    cp = codes.preset_pair(name)
+    cp = cp.dual() if dual else cp
+    want = _enumerated_erasure_exit(cp)
+    monkeypatch.setattr(cc, "_product_likelihood", _no_enumeration)
+    for (eps, fam), value in want.items():
+        assert abs(cc.exit_function(ch.make_bec(eps), cp, fam) - value) <= 1e-13
+
+
+@pytest.mark.parametrize("k, value", [(0, 0.0), (4, 1.0)])
+def test_erasure_exit_of_trivial_codes(monkeypatch, k, value):
+    # the zero code leaves nothing to learn; the full code leaves every digit
+    # independent of the others
+    cp = codes.build_code(np.eye(4, dtype=np.int64), k)
+    want = _enumerated_erasure_exit(cp)
+    monkeypatch.setattr(cc, "_product_likelihood", _no_enumeration)
+    for (eps, fam), enumerated in want.items():
+        got = cc.exit_function(ch.make_bec(eps), cp, fam)
+        assert abs(got - value) <= 1e-13 and abs(got - enumerated) <= 1e-13
+
+
+def test_erasure_exit_is_chosen_from_the_outputs(monkeypatch):
+    monkeypatch.setattr(cc, "_product_likelihood", _no_enumeration)
+    cp = codes.hamming74_pair()
+    assert cc.exit_duality_check(0.4, cp, channel_family="bec").gap <= 1e-13
+    # an erasure symbol split in two is still an erasure channel
+    split = ch.make_classical(np.array([[0.6, 0, 0.1, 0.3], [0, 0.6, 0.1, 0.3]]))
+    for fam in _FAMILIES:
+        want = cc.exit_function(ch.make_bec(0.4), cp, fam)
+        assert abs(cc.exit_function(split, cp, fam) - want) <= 1e-15
+    assert abs(cc.exit_function(split, cp, en.VON_NEUMANN) - _bec_exit_rank_oracle(0.4, cp)) <= 1e-13
+
+
+def test_exit_caps():
+    # the erasure path refuses 2^40 masks before it allocates them
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="memory cap"):
+            cc.exit_function(ch.make_bec(0.3), codes.repetition_pair(40), en.VON_NEUMANN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # other diagonal channels still enumerate 3^(n-1) strings, up to n = 12
+    with pytest.raises(ValueError, match="capped at 12"):
+        cc.exit_function(ch.make_bsc(0.11), codes.repetition_pair(13), en.VON_NEUMANN)
+
+
+def _bsc_exit_terms(p, cp):
+    return _diagonal_exit_terms(np.array([[1 - p, p], [p, 1 - p]]), cp)
 
 
 def test_exit_positions_equal_for_hamming():

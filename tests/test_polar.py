@@ -281,6 +281,25 @@ def test_dense_polarization_takes_statistics_of_w_n_only(monkeypatch):
     assert len(calls) == len(distinct)
 
 
+def test_dense_polarization_takes_no_von_neumann_entropy(monkeypatch):
+    # no fraction reads H; the BSC outputs without witnesses report no capacity
+    # either, so no von Neumann entropy is due at all
+    cond_entropy = en.cond_entropy
+    families = []
+
+    def recorded(state, family):
+        families.append(family)
+        return cond_entropy(state, family)
+
+    monkeypatch.setattr(en, "cond_entropy", recorded)
+    w = ch.CqChannel(ch.make_bsc(0.11).outputs)
+    polar.polarization_experiment(w, 2, 8, seed=1)
+    assert families and en.VON_NEUMANN not in families
+    # trajectories keep H, one per level
+    polar.trajectory(w, [0, 1])
+    assert families.count(en.VON_NEUMANN) == 2
+
+
 def test_polarization_refuses_a_trajectory_cut_at_the_dimension_cap():
     # dual(BEC(0.3)) outgrows DIM_CAP before level 4: no fractions of a shallower level
     with pytest.raises(ValueError, match="dimension cap after level 2 of 4"):
