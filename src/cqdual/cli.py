@@ -211,7 +211,12 @@ def _cmd_exit_scan(args) -> int:
     cp = _parse(parse_code_spec, args.code)
     grid = _parse(parse_grid, args.grid)
     grid = [p for p in grid if 0.0 < p < 1.0]
-    scan = _cc.exit_scan(args.channel, cp, grid)
+    try:
+        scan = _cc.exit_scan(args.channel, cp, grid)
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:  # a blocklength past the EXIT paths' caps
+        raise _UsageError(exc) from exc
     meta = _meta(args, channel=args.channel, code=args.code, grid=args.grid)
     if args.format == "json":
         _emit(args, {"meta": meta, "scan": scan.to_dict()})

@@ -132,8 +132,8 @@ class PureEnsemble:
             raise ValueError("weights, gram and labels sizes disagree")
         if abs(w.sum() - 1.0) > TOL.prior_sum or w.min() < 0:
             raise ValueError("weights must form a distribution")
-        if np.max(np.abs(np.diag(g) - 1.0)) > 1e-10:
-            raise ValueError("Gram diagonal must be 1 within 1e-10")
+        if np.max(np.abs(np.diag(g) - 1.0)) > TOL.gram_diagonal:
+            raise ValueError(f"Gram diagonal must be 1 within {TOL.gram_diagonal}")
         scale = max(1.0, float(np.max(np.abs(g))))
         wmin = float(np.linalg.eigvalsh(hermitian_part(g)).min())
         if wmin < -TOL.gram_psd * scale:

@@ -14,7 +14,12 @@ class Tolerances:
     logarithms finite. prior_sum is the largest distance from 1 allowed for
     the sum of a state's prior or of an ensemble's weights. diagonal is the
     largest off-diagonal magnitude for which a family of operators still
-    counts as diagonal (classical) and takes the closed-form table paths.
+    counts as diagonal (classical) and takes the closed-form table paths, and
+    the most a joint table's entry may round below zero before the decoupling
+    closed form refuses it. gram_diagonal is the largest distance from 1
+    allowed for a pure ensemble's Gram diagonal. psd_clamp is the most
+    negative eigenvalue, relative to the spectral scale, that psd_sqrt clamps
+    to zero instead of refusing.
     ascent_value is the width at which the decoupling ascent's certified
     bracket [value, upper] counts as closed, and the step-to-step change below
     which an ascent whose bracket stays open counts as stalled: its first
@@ -23,7 +28,8 @@ class Tolerances:
     of the fixed-point map.
     bound_mix is the weight delta of I/d in sigma_delta = (1 - delta) sigma +
     delta I/d, the full-rank density at which the two-operator ascent takes
-    Alberti's bound when its Uhlmann start sigma is rank deficient; delta/d
+    Alberti's bound when its Uhlmann start sigma leaves the bracket open,
+    as when sigma is rank deficient and has no bound of its own; delta/d
     stays above the ascent's 1e-14 rank test up to dimension 4096.
     """
 
@@ -35,6 +41,8 @@ class Tolerances:
     rank_cut: float = 1e-12
     diagonal: float = 1e-12
     gram_psd: float = 1e-9
+    gram_diagonal: float = 1e-10
+    psd_clamp: float = 1e-6
     witness: float = 1e-8
     profile_match: float = 1e-7
     ascent_value: float = 1e-10

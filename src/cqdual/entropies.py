@@ -226,9 +226,14 @@ def _table_decoupling(joint: np.ndarray) -> float:
     """Decoupling quality of the row label of P(x, y).
 
     The optimal sigma is diagonal here (pinching monotonicity of the
-    fidelity), which leaves Q = sum_y (sum_x sqrt(P(x, y) / m))^2.
+    fidelity), which leaves Q = sum_y (sum_x sqrt(P(x, y) / m))^2. Entries
+    rounded below zero by at most TOL.diagonal count as zero; any lower (or
+    NaN) entry is refused, since its square root would be NaN.
     """
-    amp = np.sqrt(joint / joint.shape[0]).sum(axis=0)
+    low = float(joint.min())
+    if not low >= -TOL.diagonal:
+        raise ValueError(f"joint table has a negative entry {low:.3e}")
+    amp = np.sqrt(np.clip(joint, 0.0, None) / joint.shape[0]).sum(axis=0)
     return min(1.0, float((amp**2).sum()))
 
 
@@ -419,13 +424,15 @@ def max_fidelity_sum(factors: Sequence[np.ndarray], coeffs: Sequence[float]) -> 
     With exactly two operators the map starts at Uhlmann's maximiser
     sigma* (see _uhlmann_start), and the value is the objective evaluated
     there, never the closed form. The rank of sigma* is at most the wider
-    factor's column count, so sigma* is often rank deficient; then
-    (w[0] <= 1e-14) its bound is taken at the full-rank mix
+    factor's column count, so sigma* is often rank deficient and has no
+    bound of its own; and a full-rank sigma* with eigenvalues near zero can
+    have one too loose to close the bracket. Whenever the bracket is still
+    open at sigma*, the bound is also taken at the full-rank mix
     sigma_delta = (1 - delta) sigma* + delta I/d with delta =
-    TOL.bound_mix; since delta/d >= 2.4e-14 stays above the rank test's
-    1e-14 up to d = polar.DIM_CAP = 4096, that bound exists at every
-    dimension. Such a bracket closes at iteration 0. Other numbers of
-    operators start at 0.7 sigma_avg + 0.3 I/d.
+    TOL.bound_mix, and the lower bound kept; since delta/d >= 2.4e-14 stays
+    above the rank test's 1e-14 up to d = polar.DIM_CAP = 4096, that bound
+    exists at every dimension. Such a bracket closes at iteration 0. Other
+    numbers of operators start at 0.7 sigma_avg + 0.3 I/d.
 
     Where the bracket does not close, as on optima at which sigma is rank
     deficient, components driven numerically to zero can park the map on a
@@ -460,7 +467,7 @@ def max_fidelity_sum(factors: Sequence[np.ndarray], coeffs: Sequence[float]) -> 
         lower = max(lower, g)
         if bounded:
             upper = min(upper, _alberti_bound(g, r_op))
-        elif uhlmann is not None and it == 0 and w[0] <= 1e-14:
+        if uhlmann is not None and it == 0 and upper - lower > TOL.ascent_value:
             # the bound at sigma_delta, which shares sigma*'s eigenvectors
             w_mix = (1.0 - TOL.bound_mix) * w + TOL.bound_mix / dim
             g_mix, r_mix, mix_bounded = _ascent_terms(w_mix, v, cs, ys)

@@ -43,13 +43,91 @@ def _log2_binom(n: int) -> np.ndarray:
     return (gammaln(n + 1) - gammaln(t + 1) - gammaln(n - t + 1)) / LN2
 
 
-def _log2_pmf(n: int, p: float) -> np.ndarray:
+def _log2_tie_split_sums(lb: np.ndarray) -> np.ndarray:
+    """log2(sum_{s<t} C(n,s) + C(n,t)/2) for t = 0..n, from lb = log2 C(n, t).
+
+    The running sum is accumulated left to right, in the order of a scalar
+    loop, so the result is bit-identical to one.
+    """
+    prev = np.concatenate(([-np.inf], np.logaddexp2.accumulate(lb)[:-1]))
+    return np.logaddexp2(prev, lb - 1.0)
+
+
+@dataclass(frozen=True)
+class _Table:
+    """What the bounds at one (n, p) read, whatever their eps.
+
+    w[t] = P(t flips) and lq[t] = log2 C(n,t) - n, the uniform mass of the
+    weight class, for t = 0..n; cum[t] and log2_q[t] sum w and 2^lq over the
+    classes below t, for t = 0..n+1; u[k] is the union bound for k = 0..n.
+    """
+
+    w: np.ndarray
+    lq: np.ndarray
+    cum: np.ndarray
+    log2_q: np.ndarray
+    u: np.ndarray
+
+
+def _table(n: int, p: float) -> _Table:
     t = np.arange(n + 1)
     lb = _log2_binom(n)
     with np.errstate(divide="ignore"):
-        lp = np.where(t > 0, t * np.log2(max(p, 1e-300)), 0.0)
-        lq = np.where(n - t > 0, (n - t) * np.log2(max(1.0 - p, 1e-300)), 0.0)
-    return lb + lp + lq
+        lw = (lb + np.where(t > 0, t * np.log2(max(p, 1e-300)), 0.0)
+              + np.where(n - t > 0, (n - t) * np.log2(max(1.0 - p, 1e-300)), 0.0))
+    # scalar pow: numpy's vectorised 2.0 ** x differs from it in the last bit
+    w = np.array([2.0**x for x in lw.tolist()])
+    # c increases, so min(1, 2^(k-n+c_t)) is 1 exactly from t*(k) on; the
+    # terms below t* are summed as logs, since 2^(lw + c) overflows
+    c = _log2_tie_split_sums(lb)
+    below = np.concatenate(([-np.inf], np.logaddexp2.accumulate(lw + c)))
+    above = np.concatenate((np.add.accumulate(w[::-1])[::-1], [0.0]))
+    tstar = np.searchsorted(c, n - t)
+    u = 2.0 ** (t - n + below[tstar]) + above[tstar]
+    # both accumulates run left to right, in the order of a scalar loop
+    cum = np.add.accumulate(np.concatenate(([0.0], w)))
+    log2_q = np.concatenate(([-np.inf], np.logaddexp2.accumulate(lb - n)))
+    return _Table(w, lb - n, cum, log2_q, u)
+
+
+def _check_n(n: int) -> None:
+    if n < 1 or n > 10**4:
+        raise ValueError("n must be in [1, 10^4]")
+
+
+def _check_beta(p: float, eps: float) -> None:
+    if not 0.0 < p < 0.5:
+        raise ValueError("p must lie in (0, 1/2)")
+    if not 0.0 <= eps < 1.0:
+        raise ValueError("eps must lie in [0, 1)")
+
+
+def _check_union(p: float, eps: float) -> None:
+    if not 0.0 <= p < 0.5:
+        raise ValueError("p must lie in [0, 1/2)")
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+
+
+def _log2_beta(tab: _Table, eps: float) -> float:
+    # accept whole weight classes, lightest first, while their mass stays
+    # below 1 - eps, then the fraction of the next class that reaches it
+    need = 1.0 - eps
+    t = int(np.searchsorted(tab.cum, need)) - 1
+    if t == len(tab.w):  # rounding left the whole mass below 1 - eps
+        return float(tab.log2_q[t])
+    frac = (need - tab.cum[t]) / max(tab.w[t], 1e-300)
+    return float(np.logaddexp2(tab.log2_q[t], tab.lq[t] + np.log2(max(frac, 1e-300))))
+
+
+def _metaconverse(tab: _Table, eps: float) -> float:
+    return float(min(float(len(tab.w) - 1), -_log2_beta(tab, eps)))
+
+
+def _union_dimension(tab: _Table, eps: float) -> int:
+    # the last k of the initial run of u[k] <= eps; u is nondecreasing in k
+    over = tab.u > eps
+    return max(int(over.argmax()) - 1, 0) if over.any() else len(tab.u) - 1
 
 
 def log2_beta_bsc(n: int, p: float, eps: float) -> float:
@@ -59,26 +137,8 @@ def log2_beta_bsc(n: int, p: float, eps: float) -> float:
     optimal randomized test accepts low-weight classes first, splitting the
     boundary class fractionally. Everything is accumulated in the log domain.
     """
-    if not 0.0 < p < 0.5:
-        raise ValueError("p must lie in (0, 1/2)")
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must lie in [0, 1)")
-    lb = _log2_binom(n)
-    lw = _log2_pmf(n, p)
-    need = 1.0 - eps
-    got = 0.0
-    log2_beta = -np.inf
-    for t in range(n + 1):
-        w = 2.0 ** lw[t]
-        lq = lb[t] - n
-        if got + w < need:
-            got += w
-            log2_beta = np.logaddexp2(log2_beta, lq)
-        else:
-            frac = (need - got) / max(w, 1e-300)
-            log2_beta = np.logaddexp2(log2_beta, lq + np.log2(max(frac, 1e-300)))
-            break
-    return float(log2_beta)
+    _check_beta(p, eps)
+    return _log2_beta(_table(n, p), eps)
 
 
 def bsc_metaconverse(n: int, p: float, eps: float) -> float:
@@ -87,25 +147,9 @@ def bsc_metaconverse(n: int, p: float, eps: float) -> float:
     This is -log2 beta_eps against the uniform output distribution, clipped at
     the trivial n bits; nondecreasing in eps.
     """
-    if n < 1 or n > 10**4:
-        raise ValueError("n must be in [1, 10^4]")
-    return float(min(float(n), -log2_beta_bsc(n, p, eps)))
-
-
-def _log2_tie_split_sums(n: int) -> np.ndarray:
-    """log2(sum_{s<t} C(n,s) + C(n,t)/2) for t = 0..n.
-
-    The running sum is accumulated left to right, in the order of a scalar
-    loop, so the result is bit-identical to one.
-    """
-    lb = _log2_binom(n)
-    prev = np.concatenate(([-np.inf], np.logaddexp2.accumulate(lb)[:-1]))
-    return np.logaddexp2(prev, lb - 1.0)
-
-
-def _union_bound(n: int, k: int, lw: np.ndarray, log2_cum: np.ndarray) -> float:
-    inner = np.minimum(0.0, k - n + log2_cum)
-    return float(np.sum(2.0 ** (lw + inner)))
+    _check_n(n)
+    _check_beta(p, eps)
+    return _metaconverse(_table(n, p), eps)
 
 
 def bsc_union_achievability(n: int, p: float, eps: float) -> int:
@@ -115,24 +159,18 @@ def bsc_union_achievability(n: int, p: float, eps: float) -> int:
     min(1, 2^(k-n) (sum_{s<t} C(n,s) + C(n,t)/2)): competitors strictly closer
     than the true word plus an even split of distance ties.
     """
-    if n < 1 or n > 10**4:
-        raise ValueError("n must be in [1, 10^4]")
-    if not 0.0 <= p < 0.5:
-        raise ValueError("p must lie in [0, 1/2)")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    lw = _log2_pmf(n, p)
-    log2_cum = _log2_tie_split_sums(n)
-    lo, hi = 0, n  # bound is monotone nondecreasing in k
-    if _union_bound(n, 0, lw, log2_cum) > eps:
-        return 0
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _union_bound(n, mid, lw, log2_cum) <= eps:
-            lo = mid
-        else:
-            hi = mid - 1
-    return int(lo)
+    _check_n(n)
+    _check_union(p, eps)
+    return _union_dimension(_table(n, p), eps)
+
+
+def _checked_table(n: int, p: float, *eps: float) -> _Table:
+    """The table at (n, p), once n and each eps are valid for both bounds."""
+    _check_n(n)
+    for e in eps:
+        _check_beta(p, e)
+        _check_union(p, e)
+    return _table(n, p)
 
 
 def extractor_bounds(n: int, p: float, eps: float) -> tuple[float, float]:
@@ -143,9 +181,8 @@ def extractor_bounds(n: int, p: float, eps: float) -> tuple[float, float]:
     the union achievability lower-bounds the extractable length.
     """
     e2 = eps * eps
-    upper = bsc_metaconverse(n, p, e2)
-    lower = float(bsc_union_achievability(n, p, e2))
-    return upper, lower
+    tab = _checked_table(n, p, e2)
+    return _metaconverse(tab, e2), float(_union_dimension(tab, e2))
 
 
 @dataclass(frozen=True)
@@ -174,20 +211,13 @@ class BoundCurve:
 
 
 def compute_curves(ns, p: float, eps: float) -> list[BoundCurve]:
+    e2 = eps * eps
     out = []
     for n in ns:
-        up, lo = extractor_bounds(int(n), p, eps)
-        out.append(
-            BoundCurve(
-                int(n),
-                p,
-                eps,
-                bsc_metaconverse(int(n), p, eps),
-                float(bsc_union_achievability(int(n), p, eps)),
-                up,
-                lo,
-            )
-        )
+        tab = _checked_table(int(n), p, e2, eps)
+        out.append(BoundCurve(int(n), p, eps, _metaconverse(tab, eps),
+                              float(_union_dimension(tab, eps)), _metaconverse(tab, e2),
+                              float(_union_dimension(tab, e2))))
     return out
 
 

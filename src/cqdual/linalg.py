@@ -130,10 +130,11 @@ def spectral_fn(a: np.ndarray, fn) -> np.ndarray:
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Square root of a PSD Hermitian matrix; eigenvalues in [-1e-6, 0) are clamped."""
+    """Square root of a PSD Hermitian matrix; eigenvalues in
+    [-TOL.psd_clamp * scale, 0) are clamped, with scale = max(1, |a|_2)."""
     w, v = hermitian_eig(a)
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-    if w.min() < -1e-6 * scale:
+    if w.min() < -TOL.psd_clamp * scale:
         raise ValueError(f"matrix not PSD: eigenvalue {w.min():.3e}")
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 

@@ -282,14 +282,17 @@ def test_internal_errors_are_not_usage_errors(monkeypatch):
     def unsolved(*args, **kwargs):
         raise np.linalg.LinAlgError("eigh did not converge")
 
-    # polarize reports a depth the channel cannot reach as a usage error, but
-    # LinAlgError, a ValueError subclass, stays a fault
+    # polarize and exit-scan report a size past their caps as a usage error,
+    # but LinAlgError, a ValueError subclass, stays a fault
     monkeypatch.setattr(cli._polar, "polarization_experiment", unsolved)
     with pytest.raises(np.linalg.LinAlgError):
         run_cli(["polarize", "--channel", "bsc:0.11", "--n", "2", "--trials", "2"])
     monkeypatch.setattr(cli._en, "duality_check", unsolved)
     with pytest.raises(np.linalg.LinAlgError):
         run_cli(["check-duality", "--channel", "bsc:0.11"])
+    monkeypatch.setattr(cli._cc, "exit_scan", unsolved)
+    with pytest.raises(np.linalg.LinAlgError):
+        run_cli(["exit-scan", "--channel", "bsc", "--code", "rep31"])
 
 
 def test_polarize_past_the_dimension_cap_exits_2(tmp_path, capsys):
@@ -299,6 +302,24 @@ def test_polarize_past_the_dimension_cap_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("cqdual: error: trajectory hit the dimension cap after level 2")
+
+
+@pytest.mark.parametrize(
+    "channel, n, message",
+    [
+        ("bsc", 11, "pure-dual EXIT blocklength capped at 10"),
+        ("bsc", 13, "classical EXIT blocklength capped at 12"),
+        ("bec", 30, "erasure EXIT needs 2^30 mask words"),
+    ],
+)
+def test_exit_scan_past_a_cap_exits_2(tmp_path, capsys, channel, n, message):
+    path = tmp_path / f"rep{n}.txt"
+    codes.save_code_pair(codes.repetition_pair(n), path)
+    assert run_cli(["exit-scan", "--channel", channel, "--code", f"@{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cqdual: error: {message}")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("family", ["all", "min", "max"])

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -180,10 +181,7 @@ def test_ascent_bracket_holds_pure_pair_oracle(s):
     assert abs(res.value - oracle) <= 1e-13
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10_000), st.integers(2, 6), st.integers(2, 4))
-def test_ascent_bracket_is_certified(seed, dim, num_ops):
-    r = np.random.default_rng(seed)
+def _random_ascent_problem(r, dim, num_ops):
     factors, coeffs = [], []
     for _ in range(num_ops):
         rank = int(r.integers(1, dim + 1))
@@ -191,6 +189,14 @@ def test_ascent_bracket_is_certified(seed, dim, num_ops):
         scale = 1.0 if r.random() < 0.5 else r.uniform(0.2, 1.0)  # some subnormalized
         factors.append(np.sqrt(scale) * y / np.linalg.norm(y))
         coeffs.append(r.uniform(0.1, 1.0))
+    return factors, coeffs
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 6), st.integers(2, 4))
+def test_ascent_bracket_is_certified(seed, dim, num_ops):
+    r = np.random.default_rng(seed)
+    factors, coeffs = _random_ascent_problem(r, dim, num_ops)
     res = en.max_fidelity_sum(factors, coeffs)
     if res.upper is not None:
         assert res.value <= res.upper + 1e-12
@@ -209,6 +215,15 @@ def test_ascent_bracket_is_certified(seed, dim, num_ops):
         assert abs(res.value - optimum) <= 1e-12
         assert res.converged and res.restarts == 1
 
+
+
+@pytest.mark.parametrize("seed, dim", [(74, 6), (252, 5), (462, 6), (780, 4)])
+def test_two_label_start_certifies_near_rank_deficient_optimum(seed, dim):
+    # sigma* is full rank here, with least eigenvalue 2-4e-6, and its own bound
+    # sits 1e-8 to 1e-7 above the value; the bound at sigma_delta closes it
+    factors, coeffs = _random_ascent_problem(np.random.default_rng(seed), dim, 2)
+    res = en.max_fidelity_sum(factors, coeffs)
+    assert res.converged and res.restarts == 1 and res.iterations == 0
 
 def test_ascent_certified_stop_skips_burst_and_restarts():
     res = en.decoupling_q(en.from_channel(ch.dual(ch.make_bsc(0.11))))
@@ -255,6 +270,20 @@ def test_table_kernel_matches_dense_path(seed, num_outputs):
     for fam in (en.VON_NEUMANN, en.petz_down(0.5), en.petz_down(1.5), en.MIN_ENTROPY):
         assert abs(en.table_entropy(joint, fam) - en.cond_entropy(dense, fam)) < 1e-10
     assert abs(en.table_entropy(joint, en.MAX_ENTROPY) - en.cond_entropy(dense, en.MAX_ENTROPY)) < 1e-8
+
+
+
+def test_table_decoupling_clips_rounding_negatives():
+    # an entry rounded just below zero counts as zero; a truly negative or NaN
+    # entry is refused, not turned into a certain Q = 1 through sqrt's NaN
+    clipped = en._table_decoupling(np.array([[0.5, 0.0], [0.0, 0.5]]))
+    assert clipped == 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert en._table_decoupling(np.array([[0.5, -1e-16], [0.0, 0.5]])) == clipped
+    for bad in (-1e-3, np.nan):
+        with pytest.raises(ValueError, match="negative entry"):
+            en._table_decoupling(np.array([[0.5, bad], [0.0, 0.5]]))
 
 
 # ---------------------------------------------------------------------------

@@ -59,38 +59,148 @@ def test_achievability_small_p_approaches_n():
     assert n - 12 <= k < n
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 59, 100, 1000, 9999])
-def test_tie_split_sums_match_scalar_loop(n):
-    # the accumulate form keeps the loop's order of operations, so bit for bit
+GRID_N = [1, 2, 7, 59, 100, 1000, 9999]
+GRID_P = [1e-9, 0.05, 0.11, 0.3, 0.499]
+GRID_EPS = [0.5, 0.1, 1e-2, 1e-3, 1e-6]
+
+
+def _log2_pmf_reference(n, p):
+    t = np.arange(n + 1)
+    with np.errstate(divide="ignore"):
+        lp = np.where(t > 0, t * np.log2(max(p, 1e-300)), 0.0)
+        lq = np.where(n - t > 0, (n - t) * np.log2(max(1.0 - p, 1e-300)), 0.0)
+    return fbl._log2_binom(n) + lp + lq
+
+
+def _tie_split_reference(n):
     lb = fbl._log2_binom(n)
     ref = np.empty(n + 1)
     run = -np.inf
     for t in range(n + 1):
         ref[t] = np.logaddexp2(run, lb[t] - 1.0)
         run = np.logaddexp2(run, lb[t])
-    assert np.array_equal(fbl._log2_tie_split_sums(n), ref)
+    return ref
+
+
+def _log2_beta_loop_reference(n, p, eps):
+    # accept weight classes one at a time, splitting the boundary class
+    lb = fbl._log2_binom(n)
+    lw = _log2_pmf_reference(n, p)
+    need = 1.0 - eps
+    got = 0.0
+    log2_beta = -np.inf
+    for t in range(n + 1):
+        w = 2.0 ** lw[t]
+        lq = lb[t] - n
+        if got + w < need:
+            got += w
+            log2_beta = np.logaddexp2(log2_beta, lq)
+        else:
+            frac = (need - got) / max(w, 1e-300)
+            log2_beta = np.logaddexp2(log2_beta, lq + np.log2(max(frac, 1e-300)))
+            break
+    return float(log2_beta)
+
+
+def _union_bound_reference(n, k, lw, log2_cum):
+    inner = np.minimum(0.0, k - n + log2_cum)
+    return float(np.sum(2.0 ** (lw + inner)))
+
+
+def _union_bisection_reference(n, lw, log2_cum, eps):
+    # largest k with the union bound at most eps, by bisection on k
+    if _union_bound_reference(n, 0, lw, log2_cum) > eps:
+        return 0
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _union_bound_reference(n, mid, lw, log2_cum) <= eps:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+@pytest.mark.parametrize("n", GRID_N)
+def test_tie_split_sums_match_scalar_loop(n):
+    # the accumulate form keeps the loop's order of operations, so bit for bit
+    assert np.array_equal(fbl._log2_tie_split_sums(fbl._log2_binom(n)), _tie_split_reference(n))
+
+
+@pytest.mark.parametrize("n", GRID_N)
+def test_beta_matches_scalar_loop(n):
+    # both running sums keep the loop's order of operations, so bit for bit
+    for p in GRID_P:
+        for eps in [0.0, *GRID_EPS]:
+            assert fbl.log2_beta_bsc(n, p, eps) == _log2_beta_loop_reference(n, p, eps)
+
+
+@pytest.mark.parametrize("n", GRID_N)
+def test_union_threshold_matches_bisection(n):
+    log2_cum = _tie_split_reference(n)
+    for p in [0.0, *GRID_P]:
+        lw = _log2_pmf_reference(n, p)
+        for eps in GRID_EPS:
+            ref = _union_bisection_reference(n, lw, log2_cum, eps)
+            assert fbl.bsc_union_achievability(n, p, eps) == ref
+
+
+@pytest.mark.parametrize("n", GRID_N)
+def test_union_curve_nondecreasing(n):
+    for p in [0.0, *GRID_P]:
+        u = fbl._table(n, p).u
+        step = np.diff(u)
+        assert len(u) == n + 1 and np.all(step[u[:-1] < 0.5] >= 0.0)
+        # where the bound saturates, the total mass sum_t w_t, rounded in two
+        # orders, may differ by one unit in the last place
+        assert np.all(step >= -np.spacing(u[1:]))
 
 
 def test_union_bound_dominates_specific_code_error():
     # the random-code union bound cannot beat the exact [3,1] ML error
     ml_error = 1 - 0.966362  # repetition code on BSC(0.11), majority vote
-    lb = fbl._log2_binom(3)
-    lw = fbl._log2_pmf(3, 0.11)
-    log2_cum = np.empty(4)
-    run = -np.inf
-    for t in range(4):
-        log2_cum[t] = np.logaddexp2(run, lb[t] - 1.0)
-        run = np.logaddexp2(run, lb[t])
-    assert fbl._union_bound(3, 1, lw, log2_cum) >= ml_error - 1e-12
+    assert fbl._table(3, 0.11).u[1] >= ml_error - 1e-12
+
+
+def test_curve_rows_equal_the_public_bounds():
+    for p in (0.01, 0.11, 0.45):
+        for eps in (0.3, 1e-3):
+            e2 = eps * eps
+            for c in fbl.compute_curves([1, 7, 100, 1000], p, eps):
+                assert c.metaconverse == fbl.bsc_metaconverse(c.n, p, eps)
+                assert c.union_achievability == float(fbl.bsc_union_achievability(c.n, p, eps))
+                assert c.extractor_upper == fbl.bsc_metaconverse(c.n, p, e2)
+                assert c.extractor_lower == float(fbl.bsc_union_achievability(c.n, p, e2))
+                assert (c.extractor_upper, c.extractor_lower) == fbl.extractor_bounds(c.n, p, eps)
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
-        fbl.bsc_metaconverse(0, 0.11, 0.1)
-    with pytest.raises(ValueError):
-        fbl.bsc_metaconverse(100, 0.6, 0.1)
-    with pytest.raises(ValueError):
-        fbl.bsc_union_achievability(100, 0.11, 0.0)
+    n_range, p_open, p_half_open = "n must be in", r"p must lie in \(0, 1/2\)", r"p must lie in \[0, 1/2\)"
+    eps_beta, eps_union = r"eps must lie in \[0, 1\)", r"eps must lie in \(0, 1\)"
+    cases = [
+        (lambda: fbl.bsc_metaconverse(0, 0.11, 0.1), n_range),
+        (lambda: fbl.bsc_metaconverse(10**4 + 1, 0.11, 0.1), n_range),
+        (lambda: fbl.bsc_metaconverse(100, 0.6, 0.1), p_open),
+        (lambda: fbl.bsc_metaconverse(100, 0.0, 0.1), p_open),
+        (lambda: fbl.bsc_metaconverse(100, 0.11, 1.0), eps_beta),
+        (lambda: fbl.log2_beta_bsc(10, 0.5, 0.1), p_open),
+        (lambda: fbl.log2_beta_bsc(10, 0.11, -0.1), eps_beta),
+        (lambda: fbl.bsc_union_achievability(0, 0.11, 0.1), n_range),
+        (lambda: fbl.bsc_union_achievability(100, 0.5, 0.1), p_half_open),
+        (lambda: fbl.bsc_union_achievability(100, 0.11, 0.0), eps_union),
+        (lambda: fbl.bsc_union_achievability(100, 0.11, 1.0), eps_union),
+        (lambda: fbl.extractor_bounds(10**5, 0.11, 0.1), n_range),
+        (lambda: fbl.extractor_bounds(100, 0.0, 0.1), p_open),
+        (lambda: fbl.extractor_bounds(100, 0.11, 0.0), eps_union),
+        (lambda: fbl.compute_curves([100, 0], 0.11, 0.1), n_range),
+        (lambda: fbl.compute_curves([100], 7.0, 0.1), p_open),
+        (lambda: fbl.compute_curves([100], 0.11, 1.5), eps_beta),
+        (lambda: fbl.compute_curves([100], 0.11, 0.0), eps_union),
+        (lambda: fbl.compute_curves([100], 0.11, -0.1), eps_beta),
+    ]
+    for call, match in cases:
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 def test_gap_at_500():
