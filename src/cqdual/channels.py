@@ -17,12 +17,12 @@ import numpy as np
 from .config import TOL, SCHEMA_VERSION
 from .linalg import (
     PureState,
+    _fidelity,
+    _purify,
     assert_density,
     diagonal_table,
-    fidelity,
     hermitian_part,
     partial_trace,
-    purify,
     trace_distance,
 )
 
@@ -130,7 +130,7 @@ class ChannelState:
         amp = self.psi.amplitudes.reshape(d_a, d_b, d_c, d_d)
         block = amp[z].reshape(-1)
         nrm = np.linalg.norm(block)
-        if nrm < 1e-15:
+        if nrm < TOL.roundoff:
             raise ValueError(f"outcome {z} has zero probability")
         block = block / nrm
         return partial_trace(block, (d_b, d_c * d_d), 0)
@@ -187,11 +187,11 @@ def _pure_swap_witness(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """Reflection unitary exchanging the projectors of two pure states."""
     dim = a.shape[0]
     overlap = np.vdot(a, b)
-    bb = b if abs(overlap) < 1e-14 else b * np.exp(-1j * np.angle(overlap))
+    bb = b if abs(overlap) < TOL.nonzero else b * np.exp(-1j * np.angle(overlap))
     c = np.vdot(a, bb).real
     u = bb - c * a
     s = np.linalg.norm(u)
-    if s < 1e-12:
+    if s < TOL.rank_cut:
         return np.eye(dim, dtype=complex)
     e1, e2 = a, u / s
     refl = (
@@ -267,7 +267,7 @@ def _common_purifications(w: CqChannel, classical_canonical: bool = False) -> np
         phis = np.zeros((d, dim, dim), dtype=complex)
         phis[:, np.arange(dim), np.arange(dim)] = np.sqrt(table)
         return phis
-    pures = [purify(out) for out in w.outputs]
+    pures = [_purify(out) for out in w.outputs]
     r = max(p.dims[1] for p in pures)
     phis = np.zeros((d, dim, r), dtype=complex)
     for z, p in enumerate(pures):
@@ -382,7 +382,7 @@ def upgrade_to_pure(w: CqChannel) -> CqChannel:
     """Pure-output channel whose overlap equals the output fidelity of w."""
     if w.input_size != 2:
         raise ValueError("upgrade needs a binary-input channel")
-    f = min(1.0, fidelity(w.outputs[0], w.outputs[1]))
+    f = min(1.0, _fidelity(w.outputs[0], w.outputs[1]))
     return make_bsc_dual((1.0 - f) / 2.0)
 
 
@@ -437,7 +437,7 @@ def invariant_profile(w: CqChannel) -> InvariantProfile:
         raise ValueError("invariant profiles are defined for binary-input channels")
     state = entropies.from_channel(w)
     delta = trace_distance(w.outputs[0], w.outputs[1])
-    bhat = fidelity(w.outputs[0], w.outputs[1])
+    bhat = _fidelity(w.outputs[0], w.outputs[1])
     h = entropies.cond_entropy(state, entropies.VON_NEUMANN)
     hmin = entropies.cond_entropy(state, entropies.MIN_ENTROPY)
     hmax = entropies.cond_entropy(state, entropies.MAX_ENTROPY)
@@ -464,7 +464,7 @@ def trace_distance_vs_dual_fidelity(w: CqChannel) -> tuple[float, float]:
         raise ValueError("needs a binary-input channel")
     delta = trace_distance(w.outputs[0], w.outputs[1])
     wd = dual(w)
-    return float(delta), float(fidelity(wd.outputs[0], wd.outputs[1]))
+    return float(delta), float(_fidelity(wd.outputs[0], wd.outputs[1]))
 
 
 # ---------------------------------------------------------------------------

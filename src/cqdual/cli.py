@@ -71,11 +71,11 @@ class _UsageError(Exception):
     """Bad command-line input; main() prints it on one line and exits 2."""
 
 
-def _parse(fn, spec: str):
-    """fn(spec) on a command-line value, with bad input raised as a usage error."""
+def _parse(fn, *values):
+    """fn(*values) on command-line values, with bad input raised as a usage error."""
     try:
-        return fn(spec)
-    except (ValueError, OSError) as exc:
+        return fn(*values)
+    except (ValueError, OverflowError, OSError) as exc:
         raise _UsageError(exc) from exc
 
 
@@ -197,6 +197,7 @@ def _cmd_polarize(args) -> int:
 
 def _cmd_code_analyze(args) -> int:
     cp = _parse(parse_code_spec, args.code)
+    _parse(_ch.make_bsc, args.p)  # refuses a crossover outside [0, 1] before the analysis
     ana = _cc.coded_duality_check(args.p, cp)
     meta = _meta(args, code=args.code, p=args.p)
     if args.format == "csv":
@@ -237,7 +238,8 @@ def _cmd_exit_scan(args) -> int:
 
 
 def _cmd_fbl(args) -> int:
-    ns = [int(v) for v in _parse(parse_grid, args.n_grid)]
+    ns = _parse(lambda spec: [int(v) for v in parse_grid(spec)], args.n_grid)
+    _parse(_fbl.check_curves, ns, args.p, args.eps)
     text = _fbl.emit_curves(ns, args.p, args.eps, seed=args.seed)
     _emit(args, text)
     return 0

@@ -18,14 +18,14 @@ from . import channels as _ch
 from . import entropies as _en
 from .codes import CodePair, all_vectors
 from .linalg import (
+    _fidelity,
+    _psd_sqrt,
+    _purify,
+    _vn_entropy,
     diagonal_table,
-    fidelity,
     gram_embed,
     hermitian_part,
-    psd_sqrt,
-    purify,
     tensor,
-    von_neumann_entropy,
 )
 
 __all__ = [
@@ -222,7 +222,7 @@ def ensemble_guessing(e: PureEnsemble) -> _en.GuessResult:
     """Probability of guessing the label; exact for two labels, else SRM."""
     if e.num_labels <= 2:
         return _en.guessing_prob(ensemble_to_cqstate(e))
-    root = psd_sqrt(_weighted_gram(e))
+    root = _psd_sqrt(_weighted_gram(e))
     val = 0.0
     for idx in e.label_indices():
         block = root[np.ix_(idx, idx)]
@@ -261,8 +261,8 @@ def ensemble_cond_entropy(e: PureEnsemble, family: _en.EntropyFamily) -> float:
             if pl <= 0:
                 continue
             block = s[np.ix_(idx, idx)] / pl
-            h_cond += pl * von_neumann_entropy(block)
-        return h_label + h_cond - von_neumann_entropy(s)
+            h_cond += pl * _vn_entropy(hermitian_part(block))
+        return h_label + h_cond - _vn_entropy(s)
     if family.kind == "min":
         return -float(np.log2(ensemble_guessing(e).value))
     if family.kind == "max":
@@ -484,10 +484,10 @@ def exit_function(channel: _ch.CqChannel, cp: CodePair, family: _en.EntropyFamil
             np.add.at(joint, words[:, i], lik / mcount)
             total += _en.table_entropy(joint, family)
         return total / cp.n
-    if channel.input_size == 2 and all(purify(o).dims[1] == 1 for o in channel.outputs):
+    if channel.input_size == 2 and all(_purify(o).dims[1] == 1 for o in channel.outputs):
         if cp.n > 10:
             raise ValueError("pure-dual EXIT blocklength capped at 10")
-        overlap = fidelity(channel.outputs[0], channel.outputs[1])
+        overlap = _fidelity(channel.outputs[0], channel.outputs[1])
         total = 0.0
         for i in range(cp.n):
             gram = _word_gram(np.delete(words, i, axis=1), overlap)

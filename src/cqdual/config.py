@@ -11,8 +11,10 @@ class Tolerances:
 
     rank_cut is the global spectral cutoff: eigenvalues at or below it are
     treated as exact zeros, which keeps purification dimensions minimal and
-    logarithms finite. prior_sum is the largest distance from 1 allowed for
-    the sum of a state's prior or of an ensemble's weights. diagonal is the
+    logarithms finite; a pure pair whose difference up to phase has a smaller
+    norm counts as one state, and the dispersion derivative gap divides by
+    at least it. prior_sum is the largest distance from 1 allowed for the sum
+    of a state's prior or of an ensemble's weights. diagonal is the
     largest off-diagonal magnitude for which a family of operators still
     counts as diagonal (classical) and takes the closed-form table paths, and
     the most a joint table's entry may round below zero before the decoupling
@@ -30,7 +32,22 @@ class Tolerances:
     delta I/d, the full-rank density at which the two-operator ascent takes
     Alberti's bound when its Uhlmann start sigma leaves the bracket open,
     as when sigma is rank deficient and has no bound of its own; delta/d
-    stays above the ascent's 1e-14 rank test up to dimension 4096.
+    stays above the ascent's rank test (nonzero) up to dimension 4096.
+    The floors below keep divisions, roots and logarithms finite.
+    nonzero is the least value that counts as nonzero where a zero would be
+    divided by or have its phase taken: the ascent's rank test on sigma's
+    eigenvalues (sigma is full rank, so Alberti's bound applies, only when its
+    least eigenvalue exceeds it), its test of the averaged operators' trace at
+    the start, and the overlap whose phase a pure pair's swap witness aligns.
+    invertible is the least singular value of sqrt(sigma) Y_i for which the
+    ascent counts Y_i† sigma Y_i as invertible. underflow floors denominators
+    and logarithm arguments that may round to zero: the ascent's traces and
+    inverse singular values, a compressed conditional's trace and the
+    finite-blocklength masses and fractions. roundoff is the rounding floor
+    at unit scale: fidelity's cut of rho's spectrum (relative to its largest
+    eigenvalue), the norm below which a channel state's measurement outcome
+    has zero probability, and the mass still missing at which np_beta counts
+    1 - eps as reached.
     """
 
     hermiticity: float = 1e-10
@@ -48,6 +65,10 @@ class Tolerances:
     ascent_value: float = 1e-10
     bound_mix: float = 1e-10
     ascent_max_iter: int = 4000
+    nonzero: float = 1e-14
+    invertible: float = 1e-150
+    underflow: float = 1e-300
+    roundoff: float = 1e-15
 
 
 TOL = Tolerances()

@@ -16,13 +16,12 @@ from .config import TOL
 from . import channels as _ch
 from .linalg import (
     _eigh,
+    _projector_onto_support,
+    _spectral_fn,
+    _vn_entropy,
     assert_density,
     diagonal_table,
-    hermitian_eig,
     hermitian_part,
-    projector_onto_support,
-    spectral_fn,
-    von_neumann_entropy,
 )
 
 __all__ = [
@@ -98,27 +97,36 @@ def dual_family(f: EntropyFamily) -> EntropyFamily:
     return petz_down(2.0 - float(f.alpha))
 
 
+def _checked_prior(prior) -> np.ndarray:
+    """prior as a float array, refused when negative or not summing to 1."""
+    p = np.asarray(prior, dtype=float)
+    if p.min() < 0:
+        raise ValueError("negative prior probability")
+    if abs(p.sum() - 1.0) > TOL.prior_sum:
+        raise ValueError(f"prior sums to {p.sum()}, not 1 within {TOL.prior_sum}")
+    return p
+
+
 @dataclass(frozen=True)
 class CqState:
-    """Classical prior plus one conditional density operator per symbol."""
+    """Classical prior plus one conditional density operator per symbol.
+
+    The constructor validates each conditional and keeps its Hermitian part.
+    A state built by from_channel shares the channel's validated, read-only
+    outputs as its conditionals instead.
+    """
 
     prior: np.ndarray
     conditionals: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        p = np.asarray(self.prior, dtype=float)
-        if p.min() < 0:
-            raise ValueError("negative prior probability")
-        if abs(p.sum() - 1.0) > TOL.prior_sum:
-            raise ValueError(f"prior sums to {p.sum()}, not 1 within {TOL.prior_sum}")
+        p = _checked_prior(self.prior)
         conds = tuple(assert_density(c) for c in self.conditionals)
         if len(conds) != len(p):
             raise ValueError("need one conditional per prior atom")
         if len({c.shape[0] for c in conds}) != 1:
             raise ValueError("conditionals must share one dimension")
-        p = np.ascontiguousarray(p)
-        p.setflags(write=False)
-        object.__setattr__(self, "prior", p)
+        object.__setattr__(self, "prior", _ch._freeze(p))
         object.__setattr__(self, "conditionals", conds)
 
     @property
@@ -193,7 +201,12 @@ class DualityReport:
 
 
 def from_channel(w: _ch.CqChannel, prior: Sequence[float] | None = None) -> CqState:
-    """CQ state of input-given-output for a channel; uniform prior by default."""
+    """CQ state of input-given-output for a channel; uniform prior by default.
+
+    The prior is checked as CqState checks it. The conditionals are the
+    channel's own outputs, which CqChannel validated and froze, so they are
+    shared, not copied or validated again: writing into one raises.
+    """
     if prior is None:
         p = np.full(w.input_size, 1.0 / w.input_size)
     else:
@@ -202,7 +215,10 @@ def from_channel(w: _ch.CqChannel, prior: Sequence[float] | None = None) -> CqSt
             raise ValueError(
                 f"prior length {len(p)} != input alphabet {w.input_size}"
             )
-    return CqState(p, w.outputs)
+    state = object.__new__(CqState)
+    object.__setattr__(state, "prior", _ch._freeze(_checked_prior(p)))
+    object.__setattr__(state, "conditionals", w.outputs)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +293,8 @@ def _vn_cond(state: CqState) -> float:
         return table_entropy(joint, VON_NEUMANN)
     sup = state.supported()
     h_prior = float(-sum(p * np.log2(p) for p, _ in sup))
-    h_cond = sum(p * von_neumann_entropy(c) for p, c in sup)
-    return h_prior + h_cond - von_neumann_entropy(state.average())
+    h_cond = sum(p * _vn_entropy(c) for p, c in sup)
+    return h_prior + h_cond - _vn_entropy(state.average())
 
 
 def petz_curve(state: CqState, alphas: Sequence[float]) -> list[float]:
@@ -292,13 +308,13 @@ def petz_curve(state: CqState, alphas: Sequence[float]) -> list[float]:
     if joint is not None:
         return _table_petz(joint, alphas)
     rbar = state.average()
-    mu, wvec = hermitian_eig(rbar)
+    mu, wvec = _eigh(rbar)
     keep = mu > TOL.rank_cut
     mu = mu[keep]
     wvec = wvec[:, keep]
     pieces = []
     for p, c in state.supported():
-        lam, v = hermitian_eig(c)
+        lam, v = _eigh(c)
         pos = lam > TOL.rank_cut
         lam = lam[pos]
         v = v[:, pos]
@@ -332,7 +348,7 @@ def guessing_prob(state: CqState) -> GuessResult:
         w = np.linalg.eigvalsh(hermitian_part(p0 * r0 - p1 * r1))
         return GuessResult(float(0.5 * (1.0 + np.abs(w).sum())), True, "helstrom")
     rbar = state.average()
-    inv_sqrt = spectral_fn(rbar, lambda w: 1.0 / np.sqrt(w))
+    inv_sqrt = _spectral_fn(rbar, lambda w: 1.0 / np.sqrt(w))
     val = 0.0
     for p, c in sup:
         m = inv_sqrt @ c @ inv_sqrt
@@ -355,12 +371,13 @@ def _uhlmann_start(cs: np.ndarray, ys: list[np.ndarray]) -> np.ndarray | None:
     |phi|_F = sqrt(c0^2 |Y0|^2 + c1^2 |Y1|^2 + 2 c0 c1 |Y0† Y1|_1). None if
     phi vanishes.
     """
-    width = max(y.shape[1] for y in ys)
-    y0, y1 = (np.pad(y, ((0, 0), (0, width - y.shape[1]))) for y in ys)
+    y0, y1 = np.zeros((2, ys[0].shape[0], max(y.shape[1] for y in ys)), dtype=complex)
+    y0[:, : ys[0].shape[1]] = ys[0]
+    y1[:, : ys[1].shape[1]] = ys[1]
     a, _, bh = np.linalg.svd(y0.conj().T @ y1)
     phi = cs[0] * y0 + cs[1] * (y1 @ (bh.conj().T @ a.conj().T))
     t = float(np.vdot(phi, phi).real)
-    return hermitian_part(phi @ phi.conj().T) / t if t > 1e-300 else None
+    return hermitian_part(phi @ phi.conj().T) / t if t > TOL.underflow else None
 
 
 def _ascent_terms(
@@ -370,10 +387,10 @@ def _ascent_terms(
 
     sigma = v diag(w) v† is given by its eigendecomposition.
     """
-    root = np.where(w > 1e-14, np.sqrt(w), 0.0)
+    root = np.where(w > TOL.nonzero, np.sqrt(w), 0.0)
     g = 0.0
     r_op = np.zeros((v.shape[0], v.shape[0]), dtype=complex)
-    bounded = w[0] > 1e-14
+    bounded = w[0] > TOL.nonzero
     for c, y in zip(cs, ys):
         vy = v.conj().T @ y
         b = root[:, None] * vy  # sqrt(sigma) y in the sigma eigenbasis
@@ -381,10 +398,10 @@ def _ascent_terms(
         wm = np.clip(wm, 0.0, None)
         sm = np.sqrt(wm)
         g += c * float(sm.sum())
-        bounded = bounded and sm.min(initial=np.inf) > 1e-150
+        bounded = bounded and sm.min(initial=np.inf) > TOL.invertible
         # grad F = (proj y) vm diag(1/sm) vm† (proj y)†
-        inv_sm = np.where(sm > 1e-150, 1.0 / np.maximum(sm, 1e-300), 0.0)
-        proj_y = v @ (np.where(w > 1e-14, 1.0, 0.0)[:, None] * vy)
+        inv_sm = np.where(sm > TOL.invertible, 1.0 / np.maximum(sm, TOL.underflow), 0.0)
+        proj_y = v @ (np.where(w > TOL.nonzero, 1.0, 0.0)[:, None] * vy)
         half = proj_y @ (vm * np.sqrt(inv_sm))
         r_op += c * (half @ half.conj().T)
     return g, r_op, bounded
@@ -430,8 +447,8 @@ def max_fidelity_sum(factors: Sequence[np.ndarray], coeffs: Sequence[float]) -> 
     open at sigma*, the bound is also taken at the full-rank mix
     sigma_delta = (1 - delta) sigma* + delta I/d with delta =
     TOL.bound_mix, and the lower bound kept; since delta/d >= 2.4e-14 stays
-    above the rank test's 1e-14 up to d = polar.DIM_CAP = 4096, that bound
-    exists at every dimension. Such a bracket closes at iteration 0. Other
+    above the rank test's TOL.nonzero = 1e-14 up to d = polar.DIM_CAP =
+    4096, that bound exists at every dimension. Such a bracket closes at iteration 0. Other
     numbers of operators start at 0.7 sigma_avg + 0.3 I/d.
 
     Where the bracket does not close, as on optima at which sigma is rank
@@ -452,7 +469,7 @@ def max_fidelity_sum(factors: Sequence[np.ndarray], coeffs: Sequence[float]) -> 
     if uhlmann is None:
         avg = hermitian_part(sum(c * (y @ y.conj().T) for c, y in zip(cs, ys)))
         tr = np.trace(avg).real
-        base = avg / tr if tr > 1e-14 else np.eye(dim) / dim
+        base = avg / tr if tr > TOL.nonzero else np.eye(dim) / dim
         sigma = hermitian_part(0.7 * base + 0.3 * np.eye(dim) / dim)
     else:
         sigma = uhlmann
@@ -484,7 +501,7 @@ def max_fidelity_sum(factors: Sequence[np.ndarray], coeffs: Sequence[float]) -> 
             burst, mix = 80, 1e-5
         sigma = hermitian_part(r_op @ sigma @ r_op.conj().T)
         t = np.trace(sigma).real
-        if t < 1e-300:
+        if t < TOL.underflow:
             break
         sigma = sigma / t
         if burst > 0:
@@ -498,11 +515,11 @@ def max_fidelity_sum(factors: Sequence[np.ndarray], coeffs: Sequence[float]) -> 
 
 def _compressed(state: CqState) -> CqState:
     """Restrict the conditionals to the support of the average state."""
-    iso = projector_onto_support(state.average())
+    iso = _projector_onto_support(state.average())
     if iso.shape[1] == state.dim or iso.shape[1] == 0:
         return state
     conds = tuple(hermitian_part(iso.conj().T @ c @ iso) for c in state.conditionals)
-    conds = tuple(c / max(np.trace(c).real, 1e-300) for c in conds)
+    conds = tuple(c / max(np.trace(c).real, TOL.underflow) for c in conds)
     return CqState(state.prior, conds)
 
 
@@ -555,11 +572,11 @@ def dispersion(state: CqState) -> tuple[float, float]:
     blockwise on the support; variance subtracts the squared conditional
     entropy. Only the variance form is invariant under the channel dual.
     """
-    lbar = spectral_fn(state.average(), np.log2)
+    lbar = _spectral_fn(state.average(), np.log2)
     second = 0.0
     for p, c in state.supported():
         block = p * c
-        y = spectral_fn(block, np.log2) - lbar
+        y = _spectral_fn(hermitian_part(block), np.log2) - lbar
         second += float(np.trace(block @ y @ y).real)
     h = _vn_cond(state)
     return second, second - h * h
@@ -577,7 +594,7 @@ def dispersion_derivative_gap(state: CqState) -> float:
     fd_bits = (lo - hi) / (2.0 * h)  # derivative of the divergence, bits
     _, var = dispersion(state)
     target = var * LOG2 / 2.0
-    return abs(fd_bits - target) / max(abs(target), 1e-12)
+    return abs(fd_bits - target) / max(abs(target), TOL.rank_cut)
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +691,7 @@ def np_beta(p: Sequence[float], q: Sequence[float], eps: float) -> float:
     beta = 0.0
     got = 0.0
     for idx in order:
-        if need - got <= 1e-15:
+        if need - got <= TOL.roundoff:
             break
         take_p = p[idx]
         if take_p <= 0.0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SCHEMA_VERSION
+from .config import SCHEMA_VERSION, TOL
 
 __all__ = [
     "log2_beta_bsc",
@@ -22,6 +22,7 @@ __all__ = [
     "bsc_union_achievability",
     "extractor_bounds",
     "BoundCurve",
+    "check_curves",
     "compute_curves",
     "emit_curves",
     "CSV_HEADER",
@@ -73,8 +74,8 @@ def _table(n: int, p: float) -> _Table:
     t = np.arange(n + 1)
     lb = _log2_binom(n)
     with np.errstate(divide="ignore"):
-        lw = (lb + np.where(t > 0, t * np.log2(max(p, 1e-300)), 0.0)
-              + np.where(n - t > 0, (n - t) * np.log2(max(1.0 - p, 1e-300)), 0.0))
+        lw = (lb + np.where(t > 0, t * np.log2(max(p, TOL.underflow)), 0.0)
+              + np.where(n - t > 0, (n - t) * np.log2(max(1.0 - p, TOL.underflow)), 0.0))
     # scalar pow: numpy's vectorised 2.0 ** x differs from it in the last bit
     w = np.array([2.0**x for x in lw.tolist()])
     # c increases, so min(1, 2^(k-n+c_t)) is 1 exactly from t*(k) on; the
@@ -116,8 +117,8 @@ def _log2_beta(tab: _Table, eps: float) -> float:
     t = int(np.searchsorted(tab.cum, need)) - 1
     if t == len(tab.w):  # rounding left the whole mass below 1 - eps
         return float(tab.log2_q[t])
-    frac = (need - tab.cum[t]) / max(tab.w[t], 1e-300)
-    return float(np.logaddexp2(tab.log2_q[t], tab.lq[t] + np.log2(max(frac, 1e-300))))
+    frac = (need - tab.cum[t]) / max(tab.w[t], TOL.underflow)
+    return float(np.logaddexp2(tab.log2_q[t], tab.lq[t] + np.log2(max(frac, TOL.underflow))))
 
 
 def _metaconverse(tab: _Table, eps: float) -> float:
@@ -164,13 +165,12 @@ def bsc_union_achievability(n: int, p: float, eps: float) -> int:
     return _union_dimension(_table(n, p), eps)
 
 
-def _checked_table(n: int, p: float, *eps: float) -> _Table:
-    """The table at (n, p), once n and each eps are valid for both bounds."""
+def _check_args(n: int, p: float, *eps: float) -> None:
+    """Refuse n, or p with any eps, outside what both bounds take."""
     _check_n(n)
     for e in eps:
         _check_beta(p, e)
         _check_union(p, e)
-    return _table(n, p)
 
 
 def extractor_bounds(n: int, p: float, eps: float) -> tuple[float, float]:
@@ -181,7 +181,8 @@ def extractor_bounds(n: int, p: float, eps: float) -> tuple[float, float]:
     the union achievability lower-bounds the extractable length.
     """
     e2 = eps * eps
-    tab = _checked_table(n, p, e2)
+    _check_args(n, p, e2)
+    tab = _table(n, p)
     return _metaconverse(tab, e2), float(_union_dimension(tab, e2))
 
 
@@ -210,11 +211,19 @@ class BoundCurve:
         )
 
 
+def check_curves(ns, p: float, eps: float) -> None:
+    """Refuse blocklengths outside [1, 10^4], p outside (0, 1/2) or eps
+    outside (0, 1) (eps^2 included) with ValueError, as compute_curves does."""
+    for n in ns:
+        _check_args(int(n), p, eps * eps, eps)
+
+
 def compute_curves(ns, p: float, eps: float) -> list[BoundCurve]:
+    check_curves(ns, p, eps)
     e2 = eps * eps
     out = []
     for n in ns:
-        tab = _checked_table(int(n), p, e2, eps)
+        tab = _table(int(n), p)
         out.append(BoundCurve(int(n), p, eps, _metaconverse(tab, eps),
                               float(_union_dimension(tab, eps)), _metaconverse(tab, e2),
                               float(_union_dimension(tab, e2))))

@@ -124,7 +124,12 @@ def diagonal_table(ops) -> np.ndarray | None:
 
 def spectral_fn(a: np.ndarray, fn) -> np.ndarray:
     """Apply fn to eigenvalues above TOL.rank_cut; the rest map to 0."""
-    w, v = hermitian_eig(a)
+    return _spectral_fn(assert_hermitian(a), fn)
+
+
+def _spectral_fn(a: np.ndarray, fn) -> np.ndarray:
+    """spectral_fn of a matrix the caller already holds Hermitian."""
+    w, v = _eigh(a)
     fw = np.where(w > TOL.rank_cut, fn(np.maximum(w, TOL.rank_cut)), 0.0)
     return (v * fw) @ v.conj().T
 
@@ -132,7 +137,12 @@ def spectral_fn(a: np.ndarray, fn) -> np.ndarray:
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Square root of a PSD Hermitian matrix; eigenvalues in
     [-TOL.psd_clamp * scale, 0) are clamped, with scale = max(1, |a|_2)."""
-    w, v = hermitian_eig(a)
+    return _psd_sqrt(assert_hermitian(a))
+
+
+def _psd_sqrt(a: np.ndarray) -> np.ndarray:
+    """psd_sqrt of a matrix the caller already holds Hermitian."""
+    w, v = _eigh(a)
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
     if w.min() < -TOL.psd_clamp * scale:
         raise ValueError(f"matrix not PSD: eigenvalue {w.min():.3e}")
@@ -150,9 +160,14 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     sigma = np.asarray(sigma)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch {rho.shape} vs {sigma.shape}")
-    w, v = hermitian_eig(rho)
+    return _fidelity(assert_hermitian(rho), sigma)
+
+
+def _fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """fidelity of a rho the caller already holds Hermitian and a sigma of its shape."""
+    w, v = _eigh(rho)
     scale = max(1.0, float(w.max())) if w.size else 1.0
-    keep = w > 1e-15 * scale  # numeric noise floor, not the rank decision
+    keep = w > TOL.roundoff * scale  # numeric noise floor, not the rank decision
     y = v[:, keep] * np.sqrt(w[keep])
     m = hermitian_part(y.conj().T @ sigma @ y)
     ev = np.linalg.eigvalsh(m) if m.size else np.zeros(0)
@@ -217,8 +232,12 @@ def purify(rho: np.ndarray) -> PureState:
     The returned state satisfies Tr_D |phi><phi| = rho and has subsystem
     dims (dim(rho), rank).
     """
-    rho = assert_density(rho)
-    w, v = hermitian_eig(rho)
+    return _purify(assert_density(rho))
+
+
+def _purify(rho: np.ndarray) -> PureState:
+    """purify of a density operator the caller already validated."""
+    w, v = _eigh(rho)
     keep = np.where(w > TOL.rank_cut)[0][::-1]  # descending weight
     r = max(1, len(keep))
     dim = rho.shape[0]
@@ -251,14 +270,24 @@ def gram_embed(gram: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """S(rho) in bits."""
-    w = np.linalg.eigvalsh(assert_hermitian(rho))
+    return _vn_entropy(assert_hermitian(rho))
+
+
+def _vn_entropy(rho: np.ndarray) -> float:
+    """von_neumann_entropy of a matrix the caller already holds Hermitian."""
+    w = np.linalg.eigvalsh(rho)
     w = w[w > TOL.rank_cut]
     return float(-(w * np.log2(w)).sum()) if w.size else 0.0
 
 
 def projector_onto_support(a: np.ndarray) -> np.ndarray:
     """Isometry (dim x rank) whose columns span the support of a PSD matrix."""
-    w, v = hermitian_eig(a)
+    return _projector_onto_support(assert_hermitian(a))
+
+
+def _projector_onto_support(a: np.ndarray) -> np.ndarray:
+    """projector_onto_support of a matrix the caller already holds Hermitian."""
+    w, v = _eigh(a)
     keep = np.where(w > TOL.rank_cut)[0]
     if len(keep) == 0:
         return np.zeros((a.shape[0], 0), dtype=complex)

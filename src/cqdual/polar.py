@@ -14,7 +14,7 @@ import numpy as np
 from .config import TOL
 from . import channels as _ch
 from . import entropies as _en
-from .linalg import diagonal_table, fidelity, hermitian_part, projector_onto_support
+from .linalg import _fidelity, _projector_onto_support, diagonal_table, hermitian_part
 
 __all__ = [
     "VARIABLE",
@@ -138,7 +138,7 @@ def _channel_stats(state: _en.CqState) -> tuple[float, float, float]:
     statistics every polarization fraction reads."""
     hmin = _en.cond_entropy(state, _en.MIN_ENTROPY)
     hmax = _en.cond_entropy(state, _en.MAX_ENTROPY)
-    return hmin, hmax, fidelity(*state.conditionals)
+    return hmin, hmax, _fidelity(*state.conditionals)
 
 
 def _truncate_to_joint_support(w: _ch.CqChannel) -> tuple[_ch.CqChannel, float]:
@@ -166,7 +166,7 @@ def _truncate_to_joint_support(w: _ch.CqChannel) -> tuple[_ch.CqChannel, float]:
         table /= table.sum(axis=1, keepdims=True)
         return _ch.CqChannel(tuple(np.diag(row).astype(complex) for row in table)), lost
     avg = hermitian_part(sum(w.outputs) / w.input_size)
-    iso = projector_onto_support(avg)
+    iso = _projector_onto_support(avg)
     if iso.shape[1] == w.dim:
         return w, 0.0
     outs = [hermitian_part(iso.conj().T @ o @ iso) for o in w.outputs]

@@ -225,6 +225,16 @@ def test_pure_channel_from_file(tmp_path):
         ["check-duality", "--channel", "bsc:0.11", "--family", "bogus"],
         ["check-duality", "--channel", "bsc:0.11", "--family", "petz:abc"],
         ["check-duality", "--channel", "bsc:0.11", "--family", "petz:3"],
+        ["code-analyze", "--code", "rep31", "--p", "1.5"],
+        ["code-analyze", "--code", "rep31", "--p", "-0.1"],
+        ["code-analyze", "--code", "rep31", "--p", "nan"],
+        ["fbl", "--n-grid", "0"],
+        ["fbl", "--n-grid", "100,20000"],
+        ["fbl", "--n-grid", "nan"],
+        ["fbl", "--p", "0.5"],
+        ["fbl", "--p", "0"],
+        ["fbl", "--eps", "0"],
+        ["fbl", "--eps", "1"],
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, args):
@@ -293,6 +303,14 @@ def test_internal_errors_are_not_usage_errors(monkeypatch):
     monkeypatch.setattr(cli._cc, "exit_scan", unsolved)
     with pytest.raises(np.linalg.LinAlgError):
         run_cli(["exit-scan", "--channel", "bsc", "--code", "rep31"])
+    # code-analyze and fbl refuse out-of-range flags before they compute, so a
+    # fault inside the computation is not mistaken for bad input
+    monkeypatch.setattr(cli._cc, "coded_duality_check", broken)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        run_cli(["code-analyze", "--code", "rep31", "--p", "0.11"])
+    monkeypatch.setattr(cli._fbl, "emit_curves", unsolved)
+    with pytest.raises(np.linalg.LinAlgError):
+        run_cli(["fbl"])
 
 
 def test_polarize_past_the_dimension_cap_exits_2(tmp_path, capsys):

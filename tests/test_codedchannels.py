@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -302,6 +303,21 @@ def test_erasure_counts_satisfy_the_integer_identity(make):
     assert (mine + theirs[:, ::-1] == binom).all()
     rep = cc.exit_duality_check(0.37, cp, channel_family="bec")
     assert rep.gap <= 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(codes.PRESETS))
+def test_erasure_counts_satisfy_the_area_theorem(name):
+    # on the BEC the EXIT function integrates to the rate (Ashikhmin-Kramer-
+    # ten Brink); with the integral of (1-e)^s e^(n-1-s) over [0, 1] equal to
+    # s!(n-1-s)!/n!, that is an exact rational identity in the counts alone
+    for cp in (codes.preset_pair(name), codes.preset_pair(name).dual()):
+        n, counts = cp.n, cc._undetermined_counts(cp)
+        area = sum(
+            Fraction(int(counts[i, s]) * math.factorial(s) * math.factorial(n - 1 - s),
+                     math.factorial(n))
+            for i in range(n) for s in range(n)
+        ) / n
+        assert area == Fraction(cp.k, n)
 
 
 _FAMILIES = (en.VON_NEUMANN, en.MIN_ENTROPY, en.MAX_ENTROPY, en.petz_down(0.5))

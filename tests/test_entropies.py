@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -28,6 +29,83 @@ def test_from_channel_explicit_prior():
     assert np.allclose(s.prior, [0.6, 0.4])
     with pytest.raises(ValueError):
         en.from_channel(ch.make_bsc(0.11), prior=[1.0])
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _from_channel_cases():
+    rng = np.random.default_rng(1701)
+    chans = binary_channel_corpus(20240811, 24) + [random_channel(rng, 3) for _ in range(4)]
+    for w in chans:
+        yield w, None
+        yield w, rng.dirichlet(np.ones(w.input_size))
+
+
+def test_from_channel_matches_the_validating_constructor():
+    # from_channel shares the channel's validated outputs instead of
+    # re-validating them; the state must be the one CqState builds, bit for bit
+    for w, prior in _from_channel_cases():
+        p = np.full(w.input_size, 1.0 / w.input_size) if prior is None else prior
+        fast, slow = en.from_channel(w, prior), en.CqState(p, w.outputs)
+        assert np.array_equal(fast.prior, slow.prior) and _same_bits(fast.prior, slow.prior)
+        assert len(fast.conditionals) == len(slow.conditionals)
+        for a, b in zip(fast.conditionals, slow.conditionals):
+            assert np.array_equal(a, b) and _same_bits(a, b)
+        assert not fast.prior.flags.writeable
+
+
+def test_from_channel_shares_the_read_only_outputs():
+    w = ch.make_bsc_dual(0.11)
+    s = en.from_channel(w)
+    assert all(c is o for c, o in zip(s.conditionals, w.outputs))
+    with pytest.raises(ValueError, match="read-only"):
+        s.conditionals[0][0, 0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "prior, message",
+    [
+        ([1.5, -0.5], "negative prior probability"),
+        ([0.6, 0.6], "prior sums to 1.2, not 1 within 1e-12"),
+        ([0.5, 0.25, 0.25], "prior length 3 != input alphabet 2"),
+    ],
+)
+def test_from_channel_refuses_a_bad_prior(prior, message):
+    w = ch.make_bsc(0.11)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        en.from_channel(w, prior)
+    if len(prior) == w.input_size:  # the constructor's own checks, same message
+        with pytest.raises(ValueError, match=re.escape(message)):
+            en.CqState(np.asarray(prior), w.outputs)
+
+
+def test_from_channel_runs_no_eigensolver(monkeypatch):
+    chans = [w for w, _ in _from_channel_cases()]
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        orig = getattr(np.linalg, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for w in chans:
+        en.from_channel(w)
+        en.from_channel(w, np.full(w.input_size, 1.0 / w.input_size))
+    assert calls == []
+    en.CqState(np.array([0.5, 0.5]), chans[0].outputs)  # the counter counts
+    assert calls == ["eigvalsh", "eigvalsh"]
+
+
+def test_cq_state_refuses_non_hermitian_and_negative_conditionals():
+    ok = np.eye(2, dtype=complex) / 2
+    with pytest.raises(ValueError, match="not Hermitian"):
+        en.CqState(np.array([0.5, 0.5]), (ok, np.array([[0.5, 0.5], [0.0, 0.5]])))
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        en.CqState(np.array([0.5, 0.5]), (ok, np.diag([1.5, -0.5]).astype(complex)))
 
 
 def test_vn_cond_entropy_bsc():

@@ -31,6 +31,16 @@ def test_hermitian_eig_rejects_non_hermitian():
         linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_spectral_fronts_reject_non_hermitian():
+    # the public spectral functions validate their input; only the library's
+    # own Hermitian-by-construction matrices go to the kernels unchecked
+    a = np.array([[0.5, 0.5], [0.0, 0.5]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        linalg.spectral_fn(a, np.log2)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        linalg.von_neumann_entropy(a)
+
+
 def test_psd_sqrt_identity_and_diag():
     assert np.allclose(linalg.psd_sqrt(np.eye(3, dtype=complex)), np.eye(3))
     assert np.allclose(linalg.psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
