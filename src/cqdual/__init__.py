@@ -7,7 +7,7 @@ with linear-code duality, the resulting finite-blocklength sum rules, and EXIT
 function duality.
 """
 
-from .config import TOL, Tolerances, SCHEMA_VERSION
+from .config import TOL, Tolerances, SCHEMA_VERSION, Unsupported
 from .linalg import (
     PureState,
     fidelity,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL, SCHEMA_VERSION
+from .config import TOL, SCHEMA_VERSION, Unsupported
 from .linalg import (
     PureState,
     _fidelity,
@@ -320,7 +320,7 @@ def classical_dual_overlaps(w: CqChannel) -> list[tuple[float, float]]:
     """
     t = diagonal_table(w.outputs)
     if t is None or t.shape[0] != 2:
-        raise ValueError("overlap formula requires binary input and diagonal outputs")
+        raise Unsupported("overlap formula requires binary input and diagonal outputs")
     out = []
     for y in range(t.shape[1]):
         py = 0.5 * (t[0, y] + t[1, y])
@@ -372,7 +372,7 @@ def symmetrize(w: CqChannel) -> CqChannel:
 def degrade_to_bsc(w: CqChannel) -> tuple[CqChannel, float]:
     """Optimal binary measurement turns w into a BSC with crossover (1-delta)/2."""
     if w.input_size != 2:
-        raise ValueError("degradation to a BSC needs a binary-input channel")
+        raise Unsupported("degradation to a BSC needs a binary-input channel")
     delta = trace_distance(w.outputs[0], w.outputs[1])
     crossover = float(0.5 * (1.0 - delta))
     return make_bsc(crossover), crossover
@@ -381,7 +381,7 @@ def degrade_to_bsc(w: CqChannel) -> tuple[CqChannel, float]:
 def upgrade_to_pure(w: CqChannel) -> CqChannel:
     """Pure-output channel whose overlap equals the output fidelity of w."""
     if w.input_size != 2:
-        raise ValueError("upgrade needs a binary-input channel")
+        raise Unsupported("upgrade needs a binary-input channel")
     f = min(1.0, _fidelity(w.outputs[0], w.outputs[1]))
     return make_bsc_dual((1.0 - f) / 2.0)
 
@@ -434,7 +434,7 @@ def invariant_profile(w: CqChannel) -> InvariantProfile:
     from . import entropies  # local import: entropies depends on this module
 
     if w.input_size != 2:
-        raise ValueError("invariant profiles are defined for binary-input channels")
+        raise Unsupported("invariant profiles are defined for binary-input channels")
     state = entropies.from_channel(w)
     delta = trace_distance(w.outputs[0], w.outputs[1])
     bhat = _fidelity(w.outputs[0], w.outputs[1])
@@ -461,7 +461,7 @@ def profiles_match(a: InvariantProfile, b: InvariantProfile) -> bool:
 def trace_distance_vs_dual_fidelity(w: CqChannel) -> tuple[float, float]:
     """Return (delta(W), F(dual(W))); the two agree for binary-input channels."""
     if w.input_size != 2:
-        raise ValueError("needs a binary-input channel")
+        raise Unsupported("needs a binary-input channel")
     delta = trace_distance(w.outputs[0], w.outputs[1])
     wd = dual(w)
     return float(delta), float(_fidelity(wd.outputs[0], wd.outputs[1]))

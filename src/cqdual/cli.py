@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .config import SCHEMA_VERSION
+from .config import SCHEMA_VERSION, Unsupported
 from . import channels as _ch
 from . import codedchannels as _cc
 from . import codes as _codes
@@ -68,7 +68,7 @@ def parse_grid(spec: str) -> list[float]:
 
 
 class _UsageError(Exception):
-    """Bad command-line input; main() prints it on one line and exits 2."""
+    """Bad command-line input; main() prints it, as it does Unsupported, on one line and exits 2."""
 
 
 def _parse(fn, *values):
@@ -145,10 +145,7 @@ def _cmd_check_duality(args) -> int:
     w = _parse(parse_channel_spec, args.channel)
     families = _parse(_families_from_flag, args.family)
     wd = _ch.dual(w)
-    try:
-        reports = [_en.duality_check(w, fam, dual_channel=wd).to_dict() for fam in families]
-    except _en.UnsupportedFamily as exc:  # any other ValueError is a fault
-        raise _UsageError(exc) from exc
+    reports = [_en.duality_check(w, fam, dual_channel=wd).to_dict() for fam in families]
     _emit(args, {"meta": _meta(args, channel=args.channel, family=args.family), "reports": reports})
     return 0
 
@@ -168,14 +165,9 @@ def _cmd_convolve(args) -> int:
 
 def _cmd_polarize(args) -> int:
     w = _parse(parse_channel_spec, args.channel)
-    try:
-        report = _polar.polarization_experiment(
-            w, args.n, args.trials, beta=args.beta, seed=args.seed, complement=args.complement
-        )
-    except np.linalg.LinAlgError:
-        raise
-    except ValueError as exc:  # a depth or input size the channel's trajectories cannot take
-        raise _UsageError(exc) from exc
+    report = _polar.polarization_experiment(
+        w, args.n, args.trials, beta=args.beta, seed=args.seed, complement=args.complement
+    )
     meta = _meta(
         args,
         channel=args.channel,
@@ -212,12 +204,7 @@ def _cmd_exit_scan(args) -> int:
     cp = _parse(parse_code_spec, args.code)
     grid = _parse(parse_grid, args.grid)
     grid = [p for p in grid if 0.0 < p < 1.0]
-    try:
-        scan = _cc.exit_scan(args.channel, cp, grid)
-    except np.linalg.LinAlgError:
-        raise
-    except ValueError as exc:  # a blocklength past the EXIT paths' caps
-        raise _UsageError(exc) from exc
+    scan = _cc.exit_scan(args.channel, cp, grid)
     meta = _meta(args, channel=args.channel, code=args.code, grid=args.grid)
     if args.format == "json":
         _emit(args, {"meta": meta, "scan": scan.to_dict()})
@@ -237,9 +224,14 @@ def _cmd_exit_scan(args) -> int:
     return 0
 
 
+def _blocklength(v: float) -> int:
+    if int(v) != v:  # int() refuses inf and nan itself
+        raise ValueError(f"blocklength {v!r} is not an integer")
+    return int(v)
+
+
 def _cmd_fbl(args) -> int:
-    ns = _parse(lambda spec: [int(v) for v in parse_grid(spec)], args.n_grid)
-    _parse(_fbl.check_curves, ns, args.p, args.eps)
+    ns = _parse(lambda spec: [_blocklength(v) for v in parse_grid(spec)], args.n_grid)
     text = _fbl.emit_curves(ns, args.p, args.eps, seed=args.seed)
     _emit(args, text)
     return 0
@@ -458,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(_apply_config(commands, argv))
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, Unsupported) as exc:
         print(f"cqdual: error: {exc}", file=sys.stderr)
         return 2
 

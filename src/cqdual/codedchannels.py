@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import TOL
+from .config import TOL, Unsupported
 from . import channels as _ch
 from . import entropies as _en
 from .codes import CodePair, all_vectors
@@ -87,15 +87,15 @@ def classical_coded_table(channel: _ch.CqChannel, cp: CodePair, leg: str) -> np.
     The likelihoods are accumulated one coset at a time.
     """
     if channel.input_size != cp.q:
-        raise ValueError("channel input alphabet must match the code field")
+        raise Unsupported("channel input alphabet must match the code field")
     t = diagonal_table(channel.outputs)
     if t is None:
-        raise ValueError("exhaustive tables need diagonal (classical) outputs")
+        raise Unsupported("exhaustive tables need diagonal (classical) outputs")
     if cp.n > 14:
-        raise ValueError("blocklength capped at 14 for exhaustive tables")
+        raise Unsupported("blocklength capped at 14 for exhaustive tables")
     ny = t.shape[1]
     if (cp.q**cp.k) * (ny**cp.n) > _TABLE_CAP:
-        raise ValueError("joint table would exceed the memory cap")
+        raise Unsupported("joint table would exceed the memory cap")
     if leg not in ("deterministic", "randomized"):
         raise ValueError(f"unknown leg {leg!r}")
     ys = all_vectors(ny, cp.n)
@@ -165,7 +165,7 @@ def _word_gram(xs: np.ndarray, overlap: float) -> np.ndarray:
     distance array would exceed _TABLE_CAP entries are refused up front."""
     m, n = xs.shape
     if m * m * n > _TABLE_CAP:
-        raise ValueError(f"Gram matrix of {m} words of length {n} would exceed the memory cap")
+        raise Unsupported(f"Gram matrix of {m} words of length {n} would exceed the memory cap")
     ham = (xs[:, None, :] != xs[None, :, :]).sum(axis=2)
     return (overlap**ham).astype(complex)
 
@@ -178,7 +178,7 @@ def dual_coded_ensemble(p: float, cp: CodePair, mode: str) -> PureEnsemble:
     deterministic mode, every word (grouped by message) in randomized mode.
     """
     if cp.q != 2:
-        raise ValueError("pure dual ensembles are built for binary codes")
+        raise Unsupported("pure dual ensembles are built for binary codes")
     if mode not in ("deterministic", "randomized"):
         raise ValueError(f"unknown mode {mode!r}")
     xs, labels = _encoding(cp, mode == "randomized")
@@ -279,9 +279,9 @@ def ensemble_cond_entropy(e: PureEnsemble, family: _en.EntropyFamily) -> float:
 def coded_channel(w: _ch.CqChannel, cp: CodePair, randomized: bool) -> _ch.CqChannel:
     """The channel message -> W^n(encoded word), optionally syndrome-randomized."""
     if w.input_size != cp.q:
-        raise ValueError("channel alphabet must match the code field")
+        raise Unsupported("channel alphabet must match the code field")
     if w.dim**cp.n > 512:
-        raise ValueError("coded channel output dimension too large")
+        raise Unsupported("coded channel output dimension too large")
     words, labels = _encoding(cp, randomized)
     outs = []
     for m in range(cp.q**cp.k):
@@ -379,7 +379,7 @@ def encoder_duality_check(w: _ch.CqChannel, cp: CodePair) -> EncoderDualityRepor
     code must carry a single message digit (q^k = 2).
     """
     if cp.q**cp.k != 2:
-        raise ValueError("profile comparison needs exactly two messages (k=1, q=2)")
+        raise Unsupported("profile comparison needs exactly two messages (k=1, q=2)")
     wd = _ch.dual(w)
     cpd = cp.dual_complement()
     gap_det = _ch.dual_profile_gap(
@@ -409,7 +409,7 @@ def _undetermined_counts(cp: CodePair) -> np.ndarray:
     """
     n = cp.n
     if 1 << n > _TABLE_CAP:
-        raise ValueError(f"erasure EXIT needs 2^{n} mask words, over the memory cap")
+        raise Unsupported(f"erasure EXIT needs 2^{n} mask words, over the memory cap")
     words = np.zeros(1, dtype=np.uint32)  # the codewords as masks, spanned row by row
     for row in cp.dual_parity_rows:  # the generator matrix of the code
         words = np.concatenate([words, words ^ np.uint32(row @ (1 << np.arange(n)))])
@@ -465,7 +465,7 @@ def exit_function(channel: _ch.CqChannel, cp: CodePair, family: _en.EntropyFamil
     have the real overlap F(W(0), W(1)). Any other channel is refused.
     """
     if channel.input_size != cp.q:
-        raise ValueError("channel alphabet must match the code field")
+        raise Unsupported("channel alphabet must match the code field")
     eps = _ch._erasure_probability(channel)
     if eps is not None:
         return _erasure_exit(eps, cp, family)
@@ -474,7 +474,7 @@ def exit_function(channel: _ch.CqChannel, cp: CodePair, family: _en.EntropyFamil
     t = diagonal_table(channel.outputs)
     if t is not None:
         if cp.n > 12:
-            raise ValueError("classical EXIT blocklength capped at 12")
+            raise Unsupported("classical EXIT blocklength capped at 12")
         total = 0.0
         ys = all_vectors(t.shape[1], cp.n - 1)
         for i in range(cp.n):
@@ -486,7 +486,7 @@ def exit_function(channel: _ch.CqChannel, cp: CodePair, family: _en.EntropyFamil
         return total / cp.n
     if channel.input_size == 2 and all(_purify(o).dims[1] == 1 for o in channel.outputs):
         if cp.n > 10:
-            raise ValueError("pure-dual EXIT blocklength capped at 10")
+            raise Unsupported("pure-dual EXIT blocklength capped at 10")
         overlap = _fidelity(channel.outputs[0], channel.outputs[1])
         total = 0.0
         for i in range(cp.n):
@@ -494,7 +494,7 @@ def exit_function(channel: _ch.CqChannel, cp: CodePair, family: _en.EntropyFamil
             ens = PureEnsemble(np.full(mcount, 1.0 / mcount), gram, words[:, i])
             total += ensemble_cond_entropy(ens, family)
         return total / cp.n
-    raise ValueError("EXIT functions need diagonal outputs, or binary input and pure outputs")
+    raise Unsupported("EXIT functions need diagonal outputs, or binary input and pure outputs")
 
 
 @dataclass(frozen=True)
@@ -594,7 +594,7 @@ def _coset_labels_by_dim(n: int) -> _Subspaces:
     as an array that maps each x in 0..2^n-1 to the number of its coset; cosets
     are numbered smallest member first."""
     if n > 4:
-        raise ValueError("subspace enumeration capped at n=4")
+        raise Unsupported("subspace enumeration capped at n=4")
     from itertools import combinations
 
     found: set[frozenset[int]] = {frozenset({0})}
@@ -617,10 +617,10 @@ def _coset_labels_by_dim(n: int) -> _Subspaces:
 def _source_table(source: _en.CqState) -> np.ndarray:
     """Transition table of a binary source with diagonal qubit conditionals."""
     if source.num_symbols != 2 or source.dim != 2:
-        raise ValueError("brute force expects a binary source with qubit conditionals")
+        raise Unsupported("brute force expects a binary source with qubit conditionals")
     t = diagonal_table(source.conditionals)
     if t is None:
-        raise NotImplementedError("brute force supports diagonal (classical) sources only")
+        raise Unsupported("brute force supports diagonal (classical) sources only")
     return t
 
 

@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import Unsupported
+
 __all__ = [
     "gf_invert",
     "gf_rank",
@@ -116,7 +118,7 @@ def _all_vectors_cached(q: int, k: int) -> np.ndarray:
     if k == 0:
         return np.zeros((1, 0), dtype=np.int64)
     if q**k > _ENUM_CAP_WORDS:
-        raise ValueError(f"enumeration of {q}^{k} vectors exceeds the cap")
+        raise Unsupported(f"enumeration of {q}^{k} vectors exceeds the cap")
     idx = np.arange(q**k)
     cols = []
     for pos in range(k):
@@ -329,7 +331,7 @@ def weight_enumerator(cp: CodePair) -> np.ndarray:
     """Exhaustive weight distribution A_0..A_n of the code of cp; pass
     cp.dual() (or another companion pair) for that code's enumerator."""
     if cp.n > _ENUM_CAP_N:
-        raise ValueError(f"weight enumeration capped at n={_ENUM_CAP_N}")
+        raise Unsupported(f"weight enumeration capped at n={_ENUM_CAP_N}")
     words = cp.codewords()
     weights = (words != 0).sum(axis=1)
     return np.bincount(weights, minlength=cp.n + 1).astype(np.int64)

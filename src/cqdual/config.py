@@ -73,4 +73,10 @@ class Tolerances:
 
 TOL = Tolerances()
 
+
+class Unsupported(ValueError):
+    """A well-formed request past a size cap or outside what a computation
+    takes; the CLI reports it as a usage error (exit 2), any other error as a fault."""
+
+
 SCHEMA_VERSION = "0.1.0"

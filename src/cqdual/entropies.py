@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import TOL
+from .config import TOL, Unsupported
 from . import channels as _ch
 from .linalg import (
     _eigh,
@@ -45,7 +45,6 @@ __all__ = [
     "dispersion",
     "dispersion_derivative_gap",
     "duality_check",
-    "UnsupportedFamily",
     "capacity",
     "capacity_duality_check",
     "np_beta",
@@ -513,14 +512,15 @@ def max_fidelity_sum(factors: Sequence[np.ndarray], coeffs: Sequence[float]) -> 
                    upper=None if upper == np.inf else float(max(upper, lower)))
 
 
-def _compressed(state: CqState) -> CqState:
-    """Restrict the conditionals to the support of the average state."""
+def _compressed(state: CqState) -> list[tuple[float, np.ndarray]]:
+    """state.supported() with each conditional restricted to the support of the average
+    state and renormalised; a zero-prior conditional, possibly outside it, is dropped."""
+    sup = state.supported()
     iso = _projector_onto_support(state.average())
     if iso.shape[1] == state.dim or iso.shape[1] == 0:
-        return state
-    conds = tuple(hermitian_part(iso.conj().T @ c @ iso) for c in state.conditionals)
-    conds = tuple(c / max(np.trace(c).real, TOL.underflow) for c in conds)
-    return CqState(state.prior, conds)
+        return sup
+    conds = [hermitian_part(iso.conj().T @ c @ iso) for _, c in sup]
+    return [(p, c / max(np.trace(c).real, TOL.underflow)) for (p, _), c in zip(sup, conds)]
 
 
 def _decoupling(factors: Sequence[np.ndarray], coeffs: Sequence[float]) -> QResult:
@@ -543,8 +543,7 @@ def decoupling_q(state: CqState) -> QResult:
     if joint is not None:
         q = _table_decoupling(joint)
         return QResult(q, True, 0, 0, upper=q)
-    state = _compressed(state)
-    sup = state.supported()
+    sup = _compressed(state)
     return _decoupling([_factorize(c) for _, c in sup], [np.sqrt(p / m) for p, _ in sup])
 
 
@@ -616,10 +615,6 @@ def state_disjointness_gap(w: _ch.CqChannel) -> float:
     return gap
 
 
-class UnsupportedFamily(ValueError):
-    """An entropy family whose sum the toolkit cannot evaluate exactly for a channel."""
-
-
 def duality_check(
     w: _ch.CqChannel,
     family: EntropyFamily,
@@ -631,12 +626,11 @@ def duality_check(
     Both legs are computed independently; nothing is inferred from the
     identity being tested. A precomputed dual may be passed in when checking
     several families of the same channel. The min and max families are
-    refused (UnsupportedFamily, a ValueError) for more than two inputs, where
-    guessing_prob falls back to the square-root measurement, which is not
-    optimal there.
+    refused (Unsupported) for more than two inputs, where guessing_prob falls
+    back to the square-root measurement, which is not optimal there.
     """
     if family.kind in ("min", "max") and w.input_size > 2:
-        raise UnsupportedFamily(
+        raise Unsupported(
             f"the {family.label} entropy sum is checked for binary input only; "
             f"{w.input_size} inputs would need an optimal measurement"
         )
@@ -653,7 +647,7 @@ def duality_check(
 def capacity(w: _ch.CqChannel) -> float:
     """I(W) = log2(d) - H(W) for symmetric channels (uniform input optimal)."""
     if not w.is_symmetric:
-        raise ValueError("capacity formula requires symmetry witnesses")
+        raise Unsupported("capacity formula requires symmetry witnesses")
     return float(np.log2(w.input_size)) - cond_entropy(from_channel(w), VON_NEUMANN)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SCHEMA_VERSION, TOL
+from .config import SCHEMA_VERSION, TOL, Unsupported
 
 __all__ = [
     "log2_beta_bsc",
@@ -22,7 +22,6 @@ __all__ = [
     "bsc_union_achievability",
     "extractor_bounds",
     "BoundCurve",
-    "check_curves",
     "compute_curves",
     "emit_curves",
     "CSV_HEADER",
@@ -93,21 +92,21 @@ def _table(n: int, p: float) -> _Table:
 
 def _check_n(n: int) -> None:
     if n < 1 or n > 10**4:
-        raise ValueError("n must be in [1, 10^4]")
+        raise Unsupported("n must be in [1, 10^4]")
 
 
 def _check_beta(p: float, eps: float) -> None:
     if not 0.0 < p < 0.5:
-        raise ValueError("p must lie in (0, 1/2)")
+        raise Unsupported("p must lie in (0, 1/2)")
     if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must lie in [0, 1)")
+        raise Unsupported("eps must lie in [0, 1)")
 
 
 def _check_union(p: float, eps: float) -> None:
     if not 0.0 <= p < 0.5:
-        raise ValueError("p must lie in [0, 1/2)")
+        raise Unsupported("p must lie in [0, 1/2)")
     if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+        raise Unsupported("eps must lie in (0, 1)")
 
 
 def _log2_beta(tab: _Table, eps: float) -> float:
@@ -211,16 +210,11 @@ class BoundCurve:
         )
 
 
-def check_curves(ns, p: float, eps: float) -> None:
-    """Refuse blocklengths outside [1, 10^4], p outside (0, 1/2) or eps
-    outside (0, 1) (eps^2 included) with ValueError, as compute_curves does."""
-    for n in ns:
-        _check_args(int(n), p, eps * eps, eps)
-
-
 def compute_curves(ns, p: float, eps: float) -> list[BoundCurve]:
-    check_curves(ns, p, eps)
+    """Bounds at each n in ns; n, p, eps and eps^2 are all checked before any table is built."""
     e2 = eps * eps
+    for n in ns:
+        _check_args(int(n), p, e2, eps)
     out = []
     for n in ns:
         tab = _table(int(n), p)

@@ -30,7 +30,6 @@ __all__ = [
     "purify",
     "gram_embed",
     "von_neumann_entropy",
-    "projector_onto_support",
 ]
 
 
@@ -280,13 +279,8 @@ def _vn_entropy(rho: np.ndarray) -> float:
     return float(-(w * np.log2(w)).sum()) if w.size else 0.0
 
 
-def projector_onto_support(a: np.ndarray) -> np.ndarray:
-    """Isometry (dim x rank) whose columns span the support of a PSD matrix."""
-    return _projector_onto_support(assert_hermitian(a))
-
-
 def _projector_onto_support(a: np.ndarray) -> np.ndarray:
-    """projector_onto_support of a matrix the caller already holds Hermitian."""
+    """Isometry (dim x rank) whose columns span the support of a Hermitian PSD matrix."""
     w, v = _eigh(a)
     keep = np.where(w > TOL.rank_cut)[0]
     if len(keep) == 0:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import TOL
+from .config import TOL, Unsupported
 from . import channels as _ch
 from . import entropies as _en
 from .linalg import _fidelity, _projector_onto_support, diagonal_table, hermitian_part
@@ -45,7 +45,7 @@ DIM_CAP = 4096
 def convolve(w: _ch.CqChannel, wp: _ch.CqChannel, kind: str) -> _ch.CqChannel:
     """Variable convolution z -> W(z) (x) W'(z); check convolution mixes shifts."""
     if w.input_size != 2 or wp.input_size != 2:
-        raise ValueError("convolutions are defined for binary-input channels")
+        raise Unsupported("convolutions are defined for binary-input channels")
     if kind == VARIABLE:
         outs = tuple(np.kron(w.outputs[z], wp.outputs[z]) for z in range(2))
         witnesses = None
@@ -215,10 +215,10 @@ def trajectory(w: _ch.CqChannel, bits) -> Trajectory:
 def _self_convolutions(w: _ch.CqChannel, bits) -> list[tuple[_ch.CqChannel, float]]:
     """Each level's channel and the mass lost up to it, from self-convolving the
     output matrices; capped at GENERIC_LEVEL_CAP levels and DIM_CAP dimensions
-    (a ValueError names the level reached). Outputs are compressed to their
+    (Unsupported names the level reached). Outputs are compressed to their
     joint support after each level."""
     if len(bits) > GENERIC_LEVEL_CAP:
-        raise ValueError(
+        raise Unsupported(
             f"trajectories of channels that are not erasure channels are capped at "
             f"{GENERIC_LEVEL_CAP} levels; got {len(bits)}"
         )
@@ -227,7 +227,7 @@ def _self_convolutions(w: _ch.CqChannel, bits) -> list[tuple[_ch.CqChannel, floa
     lost = 0.0
     for i, b in enumerate(bits):
         if cur.dim * cur.dim > DIM_CAP:
-            raise ValueError(
+            raise Unsupported(
                 f"trajectory hit the dimension cap after level {i} of {len(bits)} "
                 f"(dim {cur.dim}); use fewer levels"
             )
@@ -334,12 +334,12 @@ def polarization_experiment(
     Every fraction is read off Hmin, Hmax and B of each trial's W_n: closed
     forms for erasure channels, recognised from their outputs, and otherwise
     the last of _self_convolutions, which refuses n > GENERIC_LEVEL_CAP or a
-    stop at the dimension cap (ValueError); n < 1 or trials < 1 is refused
+    stop at the dimension cap (Unsupported); n < 1 or trials < 1 is refused
     too. The threshold is 2^(-n^beta). The capacity log2(d) - H(W) is reported for channels with
     symmetry witnesses and for erasure channels, NaN otherwise.
     """
     if n < 1 or trials < 1:
-        raise ValueError(f"polarization needs n >= 1 and trials >= 1; got n={n}, trials={trials}")
+        raise Unsupported(f"polarization needs n >= 1 and trials >= 1; got n={n}, trials={trials}")
     f = polynomial_threshold(n, beta)
     bits = _sequence_bits(trials, n, seed)
     if complement:

@@ -235,6 +235,7 @@ def test_pure_channel_from_file(tmp_path):
         ["fbl", "--p", "0"],
         ["fbl", "--eps", "0"],
         ["fbl", "--eps", "1"],
+        ["fbl", "--n-grid", "150.7"],
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, args):
@@ -282,35 +283,28 @@ def test_config_file_defaults(tmp_path):
 
 
 def test_internal_errors_are_not_usage_errors(monkeypatch):
+    # only the library's Unsupported refusals are usage errors; any other
+    # ValueError raised while a command computes, LinAlgError included, is a fault
     def broken(*args, **kwargs):
         raise ValueError("matrix not Hermitian")
-
-    monkeypatch.setattr(cli._en, "duality_check", broken)
-    with pytest.raises(ValueError, match="not Hermitian"):
-        run_cli(["check-duality", "--channel", "bsc:0.11"])
 
     def unsolved(*args, **kwargs):
         raise np.linalg.LinAlgError("eigh did not converge")
 
-    # polarize and exit-scan report a size past their caps as a usage error,
-    # but LinAlgError, a ValueError subclass, stays a fault
-    monkeypatch.setattr(cli._polar, "polarization_experiment", unsolved)
-    with pytest.raises(np.linalg.LinAlgError):
-        run_cli(["polarize", "--channel", "bsc:0.11", "--n", "2", "--trials", "2"])
-    monkeypatch.setattr(cli._en, "duality_check", unsolved)
-    with pytest.raises(np.linalg.LinAlgError):
-        run_cli(["check-duality", "--channel", "bsc:0.11"])
-    monkeypatch.setattr(cli._cc, "exit_scan", unsolved)
-    with pytest.raises(np.linalg.LinAlgError):
-        run_cli(["exit-scan", "--channel", "bsc", "--code", "rep31"])
-    # code-analyze and fbl refuse out-of-range flags before they compute, so a
-    # fault inside the computation is not mistaken for bad input
-    monkeypatch.setattr(cli._cc, "coded_duality_check", broken)
-    with pytest.raises(ValueError, match="not Hermitian"):
-        run_cli(["code-analyze", "--code", "rep31", "--p", "0.11"])
-    monkeypatch.setattr(cli._fbl, "emit_curves", unsolved)
-    with pytest.raises(np.linalg.LinAlgError):
-        run_cli(["fbl"])
+    for fault, error, match in ((broken, ValueError, "not Hermitian"),
+                                (unsolved, np.linalg.LinAlgError, "did not converge")):
+        for module, name, args in (
+            (cli._en, "duality_check", ["check-duality", "--channel", "bsc:0.11"]),
+            (cli._polar, "polarization_experiment",
+             ["polarize", "--channel", "bsc:0.11", "--n", "2", "--trials", "2"]),
+            (cli._cc, "exit_scan", ["exit-scan", "--channel", "bsc", "--code", "rep31"]),
+            (cli._cc, "coded_duality_check", ["code-analyze", "--code", "rep31", "--p", "0.11"]),
+            (cli._fbl, "emit_curves", ["fbl"]),
+        ):
+            monkeypatch.setattr(module, name, fault)
+            with pytest.raises(error, match=match):
+                run_cli(args)
+            monkeypatch.undo()
 
 
 def test_polarize_past_the_dimension_cap_exits_2(tmp_path, capsys):
@@ -338,6 +332,30 @@ def test_exit_scan_past_a_cap_exits_2(tmp_path, capsys, channel, n, message):
     assert captured.out == ""
     assert captured.err.startswith(f"cqdual: error: {message}")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["convolve", "--channel", "classical:@{three}", "--channel2", "bsc:0.1"],
+         "convolutions are defined for binary-input channels"),
+        (["code-analyze", "--code", "@{n15}", "--p", "0.11"],
+         "blocklength capped at 14 for exhaustive tables"),
+        (["code-analyze", "--code", "@{q3}", "--p", "0.11"],
+         "channel input alphabet must match the code field"),
+    ],
+    ids=["convolve_three_inputs", "code_analyze_n15", "code_analyze_q3"],
+)
+def test_library_refusals_exit_2(tmp_path, capsys, args, message):
+    three = tmp_path / "three.json"
+    three.write_text(json.dumps({"transition": [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]}))
+    codes.save_code_pair(codes.repetition_pair(15), tmp_path / "n15.txt")
+    codes.save_code_pair(codes.build_code(np.eye(3, dtype=int), 1, q=3), tmp_path / "q3.txt")
+    args = [a.format(three=three, n15=tmp_path / "n15.txt", q3=tmp_path / "q3.txt") for a in args]
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cqdual: error: {message}\n"
 
 
 @pytest.mark.parametrize("family", ["all", "min", "max"])

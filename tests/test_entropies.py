@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cqdual
 from cqdual import channels as ch
 from cqdual import entropies as en
 from cqdual import polar
@@ -213,6 +214,15 @@ def test_decoupling_bec_closed_form():
     for p in (0.2, 0.5, 0.8):
         q = en.decoupling_q(en.from_channel(ch.make_bec(p))).value
         assert abs(q - (1 + p) / 2) < 1e-9
+
+
+def test_decoupling_drops_a_zero_prior_conditional_outside_the_support():
+    # |-> has prior 0 and lies outside the support |+> of the average state,
+    # so projecting it would leave a conditional of trace 0
+    s = np.sqrt(0.5)
+    state = en.from_channel(ch.make_pure([np.array([s, s]), np.array([s, -s])]), [1.0, 0.0])
+    assert abs(en.cond_entropy(state, en.MAX_ENTROPY)) < 1e-12
+    assert abs(en.cond_entropy(state, en.MIN_ENTROPY)) < 1e-12
 
 
 def test_decoupling_q_deterministic_and_flagged(rng):
@@ -437,7 +447,7 @@ def test_duality_check_refuses_min_max_beyond_binary_input():
     # measurement, which is not optimal, so the min/max sums are refused
     w = random_channel(np.random.default_rng(1), 2, d=3)
     for fam in (en.MIN_ENTROPY, en.MAX_ENTROPY):
-        with pytest.raises(en.UnsupportedFamily, match="binary input only"):
+        with pytest.raises(cqdual.Unsupported, match="binary input only"):
             en.duality_check(w, fam)
     assert en.duality_check(w, en.VON_NEUMANN).gap < 1e-6
 
