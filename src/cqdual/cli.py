@@ -9,24 +9,28 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .config import SCHEMA_VERSION, Unsupported
-from . import channels as _ch
-from . import codedchannels as _cc
-from . import codes as _codes
-from . import corpus as _corpus
-from . import entropies as _en
-from . import fbl as _fbl
-from . import polar as _polar
+
+if TYPE_CHECKING:
+    from .codes import CodePair
+    from .entropies import EntropyFamily
+
+# Each command imports the submodules it calls, so that a process pays at
+# start-up only for the command it runs.
 
 __all__ = ["main", "parse_channel_spec", "parse_code_spec", "parse_grid"]
 
 
 def parse_channel_spec(spec: str):
     """Channel from 'kind:param' or 'kind:@file.json'."""
+    import numpy as np
+
+    from . import channels as _ch
+
     if ":" not in spec:
         raise ValueError(f"channel spec {spec!r} needs the form kind:param")
     kind, arg = spec.split(":", 1)
@@ -50,7 +54,9 @@ def parse_channel_spec(spec: str):
     raise ValueError(f"unknown channel kind {kind!r}")
 
 
-def parse_code_spec(spec: str) -> _codes.CodePair:
+def parse_code_spec(spec: str) -> CodePair:
+    from . import codes as _codes
+
     if spec.startswith("@"):
         return _codes.load_code_pair(spec[1:])
     return _codes.preset_pair(spec)
@@ -62,7 +68,7 @@ def parse_grid(spec: str) -> list[float]:
         start, stop, step = (float(v) for v in spec.split(":"))
         if step <= 0:
             raise ValueError("grid step must be positive")
-        count = int(np.floor((stop - start) / step + 0.5)) + 1
+        count = math.floor((stop - start) / step + 0.5) + 1
         return [start + i * step for i in range(count)]
     return [float(v) for v in spec.split(",") if v]
 
@@ -111,6 +117,8 @@ def _csv_text(meta: dict, header: str, rows: list[str]) -> str:
 
 
 def _cmd_dual(args) -> int:
+    from . import channels as _ch
+
     w = _parse(parse_channel_spec, args.channel)
     wd = _ch.dual(w)
     doc = {
@@ -123,7 +131,10 @@ def _cmd_dual(args) -> int:
     return 0
 
 
-def _families_from_flag(flag: str) -> list[_en.EntropyFamily]:
+def _families_from_flag(flag: str) -> list[EntropyFamily]:
+    from . import channels as _ch
+    from . import entropies as _en
+
     if flag == "all":
         fams = [_en.VON_NEUMANN, _en.MIN_ENTROPY, _en.MAX_ENTROPY]
         fams.extend(_en.petz_down(a) for a in _ch.PROFILE_ALPHAS)
@@ -142,6 +153,9 @@ def _families_from_flag(flag: str) -> list[_en.EntropyFamily]:
 
 
 def _cmd_check_duality(args) -> int:
+    from . import channels as _ch
+    from . import entropies as _en
+
     w = _parse(parse_channel_spec, args.channel)
     families = _parse(_families_from_flag, args.family)
     wd = _ch.dual(w)
@@ -151,6 +165,9 @@ def _cmd_check_duality(args) -> int:
 
 
 def _cmd_convolve(args) -> int:
+    from . import channels as _ch
+    from . import polar as _polar
+
     w = _parse(parse_channel_spec, args.channel)
     wp = _parse(parse_channel_spec, args.channel2)
     out = _polar.convolve(w, wp, args.kind)
@@ -164,6 +181,8 @@ def _cmd_convolve(args) -> int:
 
 
 def _cmd_polarize(args) -> int:
+    from . import polar as _polar
+
     w = _parse(parse_channel_spec, args.channel)
     report = _polar.polarization_experiment(
         w, args.n, args.trials, beta=args.beta, seed=args.seed, complement=args.complement
@@ -188,6 +207,9 @@ def _cmd_polarize(args) -> int:
 
 
 def _cmd_code_analyze(args) -> int:
+    from . import channels as _ch
+    from . import codedchannels as _cc
+
     cp = _parse(parse_code_spec, args.code)
     _parse(_ch.make_bsc, args.p)  # refuses a crossover outside [0, 1] before the analysis
     ana = _cc.coded_duality_check(args.p, cp)
@@ -201,6 +223,8 @@ def _cmd_code_analyze(args) -> int:
 
 
 def _cmd_exit_scan(args) -> int:
+    from . import codedchannels as _cc
+
     cp = _parse(parse_code_spec, args.code)
     grid = _parse(parse_grid, args.grid)
     grid = [p for p in grid if 0.0 < p < 1.0]
@@ -231,6 +255,8 @@ def _blocklength(v: float) -> int:
 
 
 def _cmd_fbl(args) -> int:
+    from . import fbl as _fbl
+
     ns = _parse(lambda spec: [_blocklength(v) for v in parse_grid(spec)], args.n_grid)
     text = _fbl.emit_curves(ns, args.p, args.eps, seed=args.seed)
     _emit(args, text)
@@ -243,6 +269,18 @@ def _cmd_fbl(args) -> int:
 
 
 def _selftest_checks(fast: bool, seed: int):
+    import itertools
+
+    import numpy as np
+
+    from . import channels as _ch
+    from . import codedchannels as _cc
+    from . import codes as _codes
+    from . import corpus as _corpus
+    from . import entropies as _en
+    from . import fbl as _fbl
+    from . import polar as _polar
+
     count = 8 if fast else 20
     chans = _corpus.binary_channel_corpus(seed, count)
     for i, w in enumerate(chans):
@@ -294,8 +332,6 @@ def _selftest_checks(fast: bool, seed: int):
     worst = max(c.union_achievability - c.metaconverse for c in curves)
     yield "fbl_ordering", max(0.0, worst), 0.0
     yield "fbl_gap_500", max(0.0, curves[-1].metaconverse - curves[-1].union_achievability - 8.0), 0.0
-    import itertools
-
     outs = list(itertools.product([0, 1], repeat=10))
     pvec = np.array([0.11 ** sum(o) * 0.89 ** (10 - sum(o)) for o in outs])
     qvec = np.full(len(outs), 2.0**-10)
@@ -357,7 +393,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = sub.add_parser("convolve", help="convolve two binary-input channels")
     p.add_argument("--channel", required=True)
     p.add_argument("--channel2", required=True)
-    p.add_argument("--kind", choices=(_polar.VARIABLE, _polar.CHECK), default=_polar.VARIABLE)
+    p.add_argument("--kind", choices=("variable", "check"), default="variable")
     common(p)
     p.set_defaults(func=_cmd_convolve)
 

@@ -469,12 +469,13 @@ def exit_function(channel: _ch.CqChannel, cp: CodePair, family: _en.EntropyFamil
     eps = _ch._erasure_probability(channel)
     if eps is not None:
         return _erasure_exit(eps, cp, family)
-    words = cp.codewords()
-    mcount = words.shape[0]
+    # each path refuses past its cap before it enumerates the q^k codewords
     t = diagonal_table(channel.outputs)
     if t is not None:
         if cp.n > 12:
             raise Unsupported("classical EXIT blocklength capped at 12")
+        words = cp.codewords()
+        mcount = words.shape[0]
         total = 0.0
         ys = all_vectors(t.shape[1], cp.n - 1)
         for i in range(cp.n):
@@ -487,6 +488,8 @@ def exit_function(channel: _ch.CqChannel, cp: CodePair, family: _en.EntropyFamil
     if channel.input_size == 2 and all(_purify(o).dims[1] == 1 for o in channel.outputs):
         if cp.n > 10:
             raise Unsupported("pure-dual EXIT blocklength capped at 10")
+        words = cp.codewords()
+        mcount = words.shape[0]
         overlap = _fidelity(channel.outputs[0], channel.outputs[1])
         total = 0.0
         for i in range(cp.n):

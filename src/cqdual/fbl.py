@@ -5,11 +5,16 @@ distribution; the achievability is a random-linear-code union bound with
 maximum-likelihood ties split evenly. Extraction bounds follow from the exact
 blocklength sum rule: the best extractable length and the best compression
 length add to n, with the error parameter squared on the coding side.
+
+Binomial coefficients come from a table of ln k!, a port of Cephes' lgam (the
+function behind scipy.special.gammaln) restricted to integers, so this module
+needs numpy alone and its tables match gammaln's bit for bit.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +40,36 @@ CSV_HEADER = (
 )
 
 
-def _log2_binom(n: int) -> np.ndarray:
-    # imported here so that only the bounds pay for loading scipy
-    from scipy.special import gammaln
+# Cephes lgam: ln sqrt(2 pi), and the Stirling-series coefficients for 13 <= x < 1000
+_LS2PI = 0.91893853320467274178
+_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+             -2.77777777730099687205e-3, 8.33333333333331927722e-2)
 
-    t = np.arange(n + 1)
-    return (gammaln(n + 1) - gammaln(t + 1) - gammaln(n - t + 1)) / LN2
+
+def _log_factorials(n: int) -> np.ndarray:
+    """ln k! for k = 0..n, as Cephes lgam(k + 1) computes it.
+
+    Below lgam's x = 13 the factorial is exact, so its log is taken directly;
+    above, the Stirling series with lgam's coefficients, and its shorter
+    series from x = 1000 on. The logs are math.log's (the C library's), since
+    numpy's vectorised log may differ from it in the last bit.
+    """
+    small = [math.log(math.factorial(k)) for k in range(min(n, 11) + 1)]
+    x = np.arange(13.0, n + 2.0)  # x = k + 1 for k = 12..n
+    q = (x - 0.5) * np.fromiter(map(math.log, range(13, n + 2)), float) - x + _LS2PI
+    p = 1.0 / (x * x)
+    a0, a1, a2, a3, a4 = _STIRLING
+    series = (((a0 * p + a1) * p + a2) * p + a3) * p + a4
+    far = ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+           + 0.0833333333333333333333)
+    q += np.where(x >= 1000.0, far, series) / x
+    return np.concatenate((small, q))
+
+
+def _log2_binom(n: int, lnfact: np.ndarray | None = None) -> np.ndarray:
+    """log2 C(n, t) for t = 0..n, from a table of ln k! holding at least k = 0..n."""
+    g = _log_factorials(n) if lnfact is None else lnfact[: n + 1]
+    return (g[n] - g - g[::-1]) / LN2
 
 
 def _log2_tie_split_sums(lb: np.ndarray) -> np.ndarray:
@@ -69,9 +98,9 @@ class _Table:
     u: np.ndarray
 
 
-def _table(n: int, p: float) -> _Table:
+def _table(n: int, p: float, lnfact: np.ndarray | None = None) -> _Table:
     t = np.arange(n + 1)
-    lb = _log2_binom(n)
+    lb = _log2_binom(n, lnfact)
     with np.errstate(divide="ignore"):
         lw = (lb + np.where(t > 0, t * np.log2(max(p, TOL.underflow)), 0.0)
               + np.where(n - t > 0, (n - t) * np.log2(max(1.0 - p, TOL.underflow)), 0.0))
@@ -137,6 +166,8 @@ def log2_beta_bsc(n: int, p: float, eps: float) -> float:
     optimal randomized test accepts low-weight classes first, splitting the
     boundary class fractionally. Everything is accumulated in the log domain.
     """
+    if n < 0:
+        raise ValueError(f"blocklength {n} is negative")
     _check_beta(p, eps)
     return _log2_beta(_table(n, p), eps)
 
@@ -215,9 +246,10 @@ def compute_curves(ns, p: float, eps: float) -> list[BoundCurve]:
     e2 = eps * eps
     for n in ns:
         _check_args(int(n), p, e2, eps)
+    lnfact = _log_factorials(max((int(n) for n in ns), default=0))
     out = []
     for n in ns:
-        tab = _table(int(n), p)
+        tab = _table(int(n), p, lnfact)
         out.append(BoundCurve(int(n), p, eps, _metaconverse(tab, eps),
                               float(_union_dimension(tab, eps)), _metaconverse(tab, e2),
                               float(_union_dimension(tab, e2))))

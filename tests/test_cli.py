@@ -293,15 +293,19 @@ def test_internal_errors_are_not_usage_errors(monkeypatch):
 
     for fault, error, match in ((broken, ValueError, "not Hermitian"),
                                 (unsolved, np.linalg.LinAlgError, "did not converge")):
-        for module, name, args in (
-            (cli._en, "duality_check", ["check-duality", "--channel", "bsc:0.11"]),
-            (cli._polar, "polarization_experiment",
+        # each command imports its library module when it runs, so the fault
+        # is patched where the function is defined
+        for target, args in (
+            ("cqdual.entropies.duality_check", ["check-duality", "--channel", "bsc:0.11"]),
+            ("cqdual.polar.polarization_experiment",
              ["polarize", "--channel", "bsc:0.11", "--n", "2", "--trials", "2"]),
-            (cli._cc, "exit_scan", ["exit-scan", "--channel", "bsc", "--code", "rep31"]),
-            (cli._cc, "coded_duality_check", ["code-analyze", "--code", "rep31", "--p", "0.11"]),
-            (cli._fbl, "emit_curves", ["fbl"]),
+            ("cqdual.codedchannels.exit_scan",
+             ["exit-scan", "--channel", "bsc", "--code", "rep31"]),
+            ("cqdual.codedchannels.coded_duality_check",
+             ["code-analyze", "--code", "rep31", "--p", "0.11"]),
+            ("cqdual.fbl.emit_curves", ["fbl"]),
         ):
-            monkeypatch.setattr(module, name, fault)
+            monkeypatch.setattr(target, fault)
             with pytest.raises(error, match=match):
                 run_cli(args)
             monkeypatch.undo()
@@ -375,7 +379,7 @@ def test_selftest_fast():
     assert run_cli(["selftest", "--fast"]) == 0
 
 
-# The README's commands other than fbl and the full selftest.
+# The README's commands other than the full selftest.
 _SCIPY_FREE_COMMANDS = [
     ["--version"],
     ["check-duality", "--channel", "bsc:0.11", "--family", "all"],
@@ -385,6 +389,7 @@ _SCIPY_FREE_COMMANDS = [
      "--format", "csv"],
     ["code-analyze", "--code", "hamming74", "--p", "0.11"],
     ["exit-scan", "--channel", "bec", "--code", "hamming74", "--grid", "0.05:0.95:0.05"],
+    ["fbl", "--n-grid", "100:500:100", "--p", "0.11", "--eps", "1e-3"],
 ]
 
 _STARTUP_PROBE = """
@@ -402,12 +407,112 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-def test_startup_leaves_scipy_unloaded():
-    # only fbl and the evr retry of the eigensolver need scipy; a fresh
-    # interpreter is used because this test module's neighbours import it
+def _run_fresh(probe: str, arg) -> str:
+    """stdout of probe in a fresh interpreter, with arg as JSON in argv[1].
+
+    Start-up is checked in a fresh interpreter because this test module's
+    neighbours import numpy, scipy and every cqdual module.
+    """
     env = dict(os.environ, PYTHONPATH=str(Path(cqdual.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", _STARTUP_PROBE, json.dumps(_SCIPY_FREE_COMMANDS)],
+        [sys.executable, "-c", probe, json.dumps(arg)],
         capture_output=True, text=True, env=env, timeout=300, check=False,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_startup_leaves_scipy_unloaded():
+    # only the evr retry of the eigensolver needs scipy
+    _run_fresh(_STARTUP_PROBE, _SCIPY_FREE_COMMANDS)
+
+
+_MODULES_PROBE = """
+import contextlib, io, json, sys
+import cqdual
+argv = json.loads(sys.argv[1])
+if argv is not None:
+    import cqdual.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            cqdual.cli.main(argv)
+        except SystemExit:
+            pass
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def _modules_loaded(argv) -> set[str]:
+    """Modules loaded by `import cqdual` and, unless argv is None, cqdual.cli.main(argv)."""
+    return set(json.loads(_run_fresh(_MODULES_PROBE, argv)))
+
+
+def test_import_loads_config_alone():
+    mods = _modules_loaded(None)
+    assert "numpy" not in mods
+    assert {m for m in mods if m.startswith("cqdual.")} == {"cqdual.config"}
+
+
+# `dual` without --channel is an argparse error
+@pytest.mark.parametrize("argv", [["--version"], ["dual"]])
+def test_version_and_usage_errors_load_no_numpy(argv):
+    assert "numpy" not in _modules_loaded(argv)
+
+
+def test_fbl_loads_no_scipy_and_no_channel_modules():
+    mods = _modules_loaded(["fbl", "--n-grid", "100:500:100"])
+    assert "cqdual.fbl" in mods and "scipy" not in mods
+    assert not mods & {"cqdual.channels", "cqdual.entropies", "cqdual.polar",
+                       "cqdual.codedchannels"}
+
+
+def test_convolve_kind_choices_are_the_polar_constants():
+    from cqdual import polar
+
+    _, commands = cli._build_parser()
+    kind = next(a for a in commands["convolve"]._actions if a.dest == "kind")
+    assert tuple(kind.choices) == (polar.VARIABLE, polar.CHECK)
+    assert kind.default == polar.VARIABLE
+
+
+def test_exports_resolve_to_their_submodules_own_objects():
+    import importlib
+
+    for name in cqdual.__all__:
+        obj = getattr(cqdual, name)
+        if name in cqdual._EXPORTS:
+            module = importlib.import_module(f"cqdual.{cqdual._EXPORTS[name]}")
+            assert obj is getattr(module, name), name
+            if callable(obj):  # the table names the module that defines it
+                assert obj.__module__ == module.__name__, name
+        elif isinstance(obj, type(cqdual)):
+            assert obj is importlib.import_module(f"cqdual.{name}"), name
+        else:
+            assert obj is getattr(cqdual.config, name), name
+
+
+# what `from cqdual import *` bound when the package imported every submodule
+_STAR_NAMES = set("""
+    CHECK ChannelState CodePair CodedAnalysis CqChannel CqState DualityReport
+    EntropyFamily InvariantProfile MAX_ENTROPY MIN_ENTROPY PureEnsemble PureState
+    SCHEMA_VERSION TOL Tolerances Unsupported VARIABLE VON_NEUMANN better
+    bsc_metaconverse bsc_union_achievability build_code capacity capacity_duality_check
+    channel_from_json channel_state channel_to_json channels classical_dual_overlaps
+    coded_duality_check codedchannels codes compression_extraction_bruteforce
+    compute_curves cond_entropy config convolution_duality_check convolve decoupling_q
+    degrade_to_bsc dispersion dual dual_coded_ensemble duality_check emit_curves
+    encoder_duality_check ensemble_cond_entropy entropies exit_duality_check
+    exit_function exit_scan extractor_bounds fbl fidelity from_channel gram_embed
+    guessing_prob hermitian_eig invariant_profile linalg make_bec make_bsc make_bsc_dual
+    make_classical make_pure np_beta partial_trace petz_down polar
+    polarization_experiment preset_pair profiles_match psd_sqrt purify
+    structured_state_gap symmetrize tensor trace_distance
+    trace_distance_vs_dual_fidelity trajectory trajectory_duality_gap upgrade_to_pure
+    von_neumann_entropy weight_enumerator worse
+""".split())
+
+
+def test_star_import_binds_the_same_names():
+    ns: dict = {}
+    exec("from cqdual import *", ns)
+    assert set(ns) - {"__builtins__"} == _STAR_NAMES

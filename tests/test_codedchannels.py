@@ -11,6 +11,7 @@ from cqdual import codedchannels as cc
 from cqdual import codes
 from cqdual import entropies as en
 from cqdual.cli import parse_grid
+from cqdual.config import Unsupported
 from cqdual.corpus import random_channel, random_density
 from cqdual.linalg import partial_trace
 
@@ -387,6 +388,20 @@ def test_exit_caps():
     # other diagonal channels still enumerate 3^(n-1) strings, up to n = 12
     with pytest.raises(ValueError, match="capped at 12"):
         cc.exit_function(ch.make_bsc(0.11), codes.repetition_pair(13), en.VON_NEUMANN)
+
+
+def test_exit_caps_refuse_before_enumerating(monkeypatch):
+    # a parity code of length 20 has 2^19 codewords; both caps refuse it
+    # without listing them
+    def enumerated(self):
+        raise AssertionError("codewords enumerated before the cap")
+
+    monkeypatch.setattr(codes.CodePair, "codewords", enumerated)
+    cp = codes.single_parity_pair(20)
+    with pytest.raises(Unsupported, match="^classical EXIT blocklength capped at 12$"):
+        cc.exit_function(ch.make_bsc(0.11), cp, en.VON_NEUMANN)
+    with pytest.raises(Unsupported, match="^pure-dual EXIT blocklength capped at 10$"):
+        cc.exit_function(ch.make_bsc_dual(0.11), cp, en.VON_NEUMANN)
 
 
 def _bsc_exit_terms(p, cp):

@@ -59,6 +59,22 @@ def test_achievability_small_p_approaches_n():
     assert n - 12 <= k < n
 
 
+def test_log_factorials_match_gammaln_bit_for_bit():
+    # the port of Cephes lgam covers every k! the bounds take (n <= 10^4)
+    from scipy.special import gammaln
+
+    assert np.array_equal(fbl._log_factorials(10_000), gammaln(np.arange(10_001) + 1.0))
+
+
+def test_log2_binom_matches_gammaln_expression():
+    from scipy.special import gammaln
+
+    for n in [*range(1, 301), *range(301, 10_001, 97), 10_000]:
+        t = np.arange(n + 1)
+        want = (gammaln(n + 1) - gammaln(t + 1) - gammaln(n - t + 1)) / fbl.LN2
+        assert np.array_equal(fbl._log2_binom(n), want), n
+
+
 GRID_N = [1, 2, 7, 59, 100, 1000, 9999]
 GRID_P = [1e-9, 0.05, 0.11, 0.3, 0.499]
 GRID_EPS = [0.5, 0.1, 1e-2, 1e-3, 1e-6]
@@ -185,6 +201,7 @@ def test_parameter_validation():
         (lambda: fbl.bsc_metaconverse(100, 0.11, 1.0), eps_beta),
         (lambda: fbl.log2_beta_bsc(10, 0.5, 0.1), p_open),
         (lambda: fbl.log2_beta_bsc(10, 0.11, -0.1), eps_beta),
+        (lambda: fbl.log2_beta_bsc(-1, 0.11, 0.1), "blocklength -1 is negative"),
         (lambda: fbl.bsc_union_achievability(0, 0.11, 0.1), n_range),
         (lambda: fbl.bsc_union_achievability(100, 0.5, 0.1), p_half_open),
         (lambda: fbl.bsc_union_achievability(100, 0.11, 0.0), eps_union),
