@@ -25,7 +25,7 @@ _EXPORTS = {
             "ChannelState", "CqChannel", "InvariantProfile", "channel_from_json",
             "channel_state", "channel_to_json", "classical_dual_overlaps", "degrade_to_bsc",
             "dual", "invariant_profile", "make_bec", "make_bsc", "make_bsc_dual",
-            "make_classical", "make_pure", "profiles_match", "symmetrize",
+            "make_classical", "make_pure", "symmetrize",
             "trace_distance_vs_dual_fidelity", "upgrade_to_pure",
         ),
         "entropies": (

@@ -43,7 +43,6 @@ __all__ = [
     "degrade_to_bsc",
     "upgrade_to_pure",
     "invariant_profile",
-    "profiles_match",
     "profile_gap",
     "dual_profile_gap",
     "trace_distance_vs_dual_fidelity",
@@ -452,10 +451,6 @@ def profile_gap(a: InvariantProfile, b: InvariantProfile) -> float:
 def dual_profile_gap(w: CqChannel, v: CqChannel) -> float:
     """Profile gap between dual(w) and v: how far v is from looking like w's dual."""
     return profile_gap(invariant_profile(dual(w)), invariant_profile(v))
-
-
-def profiles_match(a: InvariantProfile, b: InvariantProfile) -> bool:
-    return profile_gap(a, b) <= TOL.profile_match
 
 
 def trace_distance_vs_dual_fidelity(w: CqChannel) -> tuple[float, float]:

@@ -180,9 +180,17 @@ def _cmd_convolve(args) -> int:
     return 0
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**128:  # the range the Philox key of polarize takes
+        raise _UsageError(f"--seed {seed} is outside [0, 2**128)")
+
+
 def _cmd_polarize(args) -> int:
     from . import polar as _polar
 
+    _check_seed(args.seed)
+    if not (math.isfinite(args.beta) and args.beta > 0):
+        raise _UsageError(f"--beta {args.beta!r} is not a positive finite number")
     w = _parse(parse_channel_spec, args.channel)
     report = _polar.polarization_experiment(
         w, args.n, args.trials, beta=args.beta, seed=args.seed, complement=args.complement
@@ -197,8 +205,8 @@ def _cmd_polarize(args) -> int:
     )
     if args.format == "csv":
         rows = [
-            f"{r['trial']},{r['b_final']!r},{r['one_minus_b_final']!r}"
-            for r in _polar.experiment_to_csv_rows(report)
+            f"{t},{float(b)!r},{float(b_c)!r}"
+            for t, (b, b_c) in enumerate(zip(report.final_b, report.final_b_complement))
         ]
         _emit(args, _csv_text(meta, "trial,b_final,one_minus_b_final", rows))
     else:
@@ -268,89 +276,21 @@ def _cmd_fbl(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _selftest_checks(fast: bool, seed: int):
-    import itertools
-
-    import numpy as np
-
-    from . import channels as _ch
-    from . import codedchannels as _cc
-    from . import codes as _codes
-    from . import corpus as _corpus
-    from . import entropies as _en
-    from . import fbl as _fbl
-    from . import polar as _polar
-
-    count = 8 if fast else 20
-    chans = _corpus.binary_channel_corpus(seed, count)
-    for i, w in enumerate(chans):
-        rep = _en.duality_check(w, _en.VON_NEUMANN)
-        yield f"entropy_sum_vn[{i}]", rep.gap, 1e-6
-        yield f"state_disjointness[{i}]", rep.disjointness_gap, 1e-9
-    for i, w in enumerate(chans[: count // 2]):
-        for fam in (_en.petz_down(0.5), _en.petz_down(1.5)):
-            yield f"entropy_sum_{fam.label}[{i}]", _en.duality_check(w, fam).gap, 1e-6
-        yield f"entropy_sum_minmax[{i}]", _en.duality_check(w, _en.MIN_ENTROPY).gap, 1e-4
-        yield f"entropy_sum_maxmin[{i}]", _en.duality_check(w, _en.MAX_ENTROPY).gap, 1e-4
-        st, std = _en.from_channel(w), _en.from_channel(_ch.dual(w))
-        yield f"dispersion_match[{i}]", abs(_en.dispersion(st)[1] - _en.dispersion(std)[1]), 1e-5
-    for p in (0.05, 0.11, 0.25, 0.45):
-        yield f"capacity_sum_bsc({p})", _en.capacity_duality_check(_ch.make_bsc(p)).gap, 1e-8
-    rng = np.random.default_rng(seed)
-    pairs = 3 if fast else 6
-    for i in range(pairs):
-        w = _corpus.random_channel(rng, 2)
-        wp = _corpus.random_symmetric_channel(rng, 2)
-        rep = _polar.convolution_duality_check(w, wp)
-        yield f"convolution_duality[{i}]", rep.max_gap, 1e-6
-    yield "trajectory_duality_bsc", _polar.trajectory_duality_gap(_ch.make_bsc(0.11), [0, 1]), 1e-5
-    pol = _polar.polarization_experiment(_ch.make_bec(0.3), 16, 10_000, beta=0.4, seed=seed)
-    yield "polarization_good_fraction", abs(pol.frac_b_small - 0.7), 0.05
-    dualpol = _polar.polarization_experiment(_ch.make_bec(0.7), 16, 10_000, beta=0.4, seed=seed, complement=True)
-    yield "polarization_dual_fraction", abs(dualpol.frac_b_small - 0.3), 0.05
-    ana = _cc.coded_duality_check(0.11, _codes.hamming74_pair())
-    yield "coded_sum_vn", abs(ana.quantities["vn_sum"] - 4.0), 1e-6
-    yield "coded_sum_minmax", abs(ana.quantities["minmax_sum"] - 4.0), 1e-5
-    yield "coded_sum_vn_2", abs(ana.quantities["vn_sum_2"] - 3.0), 1e-6
-    yield "coded_srm_cross", ana.quantities["srm_cross_gap"], 1e-5
-    yield "exit_sum_bec", _cc.exit_duality_check(0.4, _codes.hamming74_pair(), channel_family="bec").gap, 1e-10
-    yield "exit_sum_bsc", _cc.exit_duality_check(0.11, _codes.repetition_pair(3), channel_family="bsc").gap, 1e-6
-    src = _en.from_channel(_ch.make_bsc(0.11))
-    nmax = 3 if fast else 4
-    for n in range(2, nmax + 1):
-        tables = _cc.compression_extraction_tables(src, n)
-        for eps in (0.2, 0.3, 0.5):
-            _, _, total = _cc.compression_extraction_bruteforce(src, n, eps, tables)
-            yield f"blocklength_sum_n{n}_eps{eps}", abs(total - n), 0.5
-    gap = 0.0
-    for i in range(5 if fast else 20):
-        py = rng.dirichlet([1.0, 1.0])
-        sig = [_corpus.random_density(rng, 2) for _ in range(2)]
-        gap = max(gap, _cc.structured_state_gap(py, sig))
-    yield "structured_state_identity", gap, 1e-7
-    curves = _fbl.compute_curves([100, 300, 500], 0.11, 1e-3)
-    worst = max(c.union_achievability - c.metaconverse for c in curves)
-    yield "fbl_ordering", max(0.0, worst), 0.0
-    yield "fbl_gap_500", max(0.0, curves[-1].metaconverse - curves[-1].union_achievability - 8.0), 0.0
-    outs = list(itertools.product([0, 1], repeat=10))
-    pvec = np.array([0.11 ** sum(o) * 0.89 ** (10 - sum(o)) for o in outs])
-    qvec = np.full(len(outs), 2.0**-10)
-    b_exh = _en.np_beta(pvec, qvec, 0.1)
-    b_kern = 2.0 ** _fbl.log2_beta_bsc(10, 0.11, 0.1)
-    yield "beta_kernel_vs_enumeration", abs(b_exh - b_kern) / b_exh, 1e-10
-
-
 def _cmd_selftest(args) -> int:
+    from .checks import ROWS
+
+    _check_seed(args.seed)
     worst_name, worst_ratio = "", 0.0
     failures = 0
-    for name, gap, tol in _selftest_checks(args.fast, args.seed):
-        ok = gap <= tol
-        ratio = gap / tol if tol > 0 else (0.0 if ok else float("inf"))
-        if ratio > worst_ratio:
-            worst_name, worst_ratio = name, ratio
-        if not ok:
-            failures += 1
-        print(f"{'PASS' if ok else 'FAIL'} {name} gap={gap:.3e} tol={tol:.1e}")
+    for row in ROWS:
+        for name, gap in row.gaps(row.fast if args.fast else row.full, args.seed):
+            ok = gap <= row.tol
+            ratio = gap / row.tol if row.tol > 0 else (0.0 if ok else float("inf"))
+            if ratio > worst_ratio:
+                worst_name, worst_ratio = name, ratio
+            if not ok:
+                failures += 1
+            print(f"{'PASS' if ok else 'FAIL'} {name} gap={gap:.3e} tol={row.tol:.1e}")
     if failures:
         print(f"selftest: {failures} failure(s); worst offender: {worst_name}")
         return 1

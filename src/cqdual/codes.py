@@ -20,7 +20,6 @@ from .config import Unsupported
 __all__ = [
     "gf_invert",
     "gf_rank",
-    "gf_solve",
     "all_vectors",
     "CodePair",
     "build_code",
@@ -95,22 +94,6 @@ def gf_rank(m, q: int = 2) -> int:
     _check_prime(q)
     a = _as_field(m, q)
     return len(_row_reduce(a, q, a.shape[1])[1])
-
-
-def gf_solve(a, b, q: int = 2) -> np.ndarray | None:
-    """One solution x of A x = b over GF(q), or None if inconsistent."""
-    _check_prime(q)
-    a = _as_field(a, q)
-    b = _as_field(b, q).reshape(-1)
-    rows, cols = a.shape
-    if b.shape[0] != rows:
-        raise ValueError("shape mismatch")
-    aug, pivots = _row_reduce(np.concatenate([a, b[:, None]], axis=1), q, cols)
-    if aug[len(pivots) :, cols].any():
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    x[pivots] = aug[: len(pivots), cols]
-    return x
 
 
 @lru_cache(maxsize=64)

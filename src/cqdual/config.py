@@ -21,7 +21,9 @@ class Tolerances:
     closed form refuses it. gram_diagonal is the largest distance from 1
     allowed for a pure ensemble's Gram diagonal. psd_clamp is the most
     negative eigenvalue, relative to the spectral scale, that psd_sqrt clamps
-    to zero instead of refusing.
+    to zero instead of refusing. profile_match is the largest invariant-profile
+    gap at which two channels count as equivalent, the tolerance of the
+    profile rows in cqdual.checks.
     ascent_value is the width at which the decoupling ascent's certified
     bracket [value, upper] counts as closed, and the step-to-step change below
     which an ascent whose bracket stays open counts as stalled: its first

@@ -31,8 +31,6 @@ __all__ = [
     "PolarizationReport",
     "polarization_experiment",
     "polynomial_threshold",
-    "trajectory_to_csv_rows",
-    "experiment_to_csv_rows",
 ]
 
 VARIABLE = "variable"
@@ -378,32 +376,3 @@ def polarization_experiment(
         final_b=bs,
         final_b_complement=b_complement,
     )
-
-
-def trajectory_to_csv_rows(traj: Trajectory) -> list[dict]:
-    return [
-        {
-            "level": s.level,
-            "bit": s.bit,
-            "h": s.h,
-            "hmin": s.hmin,
-            "hmax": s.hmax,
-            "bhattacharyya": s.bhattacharyya,
-            "dim": s.dim,
-            "truncation_error": s.truncation_error,
-        }
-        for s in traj.levels
-    ]
-
-
-def experiment_to_csv_rows(report: PolarizationReport) -> list[dict]:
-    rows = []
-    for t in range(report.trials):
-        rows.append(
-            {
-                "trial": t,
-                "b_final": float(report.final_b[t]),
-                "one_minus_b_final": float(report.final_b_complement[t]),
-            }
-        )
-    return rows

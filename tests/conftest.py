@@ -19,5 +19,5 @@ def small_corpus():
 
 @pytest.fixture(scope="session")
 def acceptance_corpus():
-    """The seeded 200-channel corpus used by the acceptance suite."""
+    """The seeded 200-channel corpus that the acceptance rows of cqdual.checks also draw."""
     return corpus.binary_channel_corpus(ACCEPTANCE_SEED, 200)

@@ -5,6 +5,7 @@ import pytest
 
 from cqdual import channels as ch
 from cqdual import entropies as en
+from cqdual.config import TOL
 from cqdual.corpus import random_channel, random_density, random_symmetric_channel
 from cqdual.linalg import fidelity, partial_trace, trace_distance
 
@@ -274,21 +275,19 @@ def test_extremality_chain(small_corpus):
 
 def test_profiles_match_reflexive():
     prof = ch.invariant_profile(ch.make_bsc(0.11))
-    assert ch.profiles_match(prof, prof)
+    assert ch.profile_gap(prof, prof) <= TOL.profile_match
 
 
 def test_profiles_match_relabeling():
-    assert ch.profiles_match(
-        ch.invariant_profile(ch.make_bsc(0.1)),
-        ch.invariant_profile(ch.make_bsc(0.9)),
-    )
+    gap = ch.profile_gap(ch.invariant_profile(ch.make_bsc(0.1)),
+                         ch.invariant_profile(ch.make_bsc(0.9)))
+    assert gap <= TOL.profile_match
 
 
 def test_profiles_distinguish_parameters():
-    assert not ch.profiles_match(
-        ch.invariant_profile(ch.make_bsc(0.1)),
-        ch.invariant_profile(ch.make_bsc(0.2)),
-    )
+    gap = ch.profile_gap(ch.invariant_profile(ch.make_bsc(0.1)),
+                         ch.invariant_profile(ch.make_bsc(0.2)))
+    assert gap > TOL.profile_match
 
 
 def test_trace_distance_equals_dual_fidelity():

@@ -236,6 +236,14 @@ def test_pure_channel_from_file(tmp_path):
         ["fbl", "--eps", "0"],
         ["fbl", "--eps", "1"],
         ["fbl", "--n-grid", "150.7"],
+        ["selftest", "--fast", "--seed", "-1"],
+        ["selftest", "--fast", "--seed", str(2**128)],
+        ["polarize", "--channel", "bec:0.3", "--n", "4", "--trials", "10", "--seed", "-1"],
+        ["polarize", "--channel", "bec:0.3", "--n", "4", "--trials", "10", "--seed", str(2**128)],
+        ["polarize", "--channel", "bec:0.3", "--n", "4", "--trials", "10", "--beta", "nan"],
+        ["polarize", "--channel", "bec:0.3", "--n", "4", "--trials", "10", "--beta", "inf"],
+        ["polarize", "--channel", "bec:0.3", "--n", "4", "--trials", "10", "--beta", "-1"],
+        ["polarize", "--channel", "bec:0.3", "--n", "4", "--trials", "10", "--beta", "0"],
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, args):
@@ -375,8 +383,36 @@ def test_check_duality_refuses_min_max_beyond_binary_input(tmp_path, capsys, fam
     assert run_cli(["check-duality", "--channel", f"channel:@{spec}", "--family", "petz"]) == 0
 
 
-def test_selftest_fast():
+# name -> tolerance of every line `selftest --fast` printed before its checks
+# became the rows of cqdual.checks
+_FAST_LINES_BEFORE_TABLE = {
+    **{f"entropy_sum_vn[{i}]": 1e-6 for i in range(8)},
+    **{f"state_disjointness[{i}]": 1e-9 for i in range(8)},
+    **{f"entropy_sum_petz_down({a})[{i}]": 1e-6 for a in (0.5, 1.5) for i in range(4)},
+    **{f"entropy_sum_{s}[{i}]": 1e-4 for s in ("minmax", "maxmin") for i in range(4)},
+    **{f"dispersion_match[{i}]": 1e-5 for i in range(4)},
+    **{f"capacity_sum_bsc({p})": 1e-8 for p in (0.05, 0.11, 0.25, 0.45)},
+    **{f"convolution_duality[{i}]": 1e-6 for i in range(3)},
+    "trajectory_duality_bsc": 1e-5,
+    "polarization_good_fraction": 0.05, "polarization_dual_fraction": 0.05,
+    "coded_sum_vn": 1e-6, "coded_sum_minmax": 1e-5, "coded_sum_vn_2": 1e-6,
+    "coded_srm_cross": 1e-5, "exit_sum_bec": 1e-10, "exit_sum_bsc": 1e-6,
+    **{f"blocklength_sum_n{n}_eps{e}": 0.5 for n in (2, 3) for e in (0.2, 0.3, 0.5)},
+    "structured_state_identity": 1e-7, "fbl_ordering": 0.0, "fbl_gap_500": 0.0,
+    "beta_kernel_vs_enumeration": 1e-10,
+}
+
+
+def test_selftest_fast(capsys):
     assert run_cli(["selftest", "--fast"]) == 0
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert summary.startswith("selftest: all checks passed")
+    assert all(ln.startswith("PASS ") for ln in lines)
+    tols = {ln.split()[1]: float(ln.split()[3].removeprefix("tol=")) for ln in lines}
+    assert len(tols) == len(lines)  # names are unique
+    assert len(_FAST_LINES_BEFORE_TABLE) == 62
+    for name, tol in _FAST_LINES_BEFORE_TABLE.items():
+        assert tols[name] <= tol, name
 
 
 # The README's commands other than the full selftest.
@@ -404,6 +440,7 @@ for argv in json.loads(sys.argv[1]):
             code = exc.code
     assert code == 0, argv
     assert "scipy" not in sys.modules, argv
+    assert "cqdual.checks" not in sys.modules, argv
 """
 
 
@@ -423,7 +460,7 @@ def _run_fresh(probe: str, arg) -> str:
 
 
 def test_startup_leaves_scipy_unloaded():
-    # only the evr retry of the eigensolver needs scipy
+    # only the evr retry of the eigensolver needs scipy, and only selftest the checks table
     _run_fresh(_STARTUP_PROBE, _SCIPY_FREE_COMMANDS)
 
 
@@ -456,14 +493,15 @@ def test_import_loads_config_alone():
 # `dual` without --channel is an argparse error
 @pytest.mark.parametrize("argv", [["--version"], ["dual"]])
 def test_version_and_usage_errors_load_no_numpy(argv):
-    assert "numpy" not in _modules_loaded(argv)
+    mods = _modules_loaded(argv)
+    assert "numpy" not in mods and "cqdual.checks" not in mods
 
 
 def test_fbl_loads_no_scipy_and_no_channel_modules():
     mods = _modules_loaded(["fbl", "--n-grid", "100:500:100"])
     assert "cqdual.fbl" in mods and "scipy" not in mods
     assert not mods & {"cqdual.channels", "cqdual.entropies", "cqdual.polar",
-                       "cqdual.codedchannels"}
+                       "cqdual.codedchannels", "cqdual.checks"}
 
 
 def test_convolve_kind_choices_are_the_polar_constants():
@@ -505,7 +543,7 @@ _STAR_NAMES = set("""
     exit_function exit_scan extractor_bounds fbl fidelity from_channel gram_embed
     guessing_prob hermitian_eig invariant_profile linalg make_bec make_bsc make_bsc_dual
     make_classical make_pure np_beta partial_trace petz_down polar
-    polarization_experiment preset_pair profiles_match psd_sqrt purify
+    polarization_experiment preset_pair psd_sqrt purify
     structured_state_gap symmetrize tensor trace_distance
     trace_distance_vs_dual_fidelity trajectory trajectory_duality_gap upgrade_to_pure
     von_neumann_entropy weight_enumerator worse

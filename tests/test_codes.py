@@ -28,12 +28,9 @@ def test_gf_invert_singular():
     assert codes.gf_invert(np.zeros((3, 3), dtype=int), 2) is None
 
 
-def test_gf_rank_and_solve():
+def test_gf_rank():
     a = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]])  # rank 2 over GF(2)
     assert codes.gf_rank(a, 2) == 2
-    x = codes.gf_solve(a, [1, 1, 0], 2)
-    assert x is not None and ((a @ x) % 2 == [1, 1, 0]).all()
-    assert codes.gf_solve(a, [1, 0, 0], 2) is None
 
 
 def test_nonprime_field_rejected():

@@ -339,15 +339,6 @@ def test_polarization_generic_channel_small():
         polar.polarization_experiment(ch.make_bsc(0.11), 8, 4, seed=3)
 
 
-def test_csv_rows_shapes():
-    traj = polar.trajectory(ch.make_bec(0.5), [0, 1, 0])
-    rows = polar.trajectory_to_csv_rows(traj)
-    assert len(rows) == 3 and set(rows[0]) >= {"level", "h", "hmin", "hmax"}
-    rep = polar.polarization_experiment(ch.make_bec(0.5), 8, 50, seed=2)
-    rows = polar.experiment_to_csv_rows(rep)
-    assert len(rows) == 50 and "b_final" in rows[0]
-
-
 def test_polarization_unbiased_erasure_split():
     rep = polar.polarization_experiment(ch.make_bec(0.5), 16, 10_000, beta=0.4, seed=2)
     assert abs(rep.frac_b_small - 0.5) <= 0.05
