@@ -10,16 +10,16 @@ retained copy of the input register, whatever the original channel looks like.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import TOL, SCHEMA_VERSION, Unsupported
 from .linalg import (
     PureState,
+    _density_spectrum,
     _fidelity,
     _purify,
-    assert_density,
     diagonal_table,
     hermitian_part,
     partial_trace,
@@ -67,17 +67,21 @@ class CqChannel:
 
     witnesses, when present, are unitaries U_s with U_s W(z) U_s† = W(z+s)
     for all z (addition mod d); they certify the channel is symmetric.
+    _spectra holds each output's eigenvalues, as validation computed them.
     """
 
     outputs: tuple[np.ndarray, ...]
     witnesses: tuple[np.ndarray, ...] | None = None
+    _spectra: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        outs = tuple(_freeze(assert_density(o)) for o in self.outputs)
+        checked = [_density_spectrum(o) for o in self.outputs]
+        outs = tuple(_freeze(o) for o, _ in checked)
         dims = {o.shape[0] for o in outs}
         if len(dims) != 1:
             raise ValueError(f"outputs have mixed dimensions {sorted(dims)}")
         object.__setattr__(self, "outputs", outs)
+        object.__setattr__(self, "_spectra", tuple(_freeze(w) for _, w in checked))
         if self.witnesses is not None:
             wit = tuple(_freeze(np.asarray(u, dtype=complex)) for u in self.witnesses)
             if len(wit) != len(outs):

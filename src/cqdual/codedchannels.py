@@ -18,6 +18,7 @@ from . import channels as _ch
 from . import entropies as _en
 from .codes import CodePair, all_vectors
 from .linalg import (
+    _eigvalsh,
     _fidelity,
     _psd_sqrt,
     _purify,
@@ -135,7 +136,7 @@ class PureEnsemble:
         if np.max(np.abs(np.diag(g) - 1.0)) > TOL.gram_diagonal:
             raise ValueError(f"Gram diagonal must be 1 within {TOL.gram_diagonal}")
         scale = max(1.0, float(np.max(np.abs(g))))
-        wmin = float(np.linalg.eigvalsh(hermitian_part(g)).min())
+        wmin = float(_eigvalsh(hermitian_part(g)).min())
         if wmin < -TOL.gram_psd * scale:
             raise ValueError(f"Gram matrix not PSD: eigenvalue {wmin:.3e}")
         for a in (w, g, lab):

@@ -46,10 +46,10 @@ class Tolerances:
     and logarithm arguments that may round to zero: the ascent's traces and
     inverse singular values, a compressed conditional's trace and the
     finite-blocklength masses and fractions. roundoff is the rounding floor
-    at unit scale: fidelity's cut of rho's spectrum (relative to its largest
-    eigenvalue), the norm below which a channel state's measurement outcome
-    has zero probability, and the mass still missing at which np_beta counts
-    1 - eps as reached.
+    at unit scale: fidelity's cuts of the spectra of rho and of Y† sigma Y
+    (each relative to max(1, its largest eigenvalue)), the norm below which
+    a channel state's measurement outcome has zero probability, and the mass
+    still missing at which np_beta counts 1 - eps as reached.
     """
 
     hermiticity: float = 1e-10

@@ -7,7 +7,7 @@ quality), and the downarrow Renyi family built on the Petz divergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -15,11 +15,13 @@ import numpy as np
 from .config import TOL, Unsupported
 from . import channels as _ch
 from .linalg import (
+    _density_spectrum,
     _eigh,
+    _eigvalsh,
     _projector_onto_support,
     _spectral_fn,
     _vn_entropy,
-    assert_density,
+    _vn_of_spectrum,
     diagonal_table,
     hermitian_part,
 )
@@ -110,23 +112,27 @@ def _checked_prior(prior) -> np.ndarray:
 class CqState:
     """Classical prior plus one conditional density operator per symbol.
 
-    The constructor validates each conditional and keeps its Hermitian part.
-    A state built by from_channel shares the channel's validated, read-only
-    outputs as its conditionals instead.
+    The constructor validates each conditional and keeps its Hermitian part,
+    read-only, and in _spectra the eigenvalues that validation computed. A
+    state built by from_channel shares the channel's validated, read-only
+    outputs and their spectra instead.
     """
 
     prior: np.ndarray
     conditionals: tuple[np.ndarray, ...]
+    _spectra: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = _checked_prior(self.prior)
-        conds = tuple(assert_density(c) for c in self.conditionals)
+        checked = [_density_spectrum(c) for c in self.conditionals]
+        conds = tuple(_ch._freeze(c) for c, _ in checked)
         if len(conds) != len(p):
             raise ValueError("need one conditional per prior atom")
         if len({c.shape[0] for c in conds}) != 1:
             raise ValueError("conditionals must share one dimension")
         object.__setattr__(self, "prior", _ch._freeze(p))
         object.__setattr__(self, "conditionals", conds)
+        object.__setattr__(self, "_spectra", tuple(_ch._freeze(w) for _, w in checked))
 
     @property
     def num_symbols(self) -> int:
@@ -204,7 +210,8 @@ def from_channel(w: _ch.CqChannel, prior: Sequence[float] | None = None) -> CqSt
 
     The prior is checked as CqState checks it. The conditionals are the
     channel's own outputs, which CqChannel validated and froze, so they are
-    shared, not copied or validated again: writing into one raises.
+    shared with their spectra, not copied or validated again: writing into
+    one raises.
     """
     if prior is None:
         p = np.full(w.input_size, 1.0 / w.input_size)
@@ -217,6 +224,7 @@ def from_channel(w: _ch.CqChannel, prior: Sequence[float] | None = None) -> CqSt
     state = object.__new__(CqState)
     object.__setattr__(state, "prior", _ch._freeze(_checked_prior(p)))
     object.__setattr__(state, "conditionals", w.outputs)
+    object.__setattr__(state, "_spectra", w._spectra)
     return state
 
 
@@ -290,9 +298,9 @@ def _vn_cond(state: CqState) -> float:
     joint = _classical_joint(state)
     if joint is not None:
         return table_entropy(joint, VON_NEUMANN)
-    sup = state.supported()
+    sup = [(float(p), w) for p, w in zip(state.prior, state._spectra) if p > 0.0]
     h_prior = float(-sum(p * np.log2(p) for p, _ in sup))
-    h_cond = sum(p * _vn_entropy(c) for p, c in sup)
+    h_cond = sum(p * _vn_of_spectrum(w) for p, w in sup)
     return h_prior + h_cond - _vn_entropy(state.average())
 
 
@@ -344,7 +352,7 @@ def guessing_prob(state: CqState) -> GuessResult:
         return GuessResult(1.0, True, "trivial")
     if len(sup) == 2:
         (p0, r0), (p1, r1) = sup
-        w = np.linalg.eigvalsh(hermitian_part(p0 * r0 - p1 * r1))
+        w = _eigvalsh(hermitian_part(p0 * r0 - p1 * r1))
         return GuessResult(float(0.5 * (1.0 + np.abs(w).sum())), True, "helstrom")
     rbar = state.average()
     inv_sqrt = _spectral_fn(rbar, lambda w: 1.0 / np.sqrt(w))
@@ -409,7 +417,7 @@ def _ascent_terms(
 def _alberti_bound(g: float, r_op: np.ndarray) -> float:
     """(g + lambda_max(R)) / 2, or inf when the eigensolver fails."""
     try:
-        return 0.5 * (g + float(np.linalg.eigvalsh(r_op)[-1]))
+        return 0.5 * (g + float(_eigvalsh(r_op)[-1]))
     except np.linalg.LinAlgError:
         return np.inf  # no bound from this step
 

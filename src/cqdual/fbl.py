@@ -87,13 +87,14 @@ class _Table:
     """What the bounds at one (n, p) read, whatever their eps.
 
     w[t] = P(t flips) and lq[t] = log2 C(n,t) - n, the uniform mass of the
-    weight class, for t = 0..n; cum[t] and log2_q[t] sum w and 2^lq over the
-    classes below t, for t = 0..n+1; u[k] is the union bound for k = 0..n.
+    weight class, for t = 0..n; tail[t] sums w over the classes from t up and
+    log2_q[t] sums 2^lq over the classes below t, for t = 0..n+1; u[k] is the
+    union bound for k = 0..n.
     """
 
     w: np.ndarray
     lq: np.ndarray
-    cum: np.ndarray
+    tail: np.ndarray
     log2_q: np.ndarray
     u: np.ndarray
 
@@ -113,10 +114,9 @@ def _table(n: int, p: float, lnfact: np.ndarray | None = None) -> _Table:
     above = np.concatenate((np.add.accumulate(w[::-1])[::-1], [0.0]))
     tstar = np.searchsorted(c, n - t)
     u = 2.0 ** (t - n + below[tstar]) + above[tstar]
-    # both accumulates run left to right, in the order of a scalar loop
-    cum = np.add.accumulate(np.concatenate(([0.0], w)))
+    # runs left to right, in the order of a scalar loop
     log2_q = np.concatenate(([-np.inf], np.logaddexp2.accumulate(lb - n)))
-    return _Table(w, lb - n, cum, log2_q, u)
+    return _Table(w, lb - n, above, log2_q, u)
 
 
 def _check_n(n: int) -> None:
@@ -139,13 +139,13 @@ def _check_union(p: float, eps: float) -> None:
 
 
 def _log2_beta(tab: _Table, eps: float) -> float:
-    # accept whole weight classes, lightest first, while their mass stays
-    # below 1 - eps, then the fraction of the next class that reaches it
-    need = 1.0 - eps
-    t = int(np.searchsorted(tab.cum, need)) - 1
-    if t == len(tab.w):  # rounding left the whole mass below 1 - eps
-        return float(tab.log2_q[t])
-    frac = (need - tab.cum[t]) / max(tab.w[t], TOL.underflow)
+    # reject whole weight classes, heaviest first, while their mass stays at
+    # most eps, then the fraction of the boundary class that brings the
+    # rejected mass to eps; the rest is accepted. The cut reads the upper
+    # tail, summed from its small masses up, so it holds at any eps, where one
+    # on 1 - eps would meet the rounding error of the whole pmf's sum.
+    t = max(int(np.count_nonzero(tab.tail > eps)) - 1, 0)
+    frac = min(1.0, (tab.tail[t] - eps) / max(tab.w[t], TOL.underflow))
     return float(np.logaddexp2(tab.log2_q[t], tab.lq[t] + np.log2(max(frac, TOL.underflow))))
 
 

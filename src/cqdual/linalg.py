@@ -3,6 +3,14 @@
 All operators are numpy complex arrays. Density operators are Hermitian PSD
 with unit trace; pure states are unit vectors with declared subsystem
 dimensions. Everything here is a pure function on immutable inputs.
+
+Every eigensolve goes through two private kernels, _eigh and _eigvalsh. A
+complex matrix whose imaginary part is exactly zero (the operators of BSC and
+BEC codes, and of their duals) is handed to LAPACK's real symmetric solver,
+which is 2-3x faster than the complex one at dimension 128 and up;
+eigenvectors still come back complex.
+Validation keeps the eigenvalues it computes (_density_spectrum), so a caller
+that holds a validated density need not decompose it again.
 """
 
 from __future__ import annotations
@@ -74,29 +82,59 @@ def assert_hermitian(a: np.ndarray, tol: float = TOL.hermiticity) -> np.ndarray:
 
 def assert_density(rho: np.ndarray) -> np.ndarray:
     """Validate Hermiticity, positivity and unit trace; return the Hermitian part."""
+    return _density_spectrum(rho)[0]
+
+
+def _density_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """assert_density, returning the Hermitian part and its eigenvalues."""
     rho = assert_hermitian(rho)
-    w = np.linalg.eigvalsh(rho)
+    w = _eigvalsh(rho)
     if w.min() < TOL.density_eigenvalue_floor:
         raise ValueError(f"negative eigenvalue {w.min():.3e} below floor")
     tr = np.trace(rho).real
     if abs(tr - 1.0) > TOL.trace_one:
         raise ValueError(f"trace {tr} not 1 within {TOL.trace_one}")
-    return rho
+    return rho, w
+
+
+def _real_if_exact(a: np.ndarray) -> np.ndarray:
+    """a.real when a is complex with an imaginary part that is exactly zero, else a."""
+    # count_nonzero is the cheapest exact zero test on the tiny matrices that
+    # make up most calls: about 1 us at dimension 2, against 4 us for np.any
+    if a.dtype.kind == "c" and not np.count_nonzero(a.imag):
+        return a.real
+    return a
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a matrix the caller already holds Hermitian.
 
-    Uses LAPACK's default Hermitian driver; when that fails to converge (seen
-    with single-threaded OpenBLAS on some rank-deficient inputs of dimension
-    ~200) it retries once with the MRRR driver (evr).
+    A complex matrix with an exactly zero imaginary part goes to the real
+    symmetric solver; its eigenvectors are returned complex all the same.
+    Uses LAPACK's default routine; when that fails to converge (seen with
+    single-threaded OpenBLAS on some rank-deficient inputs of dimension ~200)
+    it retries once with the MRRR routine (evr) on the same matrix.
     """
+    r = _real_if_exact(a)
     try:
-        return np.linalg.eigh(a)
+        w, v = np.linalg.eigh(r)
     except np.linalg.LinAlgError:
         import scipy.linalg
 
-        return scipy.linalg.eigh(a, driver="evr")
+        w, v = scipy.linalg.eigh(r, driver="evr")
+    return (w, v.astype(complex)) if r is not a else (w, v)
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a matrix the caller already holds Hermitian,
+    from the real solver when its imaginary part is exactly zero."""
+    return np.linalg.eigvalsh(_real_if_exact(a))
+
+
+def _vn_of_spectrum(w: np.ndarray) -> float:
+    """-sum w log2 w over the eigenvalues above TOL.rank_cut, in bits."""
+    w = w[w > TOL.rank_cut]
+    return float(-(w * np.log2(w)).sum()) if w.size else 0.0
 
 
 def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,6 +192,8 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     Evaluated on the support factor of rho: with rho = Y Y†, the nonzero
     spectrum of sqrt(rho) sigma sqrt(rho) equals that of Y† sigma Y, which
     avoids square-rooting null-space noise (and is exact for pure states).
+    Eigenvalues of either at or below TOL.roundoff * max(1, largest) are
+    rounding noise and left out: the square root would lift 1e-17 to 3e-9.
     """
     rho = np.asarray(rho)
     sigma = np.asarray(sigma)
@@ -169,13 +209,15 @@ def _fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     keep = w > TOL.roundoff * scale  # numeric noise floor, not the rank decision
     y = v[:, keep] * np.sqrt(w[keep])
     m = hermitian_part(y.conj().T @ sigma @ y)
-    ev = np.linalg.eigvalsh(m) if m.size else np.zeros(0)
-    return float(np.sum(np.sqrt(np.clip(ev, 0.0, None))))
+    if not m.size:
+        return 0.0
+    ev = _eigvalsh(m)
+    return float(np.sum(np.sqrt(ev[ev > TOL.roundoff * max(1.0, float(ev[-1]))])))
 
 
 def trace_norm(a: np.ndarray) -> float:
     """Trace norm of a Hermitian matrix: sum of absolute eigenvalues."""
-    return float(np.sum(np.abs(np.linalg.eigvalsh(assert_hermitian(a)))))
+    return float(np.sum(np.abs(_eigvalsh(assert_hermitian(a)))))
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -274,9 +316,7 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 
 def _vn_entropy(rho: np.ndarray) -> float:
     """von_neumann_entropy of a matrix the caller already holds Hermitian."""
-    w = np.linalg.eigvalsh(rho)
-    w = w[w > TOL.rank_cut]
-    return float(-(w * np.log2(w)).sum()) if w.size else 0.0
+    return _vn_of_spectrum(_eigvalsh(rho))
 
 
 def _projector_onto_support(a: np.ndarray) -> np.ndarray:

@@ -147,6 +147,22 @@ def test_hamming_gram_vs_dense_oracle():
     assert abs(vn_gram - vn_dense) <= 1e-8
 
 
+def test_dense_oracle_decomposes_only_the_average(monkeypatch):
+    # the conditionals' spectra are the ones validation computed; H(X|B)
+    # decomposes the 128-dim average state and nothing else
+    cp = codes.hamming74_pair().dual()
+    cols = cc.dual_coded_states_dense(0.11, cp.codewords())
+    state = en.CqState(np.full(8, 1 / 8),
+                       tuple(np.outer(cols[:, i], cols[:, i].conj()) for i in range(8)))
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        orig = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, *args, _f=orig, _n=name: calls.append((_n, a.shape)) or _f(a, *args))
+    en.cond_entropy(state, en.VON_NEUMANN)
+    assert calls == [("eigvalsh", (128, 128))]
+
+
 def test_ensemble_memory_guard():
     # 2^15 words of length 16: the distance array alone would take 16 GiB
     with pytest.raises(ValueError):

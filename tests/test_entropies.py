@@ -54,13 +54,17 @@ def test_from_channel_matches_the_validating_constructor():
         assert len(fast.conditionals) == len(slow.conditionals)
         for a, b in zip(fast.conditionals, slow.conditionals):
             assert np.array_equal(a, b) and _same_bits(a, b)
+        for a, b in zip(fast._spectra, slow._spectra, strict=True):
+            assert _same_bits(a, b)
         assert not fast.prior.flags.writeable
+        assert not any(c.flags.writeable for c in slow.conditionals)
 
 
 def test_from_channel_shares_the_read_only_outputs():
     w = ch.make_bsc_dual(0.11)
     s = en.from_channel(w)
     assert all(c is o for c, o in zip(s.conditionals, w.outputs))
+    assert s._spectra is w._spectra
     with pytest.raises(ValueError, match="read-only"):
         s.conditionals[0][0, 0] = 1.0
 

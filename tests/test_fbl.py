@@ -1,10 +1,13 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from cqdual import channels as ch
+from cqdual import cli
 from cqdual import entropies as en
 from cqdual import fbl
 
@@ -99,23 +102,21 @@ def _tie_split_reference(n):
 
 
 def _log2_beta_loop_reference(n, p, eps):
-    # accept weight classes one at a time, splitting the boundary class
+    # reject weight classes one at a time, heaviest first, while the rejected
+    # mass stays at most eps; accept the rest, splitting the boundary class
     lb = fbl._log2_binom(n)
     lw = _log2_pmf_reference(n, p)
-    need = 1.0 - eps
-    got = 0.0
+    rejected = 0.0
+    t = n
+    while t > 0 and rejected + 2.0 ** lw[t] <= eps:
+        rejected += 2.0 ** lw[t]
+        t -= 1
+    w = 2.0 ** lw[t]
+    frac = min(1.0, (rejected + w - eps) / max(w, 1e-300))
     log2_beta = -np.inf
-    for t in range(n + 1):
-        w = 2.0 ** lw[t]
-        lq = lb[t] - n
-        if got + w < need:
-            got += w
-            log2_beta = np.logaddexp2(log2_beta, lq)
-        else:
-            frac = (need - got) / max(w, 1e-300)
-            log2_beta = np.logaddexp2(log2_beta, lq + np.log2(max(frac, 1e-300)))
-            break
-    return float(log2_beta)
+    for s in range(t):
+        log2_beta = np.logaddexp2(log2_beta, lb[s] - n)
+    return float(np.logaddexp2(log2_beta, lb[t] - n + np.log2(max(frac, 1e-300))))
 
 
 def _union_bound_reference(n, k, lw, log2_cum):
@@ -224,6 +225,39 @@ def test_gap_at_500():
     mc = fbl.bsc_metaconverse(500, 0.11, 1e-3)
     ua = fbl.bsc_union_achievability(500, 0.11, 1e-3)
     assert 0 <= mc - ua <= 8.0
+
+
+def _metaconverse_exact(n, p, eps):
+    # beta in exact rationals, every mass scaled by scale = den(p)^n den(eps)
+    p, eps = Fraction(p), Fraction(eps)
+    num, den = p.numerator, p.denominator
+    w = [math.comb(n, t) * num**t * (den - num) ** (n - t) * eps.denominator
+         for t in range(n + 1)]
+    budget = eps.numerator * den**n  # eps * scale
+    t, rejected = n, 0
+    while rejected + w[t] <= budget:
+        rejected += w[t]
+        t -= 1
+    accepted = Fraction(rejected + w[t] - budget, w[t])
+    beta = (sum(math.comb(n, s) for s in range(t)) + math.comb(n, t) * accepted) / 2**n
+    return min(n, math.log2(beta.denominator) - math.log2(beta.numerator))
+
+
+def test_metaconverse_exact_at_tiny_eps():
+    # at eps = 1e-12 the cut on 1 - eps would meet the rounding error of the
+    # whole pmf's sum (-1.35e-13 at n = 500); the upper-tail cut does not
+    assert abs(fbl.bsc_metaconverse(500, 0.11, 1e-12) - _metaconverse_exact(500, 0.11, 1e-12)) <= 1e-6
+
+
+def test_extractor_bounds_ordered_at_tiny_eps(capsys):
+    # eps^2 = 9e-14 lies below that rounding error
+    assert cli.main(["fbl", "--n-grid", "400:600:100", "--p", "0.11", "--eps", "3e-7"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    header = lines[1].split(",")
+    rows = [dict(zip(header, map(float, ln.split(",")))) for ln in lines[2:]]
+    assert [r["n"] for r in rows] == [400, 500, 600]
+    for r in rows:
+        assert r["extractor_upper_bits"] >= r["extractor_lower_bits"]
 
 
 def test_extractor_bounds_sum_rule():

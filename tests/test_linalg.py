@@ -217,3 +217,58 @@ def test_gram_embed_reconstructs_random_gram(m, seed):
     g = a @ a.conj().T
     vecs = linalg.gram_embed(g)
     assert np.max(np.abs(vecs.conj() @ vecs.T - g)) < 1e-8 * max(1.0, np.max(np.abs(g)))
+
+
+def _real_symmetric(rng, n):
+    # complex-typed, imaginary part exactly zero, spectral norm 1
+    a = rng.normal(size=(n, n))
+    a = a + a.T
+    return (a / np.linalg.norm(a, 2)).astype(complex)
+
+
+@pytest.mark.parametrize("n", [2, 16, 128])
+def test_kernels_on_real_matrices_match_complex_lapack(rng, n):
+    a = _real_symmetric(rng, n)
+    w_ref = np.linalg.eigvalsh(a)  # LAPACK's complex Hermitian solver
+    w, v = linalg._eigh(a)
+    assert v.dtype == np.complex128
+    assert np.max(np.abs(w - w_ref)) <= 1e-12
+    assert np.max(np.abs(linalg._eigvalsh(a) - w_ref)) <= 1e-12
+    assert np.linalg.norm(a @ v - v * w) <= 1e-12
+    assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 1e-12
+
+
+def test_kernels_hand_lapack_the_real_part_only_when_it_is_exact(rng, monkeypatch):
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        orig = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, *args, _f=orig, _n=name: seen.append((_n, a.dtype)) or _f(a, *args))
+    real = _real_symmetric(rng, 16)
+    linalg._eigh(real)
+    linalg._eigvalsh(real)
+    assert seen == [("eigh", np.float64), ("eigvalsh", np.float64)]
+    seen.clear()
+    herm = real + 1e-3j * np.triu(np.ones((16, 16)), 1)
+    herm = (herm + herm.conj().T) / 2
+    linalg._eigh(herm)
+    linalg._eigvalsh(herm)
+    assert seen == [("eigh", np.complex128), ("eigvalsh", np.complex128)]
+
+
+def test_eigh_retry_takes_the_real_matrix(rng, monkeypatch):
+    # when the default routine fails, evr gets the same real matrix, and the
+    # eigenvectors still come back complex
+    import scipy.linalg
+
+    def fail(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    seen = []
+    orig = scipy.linalg.eigh
+    monkeypatch.setattr(scipy.linalg, "eigh", lambda a, **kw: seen.append(a.dtype) or orig(a, **kw))
+    a = _real_symmetric(rng, 8)
+    w, v = linalg._eigh(a)
+    assert seen == [np.float64] and v.dtype == np.complex128
+    assert np.linalg.norm(a @ v - v * w) <= 1e-12

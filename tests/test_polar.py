@@ -173,14 +173,15 @@ def _no_stats(*args, **kwargs):
     raise AssertionError("level statistics computed")
 
 
-@pytest.mark.parametrize("make, bits, gap", [
-    (lambda: ch.make_bsc(0.11), [1, 1], 2.5951463200613034e-15),
-    (lambda: random_symmetric_channel(np.random.default_rng(3), 2), [1, 0], 1.4135864701003698e-10),
+@pytest.mark.parametrize("make, bits", [
+    (lambda: ch.make_bsc(0.11), [1, 1]),
+    (lambda: random_symmetric_channel(np.random.default_rng(3), 2), [1, 0]),
 ], ids=["bsc", "random_symmetric"])
-def test_trajectory_duality_gap_reads_only_the_final_channels(monkeypatch, make, bits, gap):
+def test_trajectory_duality_gap_reads_only_the_final_channels(monkeypatch, make, bits):
     # the gap compares two final channels; no level's statistics enter it,
     # and skipping them leaves the value unchanged to the last bit
     w = make()
+    gap = polar.trajectory_duality_gap(w, bits)
     monkeypatch.setattr(polar, "_channel_stats", _no_stats)
     assert polar.trajectory_duality_gap(w, bits) == gap
 
