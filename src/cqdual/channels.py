@@ -10,7 +10,7 @@ retained copy of the input register, whatever the original channel looks like.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
@@ -411,25 +411,12 @@ class InvariantProfile:
     petz_points: tuple[tuple[float, float], ...]
 
     def as_array(self) -> np.ndarray:
-        vals = [
-            self.trace_distance,
-            self.bhattacharyya,
-            self.von_neumann,
-            self.hmin,
-            self.hmax,
-        ]
-        vals.extend(v for _, v in self.petz_points)
-        return np.asarray(vals)
+        """The five scalars in field order, then the Petz values at PROFILE_ALPHAS."""
+        *scalars, petz = astuple(self)
+        return np.asarray([*scalars, *(v for _, v in petz)])
 
     def to_dict(self) -> dict:
-        return {
-            "trace_distance": self.trace_distance,
-            "bhattacharyya": self.bhattacharyya,
-            "von_neumann": self.von_neumann,
-            "hmin": self.hmin,
-            "hmax": self.hmax,
-            "petz_points": [list(p) for p in self.petz_points],
-        }
+        return asdict(self)
 
 
 def invariant_profile(w: CqChannel) -> InvariantProfile:
@@ -476,7 +463,18 @@ def _encode_matrix(m: np.ndarray) -> list:
 
 
 def _decode_matrix(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+    """Matrix from rows of [re, im] pairs; ValueError on any other shape."""
+    try:
+        return np.array([[complex(re, im) for re, im in row] for row in rows])
+    except TypeError as exc:  # a number where a row or a pair belongs
+        raise ValueError(f"expected rows of [re, im] pairs ({exc})") from exc
+
+
+def _json_list(doc, key: str) -> list:
+    """doc[key] of a channel file's JSON, or a ValueError naming the key."""
+    if not isinstance(doc, dict) or not isinstance(doc.get(key), list):
+        raise ValueError(f"channel JSON needs an object with a list under {key!r}")
+    return doc[key]
 
 
 def channel_to_dict(w: CqChannel) -> dict:
@@ -493,10 +491,10 @@ def channel_to_dict(w: CqChannel) -> dict:
 
 def channel_from_dict(doc: dict) -> CqChannel:
     """Channel from its outputs and optional witnesses; other keys are ignored."""
-    outputs = tuple(_decode_matrix(o) for o in doc["outputs"])
+    outputs = tuple(_decode_matrix(o) for o in _json_list(doc, "outputs"))
     witnesses = None
     if "witnesses" in doc:
-        witnesses = tuple(_decode_matrix(u) for u in doc["witnesses"])
+        witnesses = tuple(_decode_matrix(u) for u in _json_list(doc, "witnesses"))
     return CqChannel(outputs, witnesses=witnesses)
 
 

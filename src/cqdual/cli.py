@@ -7,7 +7,6 @@ header so identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
@@ -43,12 +42,13 @@ def parse_channel_spec(spec: str):
     with open(arg[1:], "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if kind == "classical":
-        return _ch.make_classical(np.asarray(doc["transition"], dtype=float))
+        try:
+            table = np.asarray(_ch._json_list(doc, "transition"), dtype=float)
+        except TypeError as exc:  # an entry that is neither a number nor a list
+            raise ValueError(f"transition entries must be numbers ({exc})") from exc
+        return _ch.make_classical(table)
     if kind == "pure":
-        vecs = [
-            np.array([complex(re, im) for re, im in v]) for v in doc["vectors"]
-        ]
-        return _ch.make_pure(vecs)
+        return _ch.make_pure(_ch._decode_matrix(_ch._json_list(doc, "vectors")))
     if kind == "channel":
         return _ch.channel_from_dict(doc)
     raise ValueError(f"unknown channel kind {kind!r}")
@@ -85,13 +85,18 @@ def _parse(fn, *values):
         raise _UsageError(exc) from exc
 
 
-def _meta(args, **params) -> dict:
-    return {"version": SCHEMA_VERSION, "seed": getattr(args, "seed", 0), "params": params}
+def _meta(args) -> dict:
+    """{version, seed, params}, params being the command's own flags as parsed, less
+    those that steer it rather than say what it computes."""
+    steering = {"command", "config", "func", "seed", "out", "format"}
+    params = {k: v for k, v in vars(args).items() if k not in steering}
+    return {"version": SCHEMA_VERSION, "seed": args.seed, "params": params}
 
 
 def _emit(args, payload: dict | str) -> None:
+    """Write a JSON document, adding the run's meta, or finished text to --out or stdout."""
     if isinstance(payload, dict):
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps({"meta": _meta(args), **payload}, indent=2, sort_keys=True) + "\n"
     else:
         text = payload
     if args.out:
@@ -101,14 +106,12 @@ def _emit(args, payload: dict | str) -> None:
         sys.stdout.write(text)
 
 
-def _csv_text(meta: dict, header: str, rows: list[str]) -> str:
-    buf = io.StringIO()
+def _csv_text(args, header: str, rows: list[str]) -> str:
+    """CSV lines under a comment line that carries the run's meta."""
+    meta = _meta(args)
     params = " ".join(f"{k}={v!r}" for k, v in sorted(meta["params"].items()))
-    buf.write(f"# cqdual={meta['version']} seed={meta['seed']} {params}\n")
-    buf.write(header + "\n")
-    for row in rows:
-        buf.write(row + "\n")
-    return buf.getvalue()
+    lines = [f"# cqdual={meta['version']} seed={meta['seed']} {params}", header, *rows]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +124,7 @@ def _cmd_dual(args) -> int:
 
     w = _parse(parse_channel_spec, args.channel)
     wd = _ch.dual(w)
-    doc = {
-        "meta": _meta(args, channel=args.channel),
-        "dual": _ch.channel_to_dict(wd),
-    }
+    doc = {"dual": _ch.channel_to_dict(wd)}
     if w.input_size == 2:
         doc["profile"] = _ch.invariant_profile(wd).to_dict()
     _emit(args, doc)
@@ -160,7 +160,7 @@ def _cmd_check_duality(args) -> int:
     families = _parse(_families_from_flag, args.family)
     wd = _ch.dual(w)
     reports = [_en.duality_check(w, fam, dual_channel=wd).to_dict() for fam in families]
-    _emit(args, {"meta": _meta(args, channel=args.channel, family=args.family), "reports": reports})
+    _emit(args, {"reports": reports})
     return 0
 
 
@@ -171,12 +171,8 @@ def _cmd_convolve(args) -> int:
     w = _parse(parse_channel_spec, args.channel)
     wp = _parse(parse_channel_spec, args.channel2)
     out = _polar.convolve(w, wp, args.kind)
-    doc = {
-        "meta": _meta(args, channel=args.channel, channel2=args.channel2, kind=args.kind),
-        "channel": _ch.channel_to_dict(out),
-        "profile": _ch.invariant_profile(out).to_dict(),
-    }
-    _emit(args, doc)
+    profile = _ch.invariant_profile(out).to_dict()
+    _emit(args, {"channel": _ch.channel_to_dict(out), "profile": profile})
     return 0
 
 
@@ -195,22 +191,14 @@ def _cmd_polarize(args) -> int:
     report = _polar.polarization_experiment(
         w, args.n, args.trials, beta=args.beta, seed=args.seed, complement=args.complement
     )
-    meta = _meta(
-        args,
-        channel=args.channel,
-        n=args.n,
-        trials=args.trials,
-        beta=args.beta,
-        complement=args.complement,
-    )
     if args.format == "csv":
         rows = [
             f"{t},{float(b)!r},{float(b_c)!r}"
             for t, (b, b_c) in enumerate(zip(report.final_b, report.final_b_complement))
         ]
-        _emit(args, _csv_text(meta, "trial,b_final,one_minus_b_final", rows))
+        _emit(args, _csv_text(args, "trial,b_final,one_minus_b_final", rows))
     else:
-        _emit(args, {"meta": meta, "report": report.to_dict()})
+        _emit(args, {"report": report.to_dict()})
     return 0
 
 
@@ -221,12 +209,11 @@ def _cmd_code_analyze(args) -> int:
     cp = _parse(parse_code_spec, args.code)
     _parse(_ch.make_bsc, args.p)  # refuses a crossover outside [0, 1] before the analysis
     ana = _cc.coded_duality_check(args.p, cp)
-    meta = _meta(args, code=args.code, p=args.p)
     if args.format == "csv":
         rows = [f"{k},{float(v)!r}" for k, v in sorted(ana.quantities.items())]
-        _emit(args, _csv_text(meta, "quantity,value", rows))
+        _emit(args, _csv_text(args, "quantity,value", rows))
     else:
-        _emit(args, {"meta": meta, "analysis": ana.to_dict()})
+        _emit(args, {"analysis": ana.to_dict()})
     return 0
 
 
@@ -237,21 +224,14 @@ def _cmd_exit_scan(args) -> int:
     grid = _parse(parse_grid, args.grid)
     grid = [p for p in grid if 0.0 < p < 1.0]
     scan = _cc.exit_scan(args.channel, cp, grid)
-    meta = _meta(args, channel=args.channel, code=args.code, grid=args.grid)
     if args.format == "json":
-        _emit(args, {"meta": meta, "scan": scan.to_dict()})
+        _emit(args, {"scan": scan.to_dict()})
     else:
-        rows = [
-            f"{p!r},{float(lhs)!r},{float(rhs)!r},{float(tot)!r}"
-            for p, lhs, rhs, tot in scan.rows
-        ]
-        text = _csv_text(meta, "p,exit,exit_dual,sum", rows)
+        rows = [",".join(repr(float(v)) for v in row) for row in scan.rows]
+        text = _csv_text(args, "p,exit,exit_dual,sum", rows)
         if scan.transition is not None:
-            text += (
-                f"# transition={scan.transition!r} "
-                f"capacity_at_transition={scan.capacity_at_transition!r} "
-                f"capacity_residual={scan.capacity_residual!r}\n"
-            )
+            tail = ("transition", "capacity_at_transition", "capacity_residual")
+            text += "# " + " ".join(f"{k}={getattr(scan, k)!r}" for k in tail) + "\n"
         _emit(args, text)
     return 0
 

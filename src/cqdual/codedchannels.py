@@ -8,7 +8,7 @@ equals the spectrum of its weighted Gram matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 import numpy as np
@@ -302,13 +302,7 @@ class CodedAnalysis:
     quantities: Mapping[str, float]
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "channel": self.channel,
-            "code": self.code,
-            "quantities": dict(self.quantities),
-        }
+        return asdict(self)
 
 
 def coded_duality_check(p: float, cp: CodePair, seed: int | None = None) -> CodedAnalysis:
@@ -545,15 +539,7 @@ class ExitScan:
     capacity_residual: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "channel_family": self.channel_family,
-            "code": self.code,
-            "rate": self.rate,
-            "rows": [list(r) for r in self.rows],
-            "transition": self.transition,
-            "capacity_at_transition": self.capacity_at_transition,
-            "capacity_residual": self.capacity_residual,
-        }
+        return asdict(self)
 
 
 def exit_scan(channel_family: str, cp: CodePair, grid) -> ExitScan:

@@ -362,6 +362,8 @@ def save_code_pair(cp: CodePair, path) -> None:
 def load_code_pair(path) -> CodePair:
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError(f"code file {path} is empty; expected a 'q n k' line first")
     q, n, k = (int(v) for v in lines[0].split())
     rows = [[int(c) for c in ln] for ln in lines[1 : n + 1]]
     m = np.array(rows, dtype=np.int64)

@@ -18,6 +18,7 @@ from .linalg import (
     _density_spectrum,
     _eigh,
     _eigvalsh,
+    _factorize,
     _projector_onto_support,
     _spectral_fn,
     _vn_entropy,
@@ -361,13 +362,6 @@ def guessing_prob(state: CqState) -> GuessResult:
         m = inv_sqrt @ c @ inv_sqrt
         val += p * p * float(np.trace(m @ c).real)
     return GuessResult(val, False, "srm")
-
-
-def _factorize(a: np.ndarray) -> np.ndarray:
-    """Low-rank factor Y with A = Y Y† for a PSD matrix."""
-    w, v = _eigh(hermitian_part(np.asarray(a, dtype=complex)))
-    keep = w > TOL.rank_cut
-    return v[:, keep] * np.sqrt(w[keep])
 
 
 def _uhlmann_start(cs: np.ndarray, ys: list[np.ndarray]) -> np.ndarray | None:

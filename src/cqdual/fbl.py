@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -227,18 +227,8 @@ class BoundCurve:
     extractor_lower: float
 
     def csv_row(self) -> str:
-        return ",".join(
-            repr(v)
-            for v in (
-                self.n,
-                self.p,
-                self.eps,
-                self.metaconverse,
-                self.union_achievability,
-                self.extractor_upper,
-                self.extractor_lower,
-            )
-        )
+        """The fields in CSV_HEADER's order, each as its repr."""
+        return ",".join(repr(v) for v in astuple(self))
 
 
 def compute_curves(ns, p: float, eps: float) -> list[BoundCurve]:

@@ -75,7 +75,7 @@ def assert_hermitian(a: np.ndarray, tol: float = TOL.hermiticity) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     gap = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if gap > tol:
+    if not gap <= tol:  # a NaN or inf entry makes the gap NaN
         raise ValueError(f"matrix not Hermitian: max |A - A†| = {gap:.3e}")
     return hermitian_part(a)
 
@@ -278,16 +278,16 @@ def purify(rho: np.ndarray) -> PureState:
 
 def _purify(rho: np.ndarray) -> PureState:
     """purify of a density operator the caller already validated."""
-    w, v = _eigh(rho)
-    keep = np.where(w > TOL.rank_cut)[0][::-1]  # descending weight
-    r = max(1, len(keep))
-    dim = rho.shape[0]
-    vec = np.zeros((dim, r), dtype=complex)
-    for j, i in enumerate(keep):
-        vec[:, j] = np.sqrt(w[i]) * v[:, i]
-    flat = vec.reshape(-1)
-    flat = flat / np.linalg.norm(flat)
-    return PureState(flat, (dim, r))
+    y = _factorize(rho)[:, ::-1]  # descending weight
+    flat = y.reshape(-1)
+    return PureState(flat / np.linalg.norm(flat), y.shape)
+
+
+def _factorize(a: np.ndarray) -> np.ndarray:
+    """Low-rank factor Y with A = Y Y† for a PSD matrix, columns in ascending weight."""
+    w, v = _eigh(hermitian_part(np.asarray(a, dtype=complex)))
+    keep = w > TOL.rank_cut
+    return v[:, keep] * np.sqrt(w[keep])
 
 
 def gram_embed(gram: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ with the channel dual, exchanging roles, which is what the checks here verify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -280,6 +280,19 @@ def polynomial_threshold(n: int, beta: float) -> float:
 
 @dataclass(frozen=True)
 class PolarizationReport:
+    """Fractions of `trials` random depth-n bit sequences whose W_n has polarized.
+
+    threshold is f = 2^(-n^beta), and complemented says every bit was flipped.
+    capacity is log2(d) - H(X|B) of W, NaN (null in JSON) unless W has a
+    symmetry witness or erasure outputs. frac_hmin_small, frac_hmax_large,
+    frac_b_small and frac_b_large count Hmin <= f, Hmax >= 1 - f, B <= f and
+    B >= 1 - f, B the fidelity of the two outputs of W_n. bridge_hmin_lower
+    counts B <= f, so equals frac_b_small, and bounds frac_hmin_small below:
+    P_guess >= 1 - B/2 makes B <= f imply Hmin <= f. bridge_hmin_upper counts
+    B <= 2 sqrt(f), which bounds it above. final_b and final_b_complement, B
+    and 1 - B per trial, stay out of to_dict.
+    """
+
     n: int
     trials: int
     seed: int
@@ -296,20 +309,10 @@ class PolarizationReport:
     final_b_complement: np.ndarray = field(repr=False, default=None)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "threshold": self.threshold,
-            "complemented": self.complemented,
-            "capacity": None if np.isnan(self.capacity) else self.capacity,  # JSON has no NaN
-            "frac_hmin_small": self.frac_hmin_small,
-            "frac_hmax_large": self.frac_hmax_large,
-            "frac_b_small": self.frac_b_small,
-            "frac_b_large": self.frac_b_large,
-            "bridge_hmin_lower": self.bridge_hmin_lower,
-            "bridge_hmin_upper": self.bridge_hmin_upper,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
+        if np.isnan(self.capacity):
+            doc["capacity"] = None  # JSON has no NaN
+        return doc
 
 
 def _sequence_bits(trials: int, n: int, seed: int) -> np.ndarray:

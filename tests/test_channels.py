@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -27,6 +28,12 @@ def test_bec_profile_entries():
     w = ch.make_bec(0.3)
     assert abs(trace_distance(w.outputs[0], w.outputs[1]) - 0.7) < 1e-12
     assert abs(fidelity(w.outputs[0], w.outputs[1]) - 0.3) < 1e-10
+
+
+def test_profile_serializes_its_fields():
+    prof = ch.invariant_profile(ch.make_bsc(0.11))
+    assert set(prof.to_dict()) == {f.name for f in fields(prof) if f.repr}
+    assert prof.as_array().shape == (5 + len(ch.PROFILE_ALPHAS),)
 
 
 def test_parameter_range_rejected():

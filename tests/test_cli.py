@@ -370,6 +370,61 @@ def test_library_refusals_exit_2(tmp_path, capsys, args, message):
     assert captured.err == f"cqdual: error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "args, content, message",
+    [
+        (["dual", "--channel", "channel:@{f}"], '{"foo": 1}', "a list under 'outputs'"),
+        (["dual", "--channel", "channel:@{f}"], "[1, 2]", "a list under 'outputs'"),
+        (["dual", "--channel", "channel:@{f}"], '{"outputs": [[[1, 0]]]}',
+         "expected rows of [re, im] pairs"),
+        (["dual", "--channel", "classical:@{f}"], '{"foo": 1}', "a list under 'transition'"),
+        (["dual", "--channel", "classical:@{f}"], '{"transition": [[null, 1], [0.5, 0.5]]}',
+         "matrix not Hermitian"),
+        (["dual", "--channel", "classical:@{f}"], '{"transition": [[{}, 1], [0.5, 0.5]]}',
+         "transition entries must be numbers"),
+        (["dual", "--channel", "pure:@{f}"], '{"foo": 1}', "a list under 'vectors'"),
+        (["dual", "--channel", "pure:@{f}"], '{"vectors": [[1, 0]]}',
+         "expected rows of [re, im] pairs"),
+        (["code-analyze", "--code", "@{f}", "--p", "0.11"], "", "expected a 'q n k' line"),
+    ],
+    ids=["channel_no_outputs", "channel_not_object", "channel_row_of_numbers",
+         "classical_no_transition", "classical_null_entry", "classical_object_entry",
+         "pure_no_vectors", "pure_vector_of_numbers", "empty_code"],
+)
+def test_malformed_files_exit_2(tmp_path, capsys, args, content, message):
+    path = tmp_path / "input"
+    path.write_text(content)
+    assert run_cli([a.format(f=path) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cqdual: error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args, keys",
+    [
+        (["dual", "--channel", "bec:0.3"], {"channel"}),
+        (["check-duality", "--channel", "bsc:0.11", "--family", "von_neumann"],
+         {"channel", "family"}),
+        (["convolve", "--channel", "bsc:0.11", "--channel2", "bsc:0.3"],
+         {"channel", "channel2", "kind"}),
+        (["polarize", "--channel", "bec:0.3", "--n", "4", "--trials", "10"],
+         {"beta", "channel", "complement", "n", "trials"}),
+        (["code-analyze", "--code", "rep31", "--p", "0.11"], {"code", "p"}),
+        (["exit-scan", "--channel", "bec", "--code", "rep31", "--grid", "0.3", "--format", "json"],
+         {"channel", "code", "grid"}),
+    ],
+    ids=["dual", "check-duality", "convolve", "polarize", "code-analyze", "exit-scan"],
+)
+def test_meta_params_are_the_commands_own_flags(capsys, args, keys):
+    # --seed, --out and --format steer the run and stay out of params
+    assert run_cli(args + ["--seed", "3"]) == 0
+    meta = json.loads(capsys.readouterr().out)["meta"]
+    assert set(meta["params"]) == keys
+    assert meta["seed"] == 3
+
+
 @pytest.mark.parametrize("family", ["all", "min", "max"])
 def test_check_duality_refuses_min_max_beyond_binary_input(tmp_path, capsys, family):
     spec = tmp_path / "three.json"

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -218,6 +219,17 @@ def test_repetition3_guess_equals_decouple():
     assert abs(
         ana.quantities["guess_message_leg"] - ana.quantities["decouple_dual_leg"]
     ) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "report",
+    [lambda: cc.coded_duality_check(0.11, codes.repetition_pair(3)),
+     lambda: cc.exit_scan("bec", codes.repetition_pair(3), [0.3, 0.7])],
+    ids=["coded_analysis", "exit_scan"],
+)
+def test_report_serializes_its_fields(report):
+    rep = report()
+    assert set(rep.to_dict()) == {f.name for f in fields(rep) if f.repr}
 
 
 # ---------------------------------------------------------------------------

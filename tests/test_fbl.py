@@ -303,6 +303,11 @@ def test_emit_curves_deterministic():
     assert len(lines) == 5
 
 
+def test_csv_row_has_a_column_per_header_name():
+    (curve,) = fbl.compute_curves([100], 0.11, 1e-3)
+    assert len(curve.csv_row().split(",")) == len(fbl.CSV_HEADER.split(","))
+
+
 def test_emit_curves_empty_grid():
     text = fbl.emit_curves([], 0.11, 1e-3)
     assert text.strip().split("\n")[-1] == fbl.CSV_HEADER

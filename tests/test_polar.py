@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -344,3 +346,12 @@ def test_polarization_unbiased_erasure_split():
     rep = polar.polarization_experiment(ch.make_bec(0.5), 16, 10_000, beta=0.4, seed=2)
     assert abs(rep.frac_b_small - 0.5) <= 0.05
     assert abs(rep.frac_b_large - 0.5) <= 0.05
+
+
+def test_report_serializes_its_repr_fields_with_nan_as_none():
+    # a Z-channel has no capacity here; the per-trial arrays stay out of the dict
+    z = ch.make_classical([[1.0, 0.0], [0.3, 0.7]])
+    rep = polar.polarization_experiment(z, 2, 8, seed=1)
+    doc = rep.to_dict()
+    assert set(doc) == {f.name for f in fields(rep) if f.repr}
+    assert "final_b" not in doc and doc["capacity"] is None
