@@ -350,18 +350,26 @@ def _erasure_probability(w: CqChannel) -> float | None:
     return float(t0[~seen_by_one].sum())
 
 
+def _shift_blocks(ops, weights) -> tuple[np.ndarray, ...]:
+    """For each x in 0..d-1, the block-diagonal operator holding weights[z] * ops[z]
+    in block (x + z) mod d: the joint state of Y = x + Z and the side information
+    of Z. The one shift-block builder: symmetrize and the shift-structured state
+    identity (codedchannels.structured_state_gap) both call it."""
+    d, dim = len(ops), ops[0].shape[0]
+    out = []
+    for x in range(d):
+        rho = np.zeros((d * dim, d * dim), dtype=complex)
+        for z in range(d):
+            y = (x + z) % d
+            rho[y * dim : (y + 1) * dim, y * dim : (y + 1) * dim] = weights[z] * ops[z]
+        out.append(rho)
+    return tuple(out)
+
+
 def symmetrize(w: CqChannel) -> CqChannel:
     """Record a uniformly random input shift next to the shifted output."""
     d, dim = w.input_size, w.dim
-    outs = []
-    for z in range(d):
-        blocks = np.zeros((d * dim, d * dim), dtype=complex)
-        for zp in range(d):
-            idx = (z + zp) % d
-            blocks[idx * dim : (idx + 1) * dim, idx * dim : (idx + 1) * dim] = (
-                w.outputs[zp] / d
-            )
-        outs.append(blocks)
+    outs = _shift_blocks(w.outputs, np.full(d, 1.0 / d))
     shift = np.zeros((d, d), dtype=complex)
     for u in range(d):
         shift[(u + 1) % d, u] = 1.0
@@ -369,7 +377,7 @@ def symmetrize(w: CqChannel) -> CqChannel:
         np.kron(np.linalg.matrix_power(shift, s), np.eye(dim, dtype=complex))
         for s in range(d)
     )
-    return CqChannel(tuple(outs), witnesses=witnesses)
+    return CqChannel(outs, witnesses=witnesses)
 
 
 def degrade_to_bsc(w: CqChannel) -> tuple[CqChannel, float]:

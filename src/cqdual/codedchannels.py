@@ -20,9 +20,7 @@ from .codes import CodePair, all_vectors
 from .linalg import (
     _eigvalsh,
     _fidelity,
-    _psd_sqrt,
     _purify,
-    _vn_entropy,
     diagonal_table,
     gram_embed,
     hermitian_part,
@@ -43,7 +41,6 @@ __all__ = [
     "coded_duality_check",
     "encoder_duality_check",
     "exit_function",
-    "ExitReport",
     "exit_duality_check",
     "ExitScan",
     "exit_scan",
@@ -131,13 +128,15 @@ class PureEnsemble:
         m = len(w)
         if g.shape != (m, m) or lab.shape != (m,):
             raise ValueError("weights, gram and labels sizes disagree")
-        if abs(w.sum() - 1.0) > TOL.prior_sum or w.min() < 0:
+        if lab.min() < 0:  # a negative label would drop its states from every label
+            raise ValueError("labels must be nonnegative")
+        if not (abs(w.sum() - 1.0) <= TOL.prior_sum and w.min() >= 0):  # NaN fails too
             raise ValueError("weights must form a distribution")
-        if np.max(np.abs(np.diag(g) - 1.0)) > TOL.gram_diagonal:
+        if not np.max(np.abs(np.diag(g) - 1.0)) <= TOL.gram_diagonal:
             raise ValueError(f"Gram diagonal must be 1 within {TOL.gram_diagonal}")
         scale = max(1.0, float(np.max(np.abs(g))))
         wmin = float(_eigvalsh(hermitian_part(g)).min())
-        if wmin < -TOL.gram_psd * scale:
+        if not wmin >= -TOL.gram_psd * scale:
             raise ValueError(f"Gram matrix not PSD: eigenvalue {wmin:.3e}")
         for a in (w, g, lab):
             a.setflags(write=False)
@@ -152,12 +151,6 @@ class PureEnsemble:
     @property
     def num_labels(self) -> int:
         return int(self.labels.max()) + 1
-
-    def label_indices(self) -> list[np.ndarray]:
-        return [np.where(self.labels == l)[0] for l in range(self.num_labels)]
-
-    def label_prior(self) -> np.ndarray:
-        return np.array([self.weights[idx].sum() for idx in self.label_indices()])
 
 
 def _word_gram(xs: np.ndarray, overlap: float) -> np.ndarray:
@@ -205,30 +198,39 @@ def _weighted_gram(e: PureEnsemble) -> np.ndarray:
     return hermitian_part(root[:, None] * e.gram * root[None, :])
 
 
-def ensemble_to_cqstate(e: PureEnsemble) -> _en.CqState:
-    """Label-conditional state in Gram-embedding coordinates."""
+def _labels(e: PureEnsemble) -> list[tuple[float, np.ndarray]]:
+    """(prior, member indices) of each label with nonzero prior, in label order."""
+    members = (np.where(e.labels == label)[0] for label in range(e.num_labels))
+    return [(pl, idx) for idx in members if (pl := e.weights[idx].sum()) > 0]
+
+
+def _label_factors(e: PureEnsemble) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(prior, factors) of the labels with nonzero prior, in Gram-embedding
+    coordinates: the columns of a label's factor Y are its member vectors times
+    sqrt(weight / prior), so Y Y† is the label's conditional state. The one
+    label grouping: ensemble_decoupling and ensemble_to_cqstate both call it."""
     vecs = gram_embed(e.gram)
-    prior = e.label_prior()
-    conds = []
-    dim = vecs.shape[1]
-    for idx, pl in zip(e.label_indices(), prior):
-        rho = np.zeros((dim, dim), dtype=complex)
-        for i in idx:
-            rho += (e.weights[i] / pl) * np.outer(vecs[i], vecs[i].conj())
-        conds.append(hermitian_part(rho))
-    return _en.CqState(prior, tuple(conds))
+    groups = _labels(e)
+    factors = [
+        np.ascontiguousarray((vecs[idx] * np.sqrt(e.weights[idx] / pl)[:, None]).T)
+        for pl, idx in groups
+    ]
+    return np.array([pl for pl, _ in groups]), factors
+
+
+def ensemble_to_cqstate(e: PureEnsemble) -> _en.CqState:
+    """Label-conditional state in Gram-embedding coordinates, over the labels
+    with nonzero prior."""
+    prior, factors = _label_factors(e)
+    return _en.CqState(prior, tuple(hermitian_part(y @ y.conj().T) for y in factors))
 
 
 def ensemble_guessing(e: PureEnsemble) -> _en.GuessResult:
-    """Probability of guessing the label; exact for two labels, else SRM."""
-    if e.num_labels <= 2:
+    """Probability of guessing the label; exact for two labels with nonzero
+    prior, else SRM."""
+    if len(_labels(e)) <= 2:
         return _en.guessing_prob(ensemble_to_cqstate(e))
-    root = _psd_sqrt(_weighted_gram(e))
-    val = 0.0
-    for idx in e.label_indices():
-        block = root[np.ix_(idx, idx)]
-        val += float(np.sum(np.abs(block) ** 2))
-    return _en.GuessResult(val, False, "srm")
+    return _en._srm(_weighted_gram(e), e.labels)
 
 
 def ensemble_decoupling(e: PureEnsemble) -> _en.QResult:
@@ -237,33 +239,17 @@ def ensemble_decoupling(e: PureEnsemble) -> _en.QResult:
     The label conditionals enter the ascent through their natural low-rank
     factors (the member state vectors), never as dense matrices.
     """
-    vecs = gram_embed(e.gram)
-    prior = e.label_prior()
-    nlab = e.num_labels
-    factors = []
-    coeffs = []
-    for idx, pl in zip(e.label_indices(), prior):
-        if pl <= 0:
-            continue
-        cols = (vecs[idx] * np.sqrt(e.weights[idx] / pl)[:, None]).T
-        factors.append(np.ascontiguousarray(cols))
-        coeffs.append(np.sqrt(pl / nlab))
-    return _en._decoupling(factors, coeffs)
+    prior, factors = _label_factors(e)
+    return _en._decoupling(factors, np.sqrt(prior / e.num_labels))
 
 
 def ensemble_cond_entropy(e: PureEnsemble, family: _en.EntropyFamily) -> float:
     """Conditional entropy of the label given the quantum states, in bits."""
     if family.kind == "von_neumann":
         s = _weighted_gram(e)
-        prior = e.label_prior()
-        h_label = float(-_en._xlog2x(prior).sum())
-        h_cond = 0.0
-        for idx, pl in zip(e.label_indices(), prior):
-            if pl <= 0:
-                continue
-            block = s[np.ix_(idx, idx)] / pl
-            h_cond += pl * _vn_entropy(hermitian_part(block))
-        return h_label + h_cond - _vn_entropy(s)
+        groups = _labels(e)
+        spectra = [_eigvalsh(hermitian_part(s[np.ix_(idx, idx)] / pl)) for pl, idx in groups]
+        return _en._vn_from_spectra([pl for pl, _ in groups], spectra, _eigvalsh(s))
     if family.kind == "min":
         return -float(np.log2(ensemble_guessing(e).value))
     if family.kind == "max":
@@ -495,16 +481,6 @@ def exit_function(channel: _ch.CqChannel, cp: CodePair, family: _en.EntropyFamil
     raise Unsupported("EXIT functions need diagonal outputs, or binary input and pure outputs")
 
 
-@dataclass(frozen=True)
-class ExitReport:
-    p: float
-    lhs: float
-    rhs: float
-    total: float
-    target: float
-    gap: float
-
-
 # each channel family's W(p) and its dual W(p)⊥
 _EXIT_CHANNELS = {
     "bec": lambda p: (_ch.make_bec(p), _ch.make_bec(1.0 - p)),
@@ -517,15 +493,17 @@ def exit_duality_check(
     cp: CodePair,
     family: _en.EntropyFamily = _en.VON_NEUMANN,
     channel_family: str = "bec",
-) -> ExitReport:
-    """EXIT function of (W(p), C) plus the dual-family EXIT of (W(p) dual, C dual)."""
+) -> _en.DualityReport:
+    """EXIT function of (W(p), C) plus the dual-family EXIT of (W(p) dual, C dual),
+    against one bit."""
     if channel_family not in _EXIT_CHANNELS:
         raise ValueError("channel_family must be 'bec' or 'bsc'")
     w, wd = _EXIT_CHANNELS[channel_family](p)
+    dualf = _en.dual_family(family)
     lhs = float(exit_function(w, cp, family))
-    rhs = float(exit_function(wd, cp.dual(), _en.dual_family(family)))
+    rhs = float(exit_function(wd, cp.dual(), dualf))
     total = lhs + rhs
-    return ExitReport(p, lhs, rhs, total, 1.0, abs(total - 1.0))
+    return _en.DualityReport(family, dualf, lhs, rhs, total, 1.0, abs(total - 1.0))
 
 
 @dataclass(frozen=True)
@@ -742,15 +720,7 @@ def structured_state_gap(
     """
     p_y = np.asarray(p_y, dtype=float)
     d = len(p_y)
-    dim = sigmas[0].shape[0]
-    conds = []
-    for x in range(d):
-        rho = np.zeros((d * dim, d * dim), dtype=complex)
-        for z in range(d):
-            y = (x + z) % d
-            rho[y * dim : (y + 1) * dim, y * dim : (y + 1) * dim] = p_y[z] * sigmas[z]
-        conds.append(rho)
-    lhs_state = _en.CqState(np.full(d, 1.0 / d), tuple(conds))
+    lhs_state = _en.CqState(np.full(d, 1.0 / d), _ch._shift_blocks(sigmas, p_y))
     rhs_state = _en.CqState(p_y, tuple(sigmas))
     gap = 0.0
     for fam in families:

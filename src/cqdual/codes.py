@@ -365,8 +365,10 @@ def load_code_pair(path) -> CodePair:
     if not lines:
         raise ValueError(f"code file {path} is empty; expected a 'q n k' line first")
     q, n, k = (int(v) for v in lines[0].split())
-    rows = [[int(c) for c in ln] for ln in lines[1 : n + 1]]
-    m = np.array(rows, dtype=np.int64)
-    if m.shape != (n, n):
+    rows = [[int(c) for c in ln] for ln in lines[1:]]
+    if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"expected {n} rows of length {n}")
+    m = np.array(rows, dtype=np.int64)
+    if m.max(initial=0) >= q:
+        raise ValueError(f"code file digit {m.max()} is not below q = {q}")
     return build_code(m, k, q)

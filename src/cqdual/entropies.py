@@ -15,13 +15,12 @@ import numpy as np
 from .config import TOL, Unsupported
 from . import channels as _ch
 from .linalg import (
+    _compress_to_support,
     _density_spectrum,
     _eigh,
     _eigvalsh,
     _factorize,
-    _projector_onto_support,
     _spectral_fn,
-    _vn_entropy,
     _vn_of_spectrum,
     diagonal_table,
     hermitian_part,
@@ -100,11 +99,11 @@ def dual_family(f: EntropyFamily) -> EntropyFamily:
 
 
 def _checked_prior(prior) -> np.ndarray:
-    """prior as a float array, refused when negative or not summing to 1."""
+    """prior as a float array, refused when negative, NaN or not summing to 1."""
     p = np.asarray(prior, dtype=float)
-    if p.min() < 0:
+    if not p.min() >= 0:  # a NaN entry fails both tests
         raise ValueError("negative prior probability")
-    if abs(p.sum() - 1.0) > TOL.prior_sum:
+    if not abs(p.sum() - 1.0) <= TOL.prior_sum:
         raise ValueError(f"prior sums to {p.sum()}, not 1 within {TOL.prior_sum}")
     return p
 
@@ -180,7 +179,9 @@ class QResult:
 
 @dataclass(frozen=True)
 class DualityReport:
-    """Both legs of an entropy-sum identity, their sum, target and gap."""
+    """Both legs of an entropy-sum identity, their sum, target and gap: the one
+    two-leg report, for channel duality and for the EXIT sums of
+    codedchannels.exit_duality_check alike."""
 
     family: EntropyFamily
     dual_side_family: EntropyFamily
@@ -295,14 +296,21 @@ def _classical_joint(state: CqState) -> np.ndarray | None:
 # ---------------------------------------------------------------------------
 
 
+def _vn_from_spectra(prior, spectra, average_spectrum: np.ndarray) -> float:
+    """H(X) + sum_x p_x S(rho_x) - S(rho_bar) in bits, from the eigenvalues of
+    each conditional and of the average state; zero-prior atoms are skipped.
+    The one von Neumann sum: CqStates and Gram ensembles both call it."""
+    sup = [(float(p), w) for p, w in zip(prior, spectra) if p > 0.0]
+    h_prior = float(-sum(p * np.log2(p) for p, _ in sup))
+    h_cond = sum(p * _vn_of_spectrum(w) for p, w in sup)
+    return h_prior + h_cond - _vn_of_spectrum(average_spectrum)
+
+
 def _vn_cond(state: CqState) -> float:
     joint = _classical_joint(state)
     if joint is not None:
         return table_entropy(joint, VON_NEUMANN)
-    sup = [(float(p), w) for p, w in zip(state.prior, state._spectra) if p > 0.0]
-    h_prior = float(-sum(p * np.log2(p) for p, _ in sup))
-    h_cond = sum(p * _vn_of_spectrum(w) for p, w in sup)
-    return h_prior + h_cond - _vn_entropy(state.average())
+    return _vn_from_spectra(state.prior, state._spectra, _eigvalsh(state.average()))
 
 
 def petz_curve(state: CqState, alphas: Sequence[float]) -> list[float]:
@@ -343,7 +351,7 @@ def guessing_prob(state: CqState) -> GuessResult:
     Commuting conditionals take the exact classical maximum-likelihood value.
     Otherwise two supported symbols use the exact binary Helstrom value and
     more than two fall back to the square-root measurement, flagged
-    exact=False.
+    exact=False: _srm on the Gram matrix of the stacked factors of p_x rho_x.
     """
     joint = _classical_joint(state)
     if joint is not None:
@@ -355,12 +363,28 @@ def guessing_prob(state: CqState) -> GuessResult:
         (p0, r0), (p1, r1) = sup
         w = _eigvalsh(hermitian_part(p0 * r0 - p1 * r1))
         return GuessResult(float(0.5 * (1.0 + np.abs(w).sum())), True, "helstrom")
-    rbar = state.average()
-    inv_sqrt = _spectral_fn(rbar, lambda w: 1.0 / np.sqrt(w))
+    ys = [_factorize(p * c) for p, c in sup]
+    v = np.concatenate(ys, axis=1)
+    labels = np.repeat(np.arange(len(ys)), [y.shape[1] for y in ys])
+    return _srm(hermitian_part(v.conj().T @ v), labels)
+
+
+def _srm(gram: np.ndarray, labels: np.ndarray) -> GuessResult:
+    """Square-root-measurement probability of guessing the label of weighted
+    vectors v_i from their Gram matrix G = V†V, held Hermitian by the caller.
+
+    The measurement vectors rho_bar^(-1/2) v_i have overlaps (G^(1/2))_ij
+    with the v_j, so the probability sums |G^(1/2)_ij|^2 over pairs sharing a
+    label. G's eigenvalues at or below TOL.rank_cut count as zero, as those of
+    rho_bar = V V† (the same nonzero spectrum) would: more stacked factors
+    than dimensions leave rounding noise there, which a square root lifts to
+    1e-8. The one SRM: CqStates and Gram ensembles both call it.
+    """
+    root = _spectral_fn(gram, np.sqrt)
     val = 0.0
-    for p, c in sup:
-        m = inv_sqrt @ c @ inv_sqrt
-        val += p * p * float(np.trace(m @ c).real)
+    for label in np.unique(labels):
+        idx = np.where(labels == label)[0]
+        val += float(np.sum(np.abs(root[np.ix_(idx, idx)]) ** 2))
     return GuessResult(val, False, "srm")
 
 
@@ -518,11 +542,10 @@ def _compressed(state: CqState) -> list[tuple[float, np.ndarray]]:
     """state.supported() with each conditional restricted to the support of the average
     state and renormalised; a zero-prior conditional, possibly outside it, is dropped."""
     sup = state.supported()
-    iso = _projector_onto_support(state.average())
-    if iso.shape[1] == state.dim or iso.shape[1] == 0:
+    cut = _compress_to_support([c for _, c in sup], state.average())
+    if cut is None:
         return sup
-    conds = [hermitian_part(iso.conj().T @ c @ iso) for _, c in sup]
-    return [(p, c / max(np.trace(c).real, TOL.underflow)) for (p, _), c in zip(sup, conds)]
+    return [(p, c / max(tr, TOL.underflow)) for (p, _), c, tr in zip(sup, *cut)]
 
 
 def _decoupling(factors: Sequence[np.ndarray], coeffs: Sequence[float]) -> QResult:
@@ -647,9 +670,11 @@ def duality_check(
 
 
 def capacity(w: _ch.CqChannel) -> float:
-    """I(W) = log2(d) - H(W) for symmetric channels (uniform input optimal)."""
-    if not w.is_symmetric:
-        raise Unsupported("capacity formula requires symmetry witnesses")
+    """I(W) = log2(d) - H(W) for a channel symmetric by a witness or, as an
+    erasure channel (channels._erasure_probability), by its outputs: either
+    way the uniform input is optimal. The one capacity rule."""
+    if not (w.is_symmetric or _ch._erasure_probability(w) is not None):
+        raise Unsupported("capacity formula requires symmetry witnesses or erasure outputs")
     return float(np.log2(w.input_size)) - cond_entropy(from_channel(w), VON_NEUMANN)
 
 

@@ -53,7 +53,7 @@ class PureState:
         if v.size != int(np.prod(self.dims)):
             raise ValueError(f"amplitude length {v.size} != prod{self.dims}")
         n = np.linalg.norm(v)
-        if abs(n - 1.0) > TOL.unit_norm:
+        if not abs(n - 1.0) <= TOL.unit_norm:  # a NaN norm fails too
             raise ValueError(f"state norm {n} not 1 within {TOL.unit_norm}")
         object.__setattr__(self, "amplitudes", v)
 
@@ -174,12 +174,7 @@ def _spectral_fn(a: np.ndarray, fn) -> np.ndarray:
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Square root of a PSD Hermitian matrix; eigenvalues in
     [-TOL.psd_clamp * scale, 0) are clamped, with scale = max(1, |a|_2)."""
-    return _psd_sqrt(assert_hermitian(a))
-
-
-def _psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """psd_sqrt of a matrix the caller already holds Hermitian."""
-    w, v = _eigh(a)
+    w, v = _eigh(assert_hermitian(a))
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
     if w.min() < -TOL.psd_clamp * scale:
         raise ValueError(f"matrix not PSD: eigenvalue {w.min():.3e}")
@@ -311,18 +306,18 @@ def gram_embed(gram: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """S(rho) in bits."""
-    return _vn_entropy(assert_hermitian(rho))
+    return _vn_of_spectrum(_eigvalsh(assert_hermitian(rho)))
 
 
-def _vn_entropy(rho: np.ndarray) -> float:
-    """von_neumann_entropy of a matrix the caller already holds Hermitian."""
-    return _vn_of_spectrum(_eigvalsh(rho))
-
-
-def _projector_onto_support(a: np.ndarray) -> np.ndarray:
-    """Isometry (dim x rank) whose columns span the support of a Hermitian PSD matrix."""
-    w, v = _eigh(a)
-    keep = np.where(w > TOL.rank_cut)[0]
-    if len(keep) == 0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
-    return np.ascontiguousarray(v[:, keep])
+def _compress_to_support(ops, average: np.ndarray) -> tuple[list[np.ndarray], list[float]] | None:
+    """Each operator compressed to the support of average, a Hermitian PSD matrix
+    the caller holds (its eigenvectors with eigenvalues above TOL.rank_cut), and
+    the traces of the compressed operators; None when that support is the whole
+    space. The one support compression: entropies and polar both call it."""
+    w, v = _eigh(average)
+    keep = w > TOL.rank_cut
+    if keep.all():
+        return None
+    iso = np.ascontiguousarray(v[:, keep])
+    out = [hermitian_part(iso.conj().T @ a @ iso) for a in ops]
+    return out, [float(np.trace(c).real) for c in out]

@@ -14,7 +14,7 @@ import numpy as np
 from .config import TOL, Unsupported
 from . import channels as _ch
 from . import entropies as _en
-from .linalg import _fidelity, _projector_onto_support, diagonal_table, hermitian_part
+from .linalg import _compress_to_support, _fidelity, diagonal_table, hermitian_part
 
 __all__ = [
     "VARIABLE",
@@ -80,7 +80,7 @@ def better(w: _ch.CqChannel, wp: _ch.CqChannel) -> _ch.CqChannel:
     first factor, so channels without witnesses are refused.
     """
     if not w.is_symmetric:
-        raise ValueError("better() requires symmetry witnesses on the first factor")
+        raise Unsupported("better() requires symmetry witnesses on the first factor")
     return convolve(w, wp, VARIABLE)
 
 
@@ -163,13 +163,11 @@ def _truncate_to_joint_support(w: _ch.CqChannel) -> tuple[_ch.CqChannel, float]:
         table = np.stack(merged, axis=1)
         table /= table.sum(axis=1, keepdims=True)
         return _ch.CqChannel(tuple(np.diag(row).astype(complex) for row in table)), lost
-    avg = hermitian_part(sum(w.outputs) / w.input_size)
-    iso = _projector_onto_support(avg)
-    if iso.shape[1] == w.dim:
+    cut = _compress_to_support(w.outputs, hermitian_part(sum(w.outputs) / w.input_size))
+    if cut is None:
         return w, 0.0
-    outs = [hermitian_part(iso.conj().T @ o @ iso) for o in w.outputs]
-    kept = np.array([np.trace(c).real for c in outs])
-    lost = float(max(0.0, 1.0 - kept.min()))
+    outs, kept = cut
+    lost = float(max(0.0, 1.0 - min(kept)))
     return _ch.CqChannel(tuple(c / tr for c, tr in zip(outs, kept))), lost
 
 
@@ -336,8 +334,8 @@ def polarization_experiment(
     forms for erasure channels, recognised from their outputs, and otherwise
     the last of _self_convolutions, which refuses n > GENERIC_LEVEL_CAP or a
     stop at the dimension cap (Unsupported); n < 1 or trials < 1 is refused
-    too. The threshold is 2^(-n^beta). The capacity log2(d) - H(W) is reported for channels with
-    symmetry witnesses and for erasure channels, NaN otherwise.
+    too. The threshold is 2^(-n^beta). The capacity is entropies.capacity of W
+    (symmetric by a witness or an erasure channel), NaN where that refuses W.
     """
     if n < 1 or trials < 1:
         raise Unsupported(f"polarization needs n >= 1 and trials >= 1; got n={n}, trials={trials}")
@@ -345,12 +343,11 @@ def polarization_experiment(
     bits = _sequence_bits(trials, n, seed)
     if complement:
         bits = 1 - bits
+    try:
+        cap = _en.capacity(w)
+    except Unsupported:
+        cap = float("nan")
     erasure = _ch._erasure_probability(w)
-    cap = float("nan")
-    if w.is_symmetric or erasure is not None:
-        # an erasure channel is symmetric by its outputs, so the uniform input is optimal
-        h = _en.cond_entropy(_en.from_channel(w), _en.VON_NEUMANN)
-        cap = float(np.log2(w.input_size)) - h
     if erasure is not None:
         # the dual of BEC(eps) is BEC(1 - eps) with the convolutions swapped; its
         # recursion prints 1 - B without cancellation and feeds no fraction

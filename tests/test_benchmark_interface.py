@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from cqdual import channels as ch
-from cqdual import entropies, polar
+from cqdual import codedchannels, codes, entropies, polar
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -61,3 +61,15 @@ def test_benchmark_result_fields():
     levels = polar.trajectory(ch.make_bsc(0.11), [0]).levels
     assert [s.dim for s in levels] == [3]
     assert "restarts" in {f.name for f in dataclasses.fields(entropies.QResult)}
+    # perfbench/workloads.py reads these results' attributes and keys
+    bsc = ch.make_bsc(0.11)
+    state = entropies.from_channel(bsc)
+    rep3 = codes.repetition_pair(3)
+    assert isinstance(codedchannels.exit_duality_check(0.3, rep3, channel_family="bec").gap, float)
+    assert isinstance(polar.convolution_duality_check(bsc, bsc).max_gap, float)
+    assert isinstance(entropies.guessing_prob(state).value, float)
+    assert isinstance(entropies.decoupling_q(state).value, float)
+    assert isinstance(polar.polarization_experiment(ch.make_bec(0.3), 2, 4).frac_b_small, float)
+    quantities = codedchannels.coded_duality_check(0.11, rep3, seed=0).quantities
+    assert {"vn_sum", "minmax_sum", "maxmin_sum", "vn_sum_2", "minmax_sum_2", "srm_cross_gap",
+            "srm_cross_gap_2"} <= set(quantities)

@@ -386,10 +386,15 @@ def test_library_refusals_exit_2(tmp_path, capsys, args, message):
         (["dual", "--channel", "pure:@{f}"], '{"vectors": [[1, 0]]}',
          "expected rows of [re, im] pairs"),
         (["code-analyze", "--code", "@{f}", "--p", "0.11"], "", "expected a 'q n k' line"),
+        (["code-analyze", "--code", "@{f}", "--p", "0.11"], "2 3 1\n100\n030\n001\n",
+         "digit 3 is not below q = 2"),
+        (["code-analyze", "--code", "@{f}", "--p", "0.11"], "2 3 1\n100\n010\n001\n111\n",
+         "expected 3 rows of length 3"),
     ],
     ids=["channel_no_outputs", "channel_not_object", "channel_row_of_numbers",
          "classical_no_transition", "classical_null_entry", "classical_object_entry",
-         "pure_no_vectors", "pure_vector_of_numbers", "empty_code"],
+         "pure_no_vectors", "pure_vector_of_numbers", "empty_code", "code_digit_past_q",
+         "code_row_past_n"],
 )
 def test_malformed_files_exit_2(tmp_path, capsys, args, content, message):
     path = tmp_path / "input"

@@ -170,6 +170,39 @@ def test_ensemble_memory_guard():
         cc.dual_coded_ensemble(0.11, codes.single_parity_pair(16), "deterministic")
 
 
+def _pure_ensemble(rng, weights, labels, dim=3):
+    vecs = rng.normal(size=(dim, len(weights))) + 1j * rng.normal(size=(dim, len(weights)))
+    vecs /= np.linalg.norm(vecs, axis=0)
+    return cc.PureEnsemble(weights, vecs.conj().T @ vecs, labels)
+
+
+@pytest.mark.parametrize("weights, labels", [([0.3, 0.7, 0.0], [0, 1, 2]), ([0.3, 0.7], [0, 2])],
+                         ids=["zero_weight_label", "skipped_label"])
+def test_a_label_without_weight_changes_no_entropy(weights, labels):
+    e = _pure_ensemble(np.random.default_rng(8), weights, labels)
+    same = cc.PureEnsemble([0.3, 0.7], e.gram[:2, :2], [0, 1])
+    for fam in (en.VON_NEUMANN, en.MIN_ENTROPY, en.petz_down(0.5), en.petz_down(1.5)):
+        assert abs(cc.ensemble_cond_entropy(e, fam) - cc.ensemble_cond_entropy(same, fam)) <= 1e-12
+    assert cc.ensemble_guessing(e).exact  # two labels carry weight: Helstrom, not the SRM
+
+
+def test_ensemble_srm_is_the_states_srm():
+    # one square-root measurement: a Gram ensemble with three labels and the
+    # CqState of its label conditionals give the same guessing probability
+    e = _pure_ensemble(np.random.default_rng(9), np.full(6, 1 / 6), [0, 0, 1, 1, 2, 2], dim=4)
+    res = cc.ensemble_guessing(e)
+    assert res.method == "srm" and not res.exact
+    assert abs(res.value - en.guessing_prob(cc.ensemble_to_cqstate(e)).value) <= 1e-12
+
+
+def test_srm_of_identical_states_is_a_uniform_guess():
+    # at p = 0 every word has the same state, so the weighted Gram has rank 1
+    # and its rounding noise (lifted to 1e-9 by a bare square root) is cut
+    e = cc.dual_coded_ensemble(0.0, codes.preset_pair("parity32").dual_complement(), "randomized")
+    assert e.num_labels == 4
+    assert abs(cc.ensemble_guessing(e).value - 0.25) <= 1e-12
+
+
 def test_randomized_ensemble_block_structure():
     e = cc.dual_coded_ensemble(0.11, codes.repetition_pair(2).dual_complement(), "randomized")
     assert e.num_states == 4 and e.num_labels == 2
@@ -504,6 +537,10 @@ def test_exit_duality_minmax_family():
         0.11, codes.repetition_pair(3), family=en.MIN_ENTROPY, channel_family="bsc"
     )
     assert rep.gap <= 1e-6
+    # the two-leg report of every entropy sum, naming each leg's family
+    assert isinstance(rep, en.DualityReport)
+    assert (rep.family, rep.dual_side_family) == (en.MIN_ENTROPY, en.MAX_ENTROPY)
+    assert rep.to_dict()["dual_family"] == "max" and rep.target == 1.0
 
 
 def test_exit_scan_transition_near_capacity():

@@ -12,7 +12,7 @@ from cqdual import entropies as en
 from cqdual import polar
 from cqdual.config import TOL
 from cqdual.corpus import binary_channel_corpus, random_channel, random_density
-from cqdual.linalg import fidelity, partial_trace, tensor
+from cqdual.linalg import fidelity, partial_trace, spectral_fn, tensor
 
 
 def h2(p):
@@ -178,6 +178,28 @@ def test_guessing_three_symbols_flagged(rng):
     res = en.guessing_prob(s)
     assert not res.exact and res.method == "srm"
     assert 1 / 3 <= res.value <= 1.0
+
+
+def _density_srm(state: en.CqState) -> float:
+    """The square-root measurement in density form, an oracle for the Gram form:
+    sum_x p_x^2 Tr[rho_bar^(-1/2) rho_x rho_bar^(-1/2) rho_x]."""
+    inv_sqrt = spectral_fn(state.average(), lambda w: 1.0 / np.sqrt(w))
+    return sum(p * p * float(np.trace(inv_sqrt @ c @ inv_sqrt @ c).real)
+               for p, c in state.supported())
+
+
+@pytest.mark.parametrize("symbols", [3, 4])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_srm_matches_the_density_form(symbols, dim):
+    # with more symbols than dimensions the stacked factors' Gram matrix is
+    # rank deficient, and its rounding noise must not reach the square root
+    rng = np.random.default_rng(10 * symbols + dim)
+    for _ in range(5):
+        state = en.CqState(rng.dirichlet(np.ones(symbols)),
+                           tuple(random_density(rng, dim) for _ in range(symbols)))
+        res = en.guessing_prob(state)
+        assert res.method == "srm" and not res.exact
+        assert abs(res.value - _density_srm(state)) <= 1e-12
 
 
 def test_decoupling_identical_conditionals(rng):
@@ -471,6 +493,15 @@ def test_capacity_bsc_and_bec():
 def test_capacity_requires_witnesses(rng):
     with pytest.raises(ValueError):
         en.capacity(random_channel(rng, 2))
+
+
+def test_capacity_of_an_erasure_channel_by_its_outputs():
+    # no permutation of the outputs swaps the rows, but symbol 3 is equally
+    # likely under both inputs and every other symbol is seen by one input only
+    w = ch.make_classical([[0.4, 0.3, 0.0, 0.3], [0.0, 0.0, 0.7, 0.3]])
+    assert not w.is_symmetric
+    assert abs(en.capacity(w) - 0.7) < 1e-12
+    assert en.capacity(w) == polar.polarization_experiment(w, 1, 1).capacity
 
 
 def test_capacity_duality(small_corpus):

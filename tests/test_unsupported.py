@@ -7,6 +7,7 @@ import pytest
 
 import cqdual
 from cqdual import channels as ch, codedchannels as cc, codes, entropies as en, fbl, polar
+from cqdual.linalg import PureState
 
 BSC = ch.make_bsc(0.11)
 THREE = ch.make_classical(np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]))
@@ -17,6 +18,8 @@ WIDE = ch.make_classical(np.random.default_rng(0).dirichlet(np.ones(65), size=2)
 REFUSALS = {  # id: (start of the message, the refused call)
     "convolve_non_binary": ("convolutions are defined for binary-input",
                             lambda: polar.convolve(THREE, BSC, polar.VARIABLE)),
+    "better_without_witnesses": ("better\\(\\) requires symmetry witnesses",
+                                 lambda: polar.better(MIXED, BSC)),
     "trajectory_level_cap": ("trajectories of channels that are not erasure channels are capped",
                              lambda: polar.trajectory(BSC, [0] * (polar.GENERIC_LEVEL_CAP + 1))),
     "trajectory_dim_cap": ("trajectory hit the dimension cap", lambda: polar.trajectory(WIDE, [0])),
@@ -94,6 +97,13 @@ def test_refusals_raise_unsupported(message, refusal):
         lambda: en.from_channel(BSC, [0.7, 0.7]),
         lambda: en.petz_down(3.0),
         lambda: ch.make_bsc(1.5),
+        # a NaN passes every comparison written as `x > tol`
+        lambda: en.from_channel(BSC, [np.nan, np.nan]),
+        lambda: en.from_channel(BSC, [np.nan, 1.0]),
+        lambda: cc.PureEnsemble([np.nan, 1.0], np.eye(2), [0, 1]),
+        lambda: cc.PureEnsemble([0.5, 0.5], np.array([[1.0, np.nan], [np.nan, 1.0]]), [0, 1]),
+        lambda: PureState(np.array([np.nan, 0.0]), (2,)),
+        lambda: cc.PureEnsemble([0.5, 0.5], np.eye(2), [0, -1]),
     ],
 )
 def test_malformed_input_is_not_unsupported(malformed):
