@@ -46,8 +46,7 @@ _EXPORTS = {
             "exit_function", "exit_scan", "structured_state_gap",
         ),
         "fbl": (
-            "bsc_metaconverse", "bsc_union_achievability", "compute_curves", "emit_curves",
-            "extractor_bounds",
+            "bsc_metaconverse", "bsc_union_achievability", "compute_curves", "extractor_bounds",
         ),
     }.items()
     for name in names

@@ -61,27 +61,40 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _validated(owner, ops) -> tuple[np.ndarray, ...]:
+    """The one density-family validator, of CqChannel and CqState: each operator's
+    Hermitian part, read-only, once its eigenvalue floor, unit trace and shared
+    dimension hold. Keeps on owner, read-only, _spectra (the eigenvalues) and
+    _table (diagonal_table of the operators, or None), which every classical
+    path reads instead of testing again."""
+    checked = [_density_spectrum(a) for a in ops]
+    outs = tuple(_freeze(a) for a, _ in checked)
+    dims = {a.shape[0] for a in outs}
+    if len(dims) != 1:
+        raise ValueError(f"outputs have mixed dimensions {sorted(dims)}")
+    table = diagonal_table(outs)
+    object.__setattr__(owner, "_spectra", tuple(_freeze(w) for _, w in checked))
+    object.__setattr__(owner, "_table", None if table is None else _freeze(table))
+    return outs
+
+
 @dataclass(frozen=True)
 class CqChannel:
     """Finite-alphabet channel with density-operator outputs.
 
     witnesses, when present, are unitaries U_s with U_s W(z) U_s† = W(z+s)
     for all z (addition mod d); they certify the channel is symmetric.
-    _spectra holds each output's eigenvalues, as validation computed them.
+    _spectra and _table hold what validation found (see _validated).
     """
 
     outputs: tuple[np.ndarray, ...]
     witnesses: tuple[np.ndarray, ...] | None = None
     _spectra: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    _table: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        checked = [_density_spectrum(o) for o in self.outputs]
-        outs = tuple(_freeze(o) for o, _ in checked)
-        dims = {o.shape[0] for o in outs}
-        if len(dims) != 1:
-            raise ValueError(f"outputs have mixed dimensions {sorted(dims)}")
+        outs = _validated(self, self.outputs)
         object.__setattr__(self, "outputs", outs)
-        object.__setattr__(self, "_spectra", tuple(_freeze(w) for _, w in checked))
         if self.witnesses is not None:
             wit = tuple(_freeze(np.asarray(u, dtype=complex)) for u in self.witnesses)
             if len(wit) != len(outs):
@@ -265,7 +278,7 @@ def _common_purifications(w: CqChannel, classical_canonical: bool = False) -> np
     Otherwise D is kept at the minimal common rank.
     """
     d, dim = w.input_size, w.dim
-    table = diagonal_table(w.outputs) if classical_canonical else None
+    table = w._table if classical_canonical else None
     if table is not None:
         phis = np.zeros((d, dim, dim), dtype=complex)
         phis[:, np.arange(dim), np.arange(dim)] = np.sqrt(table)
@@ -321,7 +334,7 @@ def classical_dual_overlaps(w: CqChannel) -> list[tuple[float, float]]:
     cos theta_y = |P(Z=0|y) - P(Z=1|y)| under a uniform input; symbols with
     zero probability are skipped.
     """
-    t = diagonal_table(w.outputs)
+    t = w._table
     if t is None or t.shape[0] != 2:
         raise Unsupported("overlap formula requires binary input and diagonal outputs")
     out = []
@@ -338,12 +351,9 @@ def _erasure_probability(w: CqChannel) -> float | None:
     """Mass of the output symbols both inputs see, if w has binary input and
     diagonal outputs whose every symbol is seen by one input only or equally
     likely under both (within TOL.diagonal); else None."""
-    if w.input_size != 2:
+    if w.input_size != 2 or w._table is None:
         return None
-    table = diagonal_table(w.outputs)
-    if table is None:
-        return None
-    t0, t1 = table
+    t0, t1 = w._table
     seen_by_one = np.minimum(t0, t1) <= TOL.diagonal
     if not np.all(seen_by_one | (np.abs(t0 - t1) <= TOL.diagonal)):
         return None

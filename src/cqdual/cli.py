@@ -23,6 +23,9 @@ if TYPE_CHECKING:
 
 __all__ = ["main", "parse_channel_spec", "parse_code_spec", "parse_grid"]
 
+# the most points a start:stop:step grid may expand to
+_GRID_CAP = 10**5
+
 
 def parse_channel_spec(spec: str):
     """Channel from 'kind:param' or 'kind:@file.json'."""
@@ -63,12 +66,15 @@ def parse_code_spec(spec: str) -> CodePair:
 
 
 def parse_grid(spec: str) -> list[float]:
-    """'start:stop:step' (inclusive within half a step) or comma-separated values."""
+    """'start:stop:step' (inclusive within half a step) or comma-separated values.
+    A range past _GRID_CAP points is refused (Unsupported) before it is built."""
     if ":" in spec:
         start, stop, step = (float(v) for v in spec.split(":"))
         if step <= 0:
             raise ValueError("grid step must be positive")
         count = math.floor((stop - start) / step + 0.5) + 1
+        if count > _GRID_CAP:
+            raise Unsupported(f"grid {spec!r} has {count} points; the cap is {_GRID_CAP}")
         return [start + i * step for i in range(count)]
     return [float(v) for v in spec.split(",") if v]
 
@@ -246,8 +252,8 @@ def _cmd_fbl(args) -> int:
     from . import fbl as _fbl
 
     ns = _parse(lambda spec: [_blocklength(v) for v in parse_grid(spec)], args.n_grid)
-    text = _fbl.emit_curves(ns, args.p, args.eps, seed=args.seed)
-    _emit(args, text)
+    rows = [c.csv_row() for c in _fbl.compute_curves(ns, args.p, args.eps)]
+    _emit(args, _csv_text(args, _fbl.CSV_HEADER, rows))
     return 0
 
 

@@ -17,15 +17,7 @@ from .config import TOL, Unsupported
 from . import channels as _ch
 from . import entropies as _en
 from .codes import CodePair, all_vectors
-from .linalg import (
-    _eigvalsh,
-    _fidelity,
-    _purify,
-    diagonal_table,
-    gram_embed,
-    hermitian_part,
-    tensor,
-)
+from .linalg import _eigvalsh, _fidelity, gram_embed, hermitian_part, tensor
 
 __all__ = [
     "PureEnsemble",
@@ -86,7 +78,7 @@ def classical_coded_table(channel: _ch.CqChannel, cp: CodePair, leg: str) -> np.
     """
     if channel.input_size != cp.q:
         raise Unsupported("channel input alphabet must match the code field")
-    t = diagonal_table(channel.outputs)
+    t = channel._table
     if t is None:
         raise Unsupported("exhaustive tables need diagonal (classical) outputs")
     if cp.n > 14:
@@ -122,7 +114,7 @@ class PureEnsemble:
     labels: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = _en._checked_prior(self.weights)
         g = np.asarray(self.gram, dtype=complex)
         lab = np.asarray(self.labels, dtype=np.int64)
         m = len(w)
@@ -130,8 +122,6 @@ class PureEnsemble:
             raise ValueError("weights, gram and labels sizes disagree")
         if lab.min() < 0:  # a negative label would drop its states from every label
             raise ValueError("labels must be nonnegative")
-        if not (abs(w.sum() - 1.0) <= TOL.prior_sum and w.min() >= 0):  # NaN fails too
-            raise ValueError("weights must form a distribution")
         if not np.max(np.abs(np.diag(g) - 1.0)) <= TOL.gram_diagonal:
             raise ValueError(f"Gram diagonal must be 1 within {TOL.gram_diagonal}")
         scale = max(1.0, float(np.max(np.abs(g))))
@@ -451,7 +441,7 @@ def exit_function(channel: _ch.CqChannel, cp: CodePair, family: _en.EntropyFamil
     if eps is not None:
         return _erasure_exit(eps, cp, family)
     # each path refuses past its cap before it enumerates the q^k codewords
-    t = diagonal_table(channel.outputs)
+    t = channel._table
     if t is not None:
         if cp.n > 12:
             raise Unsupported("classical EXIT blocklength capped at 12")
@@ -466,7 +456,8 @@ def exit_function(channel: _ch.CqChannel, cp: CodePair, family: _en.EntropyFamil
             np.add.at(joint, words[:, i], lik / mcount)
             total += _en.table_entropy(joint, family)
         return total / cp.n
-    if channel.input_size == 2 and all(_purify(o).dims[1] == 1 for o in channel.outputs):
+    # pure outputs: validation found one eigenvalue above the rank cut in each
+    if channel.input_size == 2 and all((w > TOL.rank_cut).sum() == 1 for w in channel._spectra):
         if cp.n > 10:
             raise Unsupported("pure-dual EXIT blocklength capped at 10")
         words = cp.codewords()
@@ -586,10 +577,9 @@ def _source_table(source: _en.CqState) -> np.ndarray:
     """Transition table of a binary source with diagonal qubit conditionals."""
     if source.num_symbols != 2 or source.dim != 2:
         raise Unsupported("brute force expects a binary source with qubit conditionals")
-    t = diagonal_table(source.conditionals)
-    if t is None:
+    if source._table is None:
         raise Unsupported("brute force supports diagonal (classical) sources only")
-    return t
+    return source._table
 
 
 def _best_guess_by_dim(source: _en.CqState, n: int, subspaces: _Subspaces) -> dict[int, float]:

@@ -1,4 +1,5 @@
-"""Central numeric tolerances. Every cutoff used by the library lives here."""
+"""Central numeric tolerances: every cutoff shared across the library lives here
+(the README's Conventions names the few step and schedule literals that do not)."""
 
 from __future__ import annotations
 

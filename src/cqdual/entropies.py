@@ -16,13 +16,11 @@ from .config import TOL, Unsupported
 from . import channels as _ch
 from .linalg import (
     _compress_to_support,
-    _density_spectrum,
     _eigh,
     _eigvalsh,
     _factorize,
     _spectral_fn,
     _vn_of_spectrum,
-    diagonal_table,
     hermitian_part,
 )
 
@@ -99,7 +97,8 @@ def dual_family(f: EntropyFamily) -> EntropyFamily:
 
 
 def _checked_prior(prior) -> np.ndarray:
-    """prior as a float array, refused when negative, NaN or not summing to 1."""
+    """prior as a float array, refused when negative, NaN or not summing to 1:
+    the one distribution check, for priors and PureEnsemble weights alike."""
     p = np.asarray(prior, dtype=float)
     if not p.min() >= 0:  # a NaN entry fails both tests
         raise ValueError("negative prior probability")
@@ -112,27 +111,25 @@ def _checked_prior(prior) -> np.ndarray:
 class CqState:
     """Classical prior plus one conditional density operator per symbol.
 
-    The constructor validates each conditional and keeps its Hermitian part,
-    read-only, and in _spectra the eigenvalues that validation computed. A
-    state built by from_channel shares the channel's validated, read-only
-    outputs and their spectra instead.
+    The constructor checks the prior and the count of conditionals; the
+    conditionals go through channels._validated, which keeps their Hermitian
+    parts, read-only, and what it found in _spectra and _table. A state built
+    by from_channel shares the channel's validated outputs, spectra and table
+    instead.
     """
 
     prior: np.ndarray
     conditionals: tuple[np.ndarray, ...]
     _spectra: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    _table: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = _checked_prior(self.prior)
-        checked = [_density_spectrum(c) for c in self.conditionals]
-        conds = tuple(_ch._freeze(c) for c, _ in checked)
+        conds = _ch._validated(self, self.conditionals)
         if len(conds) != len(p):
             raise ValueError("need one conditional per prior atom")
-        if len({c.shape[0] for c in conds}) != 1:
-            raise ValueError("conditionals must share one dimension")
         object.__setattr__(self, "prior", _ch._freeze(p))
         object.__setattr__(self, "conditionals", conds)
-        object.__setattr__(self, "_spectra", tuple(_ch._freeze(w) for _, w in checked))
 
     @property
     def num_symbols(self) -> int:
@@ -212,8 +209,8 @@ def from_channel(w: _ch.CqChannel, prior: Sequence[float] | None = None) -> CqSt
 
     The prior is checked as CqState checks it. The conditionals are the
     channel's own outputs, which CqChannel validated and froze, so they are
-    shared with their spectra, not copied or validated again: writing into
-    one raises.
+    shared with their spectra and table, not copied or validated again:
+    writing into one raises.
     """
     if prior is None:
         p = np.full(w.input_size, 1.0 / w.input_size)
@@ -227,6 +224,7 @@ def from_channel(w: _ch.CqChannel, prior: Sequence[float] | None = None) -> CqSt
     object.__setattr__(state, "prior", _ch._freeze(_checked_prior(p)))
     object.__setattr__(state, "conditionals", w.outputs)
     object.__setattr__(state, "_spectra", w._spectra)
+    object.__setattr__(state, "_table", w._table)
     return state
 
 
@@ -287,8 +285,7 @@ def table_entropy(joint: np.ndarray, family: EntropyFamily) -> float:
 
 def _classical_joint(state: CqState) -> np.ndarray | None:
     """Joint table P(x, y) when every conditional is diagonal, else None."""
-    diags = diagonal_table(state.conditionals)
-    return None if diags is None else state.prior[:, None] * diags
+    return None if state._table is None else state.prior[:, None] * state._table
 
 
 # ---------------------------------------------------------------------------

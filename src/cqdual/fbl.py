@@ -13,13 +13,12 @@ needs numpy alone and its tables match gammaln's bit for bit.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .config import SCHEMA_VERSION, TOL, Unsupported
+from .config import TOL, Unsupported
 
 __all__ = [
     "log2_beta_bsc",
@@ -28,7 +27,6 @@ __all__ = [
     "extractor_bounds",
     "BoundCurve",
     "compute_curves",
-    "emit_curves",
     "CSV_HEADER",
 ]
 
@@ -244,13 +242,3 @@ def compute_curves(ns, p: float, eps: float) -> list[BoundCurve]:
                               float(_union_dimension(tab, eps)), _metaconverse(tab, e2),
                               float(_union_dimension(tab, e2))))
     return out
-
-
-def emit_curves(ns, p: float, eps: float, seed: int = 0) -> str:
-    """Deterministic CSV with one row per blocklength and a metadata comment."""
-    buf = io.StringIO()
-    buf.write(f"# cqdual={SCHEMA_VERSION} seed={seed} p={p!r} eps={eps!r}\n")
-    buf.write(CSV_HEADER + "\n")
-    for row in compute_curves(ns, p, eps):
-        buf.write(row.csv_row() + "\n")
-    return buf.getvalue()

@@ -14,7 +14,7 @@ import numpy as np
 from .config import TOL, Unsupported
 from . import channels as _ch
 from . import entropies as _en
-from .linalg import _compress_to_support, _fidelity, diagonal_table, hermitian_part
+from .linalg import _compress_to_support, _fidelity, hermitian_part
 
 __all__ = [
     "VARIABLE",
@@ -38,6 +38,8 @@ CHECK = "check"
 
 GENERIC_LEVEL_CAP = 4
 DIM_CAP = 4096
+# the most trial-level cells (trials x n) a polarization experiment draws bits for
+_TRIAL_CELL_CAP = 1 << 24
 
 
 def convolve(w: _ch.CqChannel, wp: _ch.CqChannel, kind: str) -> _ch.CqChannel:
@@ -142,7 +144,7 @@ def _channel_stats(state: _en.CqState) -> tuple[float, float, float]:
 def _truncate_to_joint_support(w: _ch.CqChannel) -> tuple[_ch.CqChannel, float]:
     """Project outputs onto the support of the average output and renormalize;
     the loss reported is the largest mass any one output loses."""
-    table = diagonal_table(w.outputs)
+    table = w._table
     if table is not None:
         # diagonality-preserving path: drop zero-probability symbols, then
         # merge symbols with proportional likelihood columns (a sufficient
@@ -333,12 +335,16 @@ def polarization_experiment(
     Every fraction is read off Hmin, Hmax and B of each trial's W_n: closed
     forms for erasure channels, recognised from their outputs, and otherwise
     the last of _self_convolutions, which refuses n > GENERIC_LEVEL_CAP or a
-    stop at the dimension cap (Unsupported); n < 1 or trials < 1 is refused
-    too. The threshold is 2^(-n^beta). The capacity is entropies.capacity of W
+    stop at the dimension cap (Unsupported); n < 1, trials < 1 or trials x n
+    past _TRIAL_CELL_CAP is refused too, before anything is allocated. The
+    threshold is 2^(-n^beta). The capacity is entropies.capacity of W
     (symmetric by a witness or an erasure channel), NaN where that refuses W.
     """
     if n < 1 or trials < 1:
         raise Unsupported(f"polarization needs n >= 1 and trials >= 1; got n={n}, trials={trials}")
+    if trials * n > _TRIAL_CELL_CAP:
+        raise Unsupported(f"polarization of {trials} trials at n={n} exceeds the cap of "
+                          f"{_TRIAL_CELL_CAP} trial-level cells")
     f = polynomial_threshold(n, beta)
     bits = _sequence_bits(trials, n, seed)
     if complement:

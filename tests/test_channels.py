@@ -1,14 +1,17 @@
+import ast
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cqdual
 from cqdual import channels as ch
 from cqdual import entropies as en
 from cqdual.config import TOL
 from cqdual.corpus import random_channel, random_density, random_symmetric_channel
-from cqdual.linalg import fidelity, partial_trace, trace_distance
+from cqdual.linalg import _purify, diagonal_table, fidelity, partial_trace, trace_distance
 
 
 def test_bsc_noiseless_outputs():
@@ -344,3 +347,57 @@ def test_channel_dict_holds_outputs_and_witnesses_only():
     assert set(ch.channel_to_dict(ch.make_bsc(0.11))) == base | {"witnesses"}
     assert set(ch.channel_to_dict(ch.dual(ch.make_bec(0.3)))) == base | {"witnesses"}
     assert set(ch.channel_to_dict(random_channel(np.random.default_rng(2), 3))) == base
+
+
+# ---------------------------------------------------------------------------
+# validation decides each input's structure once
+# ---------------------------------------------------------------------------
+
+
+def _callers(name: str) -> list[str]:
+    """module.function, innermost, of every call to name in the cqdual sources."""
+    found = []
+
+    def walk(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, module, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if getattr(f, "id", None) == name or getattr(f, "attr", None) == name:
+                    found.append(f"{module}.{where}")
+            walk(child, module, where)
+
+    for path in sorted(Path(cqdual.__file__).parent.glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")), path.stem, "<module>")
+    return sorted(found)
+
+
+def test_structure_is_decided_by_validation_alone():
+    assert _callers("diagonal_table") == ["channels._validated"]
+    assert _callers("_density_spectrum") == ["channels._validated", "linalg.assert_density"]
+
+
+def test_validation_keeps_the_classical_table(small_corpus):
+    named = [
+        ch.make_bsc(0.11), ch.make_bsc(0.0), ch.make_bec(0.3), ch.make_bsc_dual(0.2),
+        ch.make_classical([[0.7, 0.2, 0.1], [0.1, 0.2, 0.7]]),
+        ch.make_pure([[1.0, 0.0], [np.sqrt(0.5), np.sqrt(0.5)]]),
+    ]
+    chans = [*small_corpus, *named]
+    seen = set()
+    for w in chans + [ch.dual(w) for w in chans]:
+        table = diagonal_table(w.outputs)
+        seen.add(table is None)
+        state = en.CqState(np.full(w.input_size, 1.0 / w.input_size), w.outputs)
+        for kept in (w._table, state._table):
+            if table is None:
+                assert kept is None
+            else:
+                assert np.array_equal(kept, table) and not kept.flags.writeable
+        assert en.from_channel(w)._table is w._table
+        # exit_function's pure-pair test reads the kept spectra
+        pure = [np.count_nonzero(s > TOL.rank_cut) == 1 for s in w._spectra]
+        assert pure == [_purify(o).dims[1] == 1 for o in w.outputs]
+    assert seen == {True, False}

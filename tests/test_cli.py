@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cqdual
-from cqdual import channels as ch, cli, codes
+from cqdual import channels as ch, checks, cli, codes
 from cqdual.corpus import random_channel
 from cqdual.fbl import CSV_HEADER
 
@@ -39,6 +40,13 @@ def test_unknown_flag_exits_2():
 def test_parse_grid_forms():
     assert cli.parse_grid("100:300:100") == [100.0, 200.0, 300.0]
     assert cli.parse_grid("0.1,0.2") == [0.1, 0.2]
+
+
+def test_parse_grid_caps_a_range_before_building_it():
+    assert len(cli.parse_grid("1:10000:1")) == 10000
+    assert len(cli.parse_grid("0:99999:1")) == cli._GRID_CAP
+    with pytest.raises(cqdual.Unsupported, match="has 100001 points; the cap is 100000"):
+        cli.parse_grid("0:100000:1")
 
 
 def test_check_duality_json(tmp_path):
@@ -86,6 +94,17 @@ def test_polarize_csv_deterministic(tmp_path):
     assert lines[0].startswith("#") and "seed=5" in lines[0]
     assert lines[1] == "trial,b_final,one_minus_b_final"
     assert len(lines) == 202
+
+
+def test_code_analyze_csv(capsys):
+    assert run_cli(["code-analyze", "--code", "rep31", "--p", "0.11", "--format", "csv"]) == 0
+    comment, header, *rows = capsys.readouterr().out.splitlines()
+    assert comment.startswith("# cqdual=") and "code='rep31'" in comment and "p=0.11" in comment
+    assert header == "quantity,value"
+    names = [row.split(",")[0] for row in rows]
+    assert names == sorted(names)
+    ana = cqdual.coded_duality_check(0.11, codes.preset_pair("rep31"))
+    assert {k: float(v) for k, v in (row.split(",") for row in rows)} == ana.quantities
 
 
 def test_polarize_erasure_channel_from_file(tmp_path, capsys):
@@ -244,10 +263,20 @@ def test_pure_channel_from_file(tmp_path):
         ["polarize", "--channel", "bec:0.3", "--n", "4", "--trials", "10", "--beta", "inf"],
         ["polarize", "--channel", "bec:0.3", "--n", "4", "--trials", "10", "--beta", "-1"],
         ["polarize", "--channel", "bec:0.3", "--n", "4", "--trials", "10", "--beta", "0"],
+        ["check-duality", "--channel", "bsc"],
+        ["check-duality", "--channel", "classical:t.json"],
+        ["check-duality", "--channel", "weird:@{present}"],
+        ["exit-scan", "--channel", "bec", "--code", "rep31", "--grid", "0:1:0"],
+        # size caps, refused before anything is allocated
+        ["polarize", "--channel", "bec:0.3", "--n", "16", "--trials", str(10**15)],
+        ["exit-scan", "--channel", "bec", "--code", "rep31", "--grid", "0:1:1e-12"],
+        ["fbl", "--n-grid", "1:10000:1e-9"],
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, args):
-    args = [a.format(missing=tmp_path / "missing.json") for a in args]
+    present = tmp_path / "present.json"
+    present.write_text("{}")
+    args = [a.format(missing=tmp_path / "missing.json", present=present) for a in args]
     assert run_cli(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -311,7 +340,7 @@ def test_internal_errors_are_not_usage_errors(monkeypatch):
              ["exit-scan", "--channel", "bsc", "--code", "rep31"]),
             ("cqdual.codedchannels.coded_duality_check",
              ["code-analyze", "--code", "rep31", "--p", "0.11"]),
-            ("cqdual.fbl.emit_curves", ["fbl"]),
+            ("cqdual.fbl.compute_curves", ["fbl"]),
         ):
             monkeypatch.setattr(target, fault)
             with pytest.raises(error, match=match):
@@ -475,6 +504,18 @@ def test_selftest_fast(capsys):
         assert tols[name] <= tol, name
 
 
+def test_selftest_failure_exits_1_and_names_the_worst_offender(monkeypatch, capsys):
+    rows = {row.name: row for row in checks.ROWS}
+    # capacity_anchor's gap is about 6e-6, so a tolerance of 1e-9 fails it
+    monkeypatch.setattr(checks, "ROWS", [rows["entropy_sum_vn"],
+                                         replace(rows["capacity_anchor"], tol=1e-9)])
+    assert run_cli(["selftest", "--fast"]) == 1
+    *lines, summary = capsys.readouterr().out.splitlines()
+    fails = [ln.split()[1] for ln in lines if ln.startswith("FAIL ")]
+    assert len(fails) == 1 and len(lines) == 9
+    assert summary == f"selftest: 1 failure(s); worst offender: {fails[0]}"
+
+
 # The README's commands other than the full selftest.
 _SCIPY_FREE_COMMANDS = [
     ["--version"],
@@ -598,7 +639,7 @@ _STAR_NAMES = set("""
     channel_from_json channel_state channel_to_json channels classical_dual_overlaps
     coded_duality_check codedchannels codes compression_extraction_bruteforce
     compute_curves cond_entropy config convolution_duality_check convolve decoupling_q
-    degrade_to_bsc dispersion dual dual_coded_ensemble duality_check emit_curves
+    degrade_to_bsc dispersion dual dual_coded_ensemble duality_check
     encoder_duality_check ensemble_cond_entropy entropies exit_duality_check
     exit_function exit_scan extractor_bounds fbl fidelity from_channel gram_embed
     guessing_prob hermitian_eig invariant_profile linalg make_bec make_bsc make_bsc_dual

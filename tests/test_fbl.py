@@ -294,13 +294,18 @@ def test_normal_approximation_agreement():
     assert abs(mc - approx) / n <= 0.01
 
 
-def test_emit_curves_deterministic():
-    a = fbl.emit_curves([100, 200, 300], 0.11, 1e-3)
-    b = fbl.emit_curves([100, 200, 300], 0.11, 1e-3)
-    assert a == b
-    lines = a.strip().split("\n")
+def test_fbl_csv_deterministic(capsys):
+    # the comment line is the one every CSV command writes: all flags as parsed
+    args = ["fbl", "--n-grid", "100:300:100", "--p", "0.11", "--eps", "1e-3"]
+    outs = []
+    for _ in range(2):
+        assert cli.main(args) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    lines = outs[0].strip().split("\n")
+    assert lines[0] == "# cqdual=0.1.0 seed=0 eps=0.001 n_grid='100:300:100' p=0.11"
     assert lines[1] == fbl.CSV_HEADER
-    assert len(lines) == 5
+    assert lines[2:] == [c.csv_row() for c in fbl.compute_curves([100, 200, 300], 0.11, 1e-3)]
 
 
 def test_csv_row_has_a_column_per_header_name():
@@ -308,6 +313,6 @@ def test_csv_row_has_a_column_per_header_name():
     assert len(curve.csv_row().split(",")) == len(fbl.CSV_HEADER.split(","))
 
 
-def test_emit_curves_empty_grid():
-    text = fbl.emit_curves([], 0.11, 1e-3)
-    assert text.strip().split("\n")[-1] == fbl.CSV_HEADER
+def test_fbl_csv_empty_grid(capsys):
+    assert cli.main(["fbl", "--n-grid", ""]) == 0
+    assert capsys.readouterr().out.split("\n")[1:] == [fbl.CSV_HEADER, ""]

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import cqdual
-from cqdual import channels as ch, codedchannels as cc, codes, entropies as en, fbl, polar
+from cqdual import channels as ch, cli, codedchannels as cc, codes, entropies as en, fbl, linalg
+from cqdual import polar
 from cqdual.linalg import PureState
 
 BSC = ch.make_bsc(0.11)
@@ -27,6 +28,11 @@ REFUSALS = {  # id: (start of the message, the refused call)
                            lambda: polar.polarization_experiment(BSC, 0, 5)),
     "polarization_trials": ("polarization needs n >= 1",
                             lambda: polar.polarization_experiment(BSC, 2, 0)),
+    # refused before the trials x n bits are drawn: unguarded, this asks for a petabyte
+    "polarization_cells": ("polarization of 1000000000000000 trials at n=16 exceeds the cap",
+                           lambda: polar.polarization_experiment(ch.make_bec(0.3), 16, 10**15)),
+    "grid_points": ("grid '0:1:1e-12' has 1000000000001 points",
+                    lambda: cli.parse_grid("0:1:1e-12")),
     "coded_table_alphabet": ("channel input alphabet must match",
                              lambda: cc.classical_coded_table(BSC, Q3, "deterministic")),
     "coded_table_not_diagonal": ("exhaustive tables need diagonal", lambda: cc.classical_coded_table(
@@ -104,6 +110,29 @@ def test_refusals_raise_unsupported(message, refusal):
         lambda: cc.PureEnsemble([0.5, 0.5], np.array([[1.0, np.nan], [np.nan, 1.0]]), [0, 1]),
         lambda: PureState(np.array([np.nan, 0.0]), (2,)),
         lambda: cc.PureEnsemble([0.5, 0.5], np.eye(2), [0, -1]),
+        lambda: ch.CqChannel((np.eye(2) / 2, np.eye(3) / 3)),
+        lambda: en.CqState([0.5, 0.5], (np.eye(2) / 2, np.eye(3) / 3)),
+        lambda: en.CqState([1.0], (np.eye(2) / 2, np.eye(2) / 2)),
+        lambda: ch.CqChannel(BSC.outputs, witnesses=(np.eye(2),)),
+        lambda: ch.CqChannel(BSC.outputs, witnesses=(np.eye(2), 2 * np.eye(2))),
+        lambda: ch.CqChannel(BSC.outputs, witnesses=(np.eye(2), np.eye(2))),
+        lambda: ch.make_bsc_dual(1.5),
+        lambda: ch.make_pure([[1.0, 1.0], [1.0, 0.0]]),
+        lambda: cc.PureEnsemble([0.5, 0.5], np.eye(3), [0, 1]),
+        lambda: cc.PureEnsemble([0.5, 0.5], 2 * np.eye(2), [0, 1]),
+        lambda: codes.CodePair(2, 2, 1, np.eye(2), np.array([[1, 1], [0, 1]])),
+        lambda: codes.CodePair(2, 2, 3, np.eye(2), np.eye(2)),
+        lambda: codes.build_code(np.ones((2, 2)), 1),
+        lambda: codes.build_from_parity(np.ones((2, 3))),
+        lambda: codes.preset_pair("golay"),
+        lambda: en.np_beta([0.5, 0.5], [1.0], 0.1),
+        lambda: en.np_beta([0.5, 0.5], [0.5, 0.5], 1.0),
+        lambda: en.EntropyFamily("renyi"),
+        lambda: PureState(np.array([1.0, 0.0]), (3,)),
+        lambda: linalg.assert_hermitian(np.ones(3)),
+        lambda: linalg.assert_density(np.eye(2)),
+        lambda: linalg.fidelity(np.eye(2) / 2, np.eye(3) / 3),
+        lambda: linalg.trace_distance(np.eye(2) / 2, np.eye(3) / 3),
     ],
 )
 def test_malformed_input_is_not_unsupported(malformed):
