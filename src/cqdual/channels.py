@@ -18,6 +18,8 @@ from .config import TOL, SCHEMA_VERSION, Unsupported
 from .linalg import (
     PureState,
     _density_spectrum,
+    _eigh,
+    _eigvalsh,
     _fidelity,
     _purify,
     diagonal_table,
@@ -61,12 +63,62 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _validated(owner, ops) -> tuple[np.ndarray, ...]:
+class _Decompositions:
+    """The eigendecompositions of a validated family (a channel's outputs or a
+    state's conditionals) and of its average under a prior, each computed on
+    first request and then kept, read-only, for the family's lifetime.
+
+    eigh(i) is _eigh of operator i; average() is sum_x p_x rho_x, held
+    Hermitian, and average_spectrum() and average_eigh() are its _eigvalsh and
+    _eigh. Validated operators are exactly Hermitian, so a kept decomposition
+    has the same bits as a fresh one of the same matrix. with_prior gives the
+    record of the same operators under another prior: it shares the
+    per-operator decompositions and keeps its own average.
+    """
+
+    __slots__ = ("_ops", "_prior", "_eighs", "_average", "_average_spectrum", "_average_eigh")
+
+    def __init__(self, ops, prior, eighs=None):
+        self._ops = ops
+        self._prior = prior
+        self._eighs = [None] * len(ops) if eighs is None else eighs
+        self._average = self._average_spectrum = self._average_eigh = None
+
+    def with_prior(self, prior) -> "_Decompositions":
+        return _Decompositions(self._ops, prior, self._eighs)
+
+    def eigh(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        if self._eighs[i] is None:
+            self._eighs[i] = tuple(_freeze(a) for a in _eigh(self._ops[i]))
+        return self._eighs[i]
+
+    def average(self) -> np.ndarray:
+        if self._average is None:
+            out = np.zeros_like(self._ops[0])
+            for p, c in zip(self._prior, self._ops):
+                out = out + p * c
+            self._average = _freeze(hermitian_part(out))
+        return self._average
+
+    def average_spectrum(self) -> np.ndarray:
+        if self._average_spectrum is None:
+            self._average_spectrum = _freeze(_eigvalsh(self.average()))
+        return self._average_spectrum
+
+    def average_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._average_eigh is None:
+            self._average_eigh = tuple(_freeze(a) for a in _eigh(self.average()))
+        return self._average_eigh
+
+
+def _validated(owner, ops, prior=None) -> tuple[np.ndarray, ...]:
     """The one density-family validator, of CqChannel and CqState: each operator's
     Hermitian part, read-only, once its eigenvalue floor, unit trace and shared
     dimension hold. Keeps on owner, read-only, _spectra (the eigenvalues) and
     _table (diagonal_table of the operators, or None), which every classical
-    path reads instead of testing again."""
+    path reads instead of testing again, and _decomp, the operators'
+    _Decompositions under prior (uniform if None), empty until a spectral
+    reader asks."""
     checked = [_density_spectrum(a) for a in ops]
     outs = tuple(_freeze(a) for a, _ in checked)
     dims = {a.shape[0] for a in outs}
@@ -75,6 +127,9 @@ def _validated(owner, ops) -> tuple[np.ndarray, ...]:
     table = diagonal_table(outs)
     object.__setattr__(owner, "_spectra", tuple(_freeze(w) for _, w in checked))
     object.__setattr__(owner, "_table", None if table is None else _freeze(table))
+    if prior is None:
+        prior = np.full(len(outs), 1.0 / len(outs))
+    object.__setattr__(owner, "_decomp", _Decompositions(outs, prior))
     return outs
 
 
@@ -84,13 +139,18 @@ class CqChannel:
 
     witnesses, when present, are unitaries U_s with U_s W(z) U_s† = W(z+s)
     for all z (addition mod d); they certify the channel is symmetric.
-    _spectra and _table hold what validation found (see _validated).
+    _spectra and _table hold what validation found (see _validated). _decomp
+    keeps, once a reader asks, each output's eigendecomposition and the
+    uniform-input average output with its spectrum and eigendecomposition
+    (see _Decompositions): dual, channel_state, the output fidelity and every
+    entropy of from_channel(w) read them there.
     """
 
     outputs: tuple[np.ndarray, ...]
     witnesses: tuple[np.ndarray, ...] | None = None
     _spectra: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     _table: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _decomp: _Decompositions = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         outs = _validated(self, self.outputs)
@@ -283,7 +343,7 @@ def _common_purifications(w: CqChannel, classical_canonical: bool = False) -> np
         phis = np.zeros((d, dim, dim), dtype=complex)
         phis[:, np.arange(dim), np.arange(dim)] = np.sqrt(table)
         return phis
-    pures = [_purify(out) for out in w.outputs]
+    pures = [_purify(w._decomp.eigh(z)) for z in range(d)]
     r = max(p.dims[1] for p in pures)
     phis = np.zeros((d, dim, r), dtype=complex)
     for z, p in enumerate(pures):
@@ -403,7 +463,7 @@ def upgrade_to_pure(w: CqChannel) -> CqChannel:
     """Pure-output channel whose overlap equals the output fidelity of w."""
     if w.input_size != 2:
         raise Unsupported("upgrade needs a binary-input channel")
-    f = min(1.0, _fidelity(w.outputs[0], w.outputs[1]))
+    f = min(1.0, _fidelity(w._decomp.eigh(0), w.outputs[1]))
     return make_bsc_dual((1.0 - f) / 2.0)
 
 
@@ -445,7 +505,7 @@ def invariant_profile(w: CqChannel) -> InvariantProfile:
         raise Unsupported("invariant profiles are defined for binary-input channels")
     state = entropies.from_channel(w)
     delta = trace_distance(w.outputs[0], w.outputs[1])
-    bhat = _fidelity(w.outputs[0], w.outputs[1])
+    bhat = _fidelity(w._decomp.eigh(0), w.outputs[1])
     h = entropies.cond_entropy(state, entropies.VON_NEUMANN)
     hmin = entropies.cond_entropy(state, entropies.MIN_ENTROPY)
     hmax = entropies.cond_entropy(state, entropies.MAX_ENTROPY)
@@ -468,7 +528,7 @@ def trace_distance_vs_dual_fidelity(w: CqChannel) -> tuple[float, float]:
         raise Unsupported("needs a binary-input channel")
     delta = trace_distance(w.outputs[0], w.outputs[1])
     wd = dual(w)
-    return float(delta), float(_fidelity(wd.outputs[0], wd.outputs[1]))
+    return float(delta), float(_fidelity(wd._decomp.eigh(0), wd.outputs[1]))
 
 
 # ---------------------------------------------------------------------------

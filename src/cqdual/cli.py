@@ -40,6 +40,8 @@ def parse_channel_spec(spec: str):
     named = {"bsc": _ch.make_bsc, "bec": _ch.make_bec, "bscdual": _ch.make_bsc_dual}
     if kind in named:
         return named[kind](float(arg))
+    if kind not in ("classical", "pure", "channel"):  # before any file is opened
+        raise ValueError(f"unknown channel kind {kind!r}")
     if not arg.startswith("@"):
         raise ValueError(f"{kind} channels need a @file argument")
     with open(arg[1:], "r", encoding="utf-8") as fh:
@@ -52,9 +54,7 @@ def parse_channel_spec(spec: str):
         return _ch.make_classical(table)
     if kind == "pure":
         return _ch.make_pure(_ch._decode_matrix(_ch._json_list(doc, "vectors")))
-    if kind == "channel":
-        return _ch.channel_from_dict(doc)
-    raise ValueError(f"unknown channel kind {kind!r}")
+    return _ch.channel_from_dict(doc)
 
 
 def parse_code_spec(spec: str) -> CodePair:
@@ -77,6 +77,16 @@ def parse_grid(spec: str) -> list[float]:
             raise Unsupported(f"grid {spec!r} has {count} points; the cap is {_GRID_CAP}")
         return [start + i * step for i in range(count)]
     return [float(v) for v in spec.split(",") if v]
+
+
+def _probability_grid(spec: str) -> list[float]:
+    """The points of parse_grid(spec) inside (0, 1); finite points outside it are
+    skipped, and a point that is not finite is refused."""
+    grid = parse_grid(spec)
+    for p in grid:
+        if not math.isfinite(p):
+            raise ValueError(f"grid value {p!r} is not finite")
+    return [p for p in grid if 0.0 < p < 1.0]
 
 
 class _UsageError(Exception):
@@ -227,8 +237,7 @@ def _cmd_exit_scan(args) -> int:
     from . import codedchannels as _cc
 
     cp = _parse(parse_code_spec, args.code)
-    grid = _parse(parse_grid, args.grid)
-    grid = [p for p in grid if 0.0 < p < 1.0]
+    grid = _parse(_probability_grid, args.grid)
     scan = _cc.exit_scan(args.channel, cp, grid)
     if args.format == "json":
         _emit(args, {"scan": scan.to_dict()})

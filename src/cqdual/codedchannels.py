@@ -462,7 +462,7 @@ def exit_function(channel: _ch.CqChannel, cp: CodePair, family: _en.EntropyFamil
             raise Unsupported("pure-dual EXIT blocklength capped at 10")
         words = cp.codewords()
         mcount = words.shape[0]
-        overlap = _fidelity(channel.outputs[0], channel.outputs[1])
+        overlap = _fidelity(channel._decomp.eigh(0), channel.outputs[1])
         total = 0.0
         for i in range(cp.n):
             gram = _word_gram(np.delete(words, i, axis=1), overlap)

@@ -18,6 +18,7 @@ from .linalg import (
     _compress_to_support,
     _eigh,
     _eigvalsh,
+    _factor,
     _factorize,
     _spectral_fn,
     _vn_of_spectrum,
@@ -113,22 +114,27 @@ class CqState:
 
     The constructor checks the prior and the count of conditionals; the
     conditionals go through channels._validated, which keeps their Hermitian
-    parts, read-only, and what it found in _spectra and _table. A state built
-    by from_channel shares the channel's validated outputs, spectra and table
-    instead.
+    parts, read-only, and what it found in _spectra and _table. _decomp keeps,
+    once a reader asks, each conditional's eigendecomposition and the average
+    with its spectrum and eigendecomposition (channels._Decompositions), which
+    the von Neumann, Petz, max-entropy and dispersion paths read instead of
+    decomposing again; average() hands out the kept average, read-only. A
+    state built by from_channel shares the channel's validated outputs,
+    spectra, table and decompositions instead.
     """
 
     prior: np.ndarray
     conditionals: tuple[np.ndarray, ...]
     _spectra: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     _table: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _decomp: _ch._Decompositions = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p = _checked_prior(self.prior)
-        conds = _ch._validated(self, self.conditionals)
+        p = _ch._freeze(_checked_prior(self.prior))
+        conds = _ch._validated(self, self.conditionals, p)
         if len(conds) != len(p):
             raise ValueError("need one conditional per prior atom")
-        object.__setattr__(self, "prior", _ch._freeze(p))
+        object.__setattr__(self, "prior", p)
         object.__setattr__(self, "conditionals", conds)
 
     @property
@@ -140,10 +146,8 @@ class CqState:
         return self.conditionals[0].shape[0]
 
     def average(self) -> np.ndarray:
-        out = np.zeros_like(self.conditionals[0])
-        for p, c in zip(self.prior, self.conditionals):
-            out = out + p * c
-        return hermitian_part(out)
+        """sum_x p_x rho_x, held Hermitian and read-only."""
+        return self._decomp.average()
 
     def supported(self) -> list[tuple[float, np.ndarray]]:
         """(probability, conditional) pairs with zero-probability atoms dropped."""
@@ -210,7 +214,9 @@ def from_channel(w: _ch.CqChannel, prior: Sequence[float] | None = None) -> CqSt
     The prior is checked as CqState checks it. The conditionals are the
     channel's own outputs, which CqChannel validated and froze, so they are
     shared with their spectra and table, not copied or validated again:
-    writing into one raises.
+    writing into one raises. The uniform prior (None) shares the channel's
+    whole _decomp, average included; any other prior shares its per-output
+    eigendecompositions and keeps an average of its own.
     """
     if prior is None:
         p = np.full(w.input_size, 1.0 / w.input_size)
@@ -220,11 +226,13 @@ def from_channel(w: _ch.CqChannel, prior: Sequence[float] | None = None) -> CqSt
             raise ValueError(
                 f"prior length {len(p)} != input alphabet {w.input_size}"
             )
+    p = _ch._freeze(_checked_prior(p))
     state = object.__new__(CqState)
-    object.__setattr__(state, "prior", _ch._freeze(_checked_prior(p)))
+    object.__setattr__(state, "prior", p)
     object.__setattr__(state, "conditionals", w.outputs)
     object.__setattr__(state, "_spectra", w._spectra)
     object.__setattr__(state, "_table", w._table)
+    object.__setattr__(state, "_decomp", w._decomp if prior is None else w._decomp.with_prior(p))
     return state
 
 
@@ -293,6 +301,11 @@ def _classical_joint(state: CqState) -> np.ndarray | None:
 # ---------------------------------------------------------------------------
 
 
+def _supported_indices(state: CqState) -> list[tuple[int, float]]:
+    """(x, p_x) for each symbol of nonzero prior, in the order of state.supported()."""
+    return [(i, float(p)) for i, p in enumerate(state.prior) if p > 0.0]
+
+
 def _vn_from_spectra(prior, spectra, average_spectrum: np.ndarray) -> float:
     """H(X) + sum_x p_x S(rho_x) - S(rho_bar) in bits, from the eigenvalues of
     each conditional and of the average state; zero-prior atoms are skipped.
@@ -307,27 +320,26 @@ def _vn_cond(state: CqState) -> float:
     joint = _classical_joint(state)
     if joint is not None:
         return table_entropy(joint, VON_NEUMANN)
-    return _vn_from_spectra(state.prior, state._spectra, _eigvalsh(state.average()))
+    return _vn_from_spectra(state.prior, state._spectra, state._decomp.average_spectrum())
 
 
 def petz_curve(state: CqState, alphas: Sequence[float]) -> list[float]:
     """Petz downarrow conditional entropies at several orders, in bits.
 
-    Shares the spectral decompositions across orders. Supports are handled by
-    the 0**p := 0 convention; the conditionals always live inside the support
-    of the average state, so no support violation can occur.
+    Reads the state's kept decompositions, shared across orders. Supports are
+    handled by the 0**p := 0 convention; the conditionals always live inside
+    the support of the average state, so no support violation can occur.
     """
     joint = _classical_joint(state)
     if joint is not None:
         return _table_petz(joint, alphas)
-    rbar = state.average()
-    mu, wvec = _eigh(rbar)
+    mu, wvec = state._decomp.average_eigh()
     keep = mu > TOL.rank_cut
     mu = mu[keep]
     wvec = wvec[:, keep]
     pieces = []
-    for p, c in state.supported():
-        lam, v = _eigh(c)
+    for i, p in _supported_indices(state):
+        lam, v = state._decomp.eigh(i)
         pos = lam > TOL.rank_cut
         lam = lam[pos]
         v = v[:, pos]
@@ -377,7 +389,7 @@ def _srm(gram: np.ndarray, labels: np.ndarray) -> GuessResult:
     than dimensions leave rounding noise there, which a square root lifts to
     1e-8. The one SRM: CqStates and Gram ensembles both call it.
     """
-    root = _spectral_fn(gram, np.sqrt)
+    root = _spectral_fn(_eigh(gram), np.sqrt)
     val = 0.0
     for label in np.unique(labels):
         idx = np.where(labels == label)[0]
@@ -535,14 +547,17 @@ def max_fidelity_sum(factors: Sequence[np.ndarray], coeffs: Sequence[float]) -> 
                    upper=None if upper == np.inf else float(max(upper, lower)))
 
 
-def _compressed(state: CqState) -> list[tuple[float, np.ndarray]]:
-    """state.supported() with each conditional restricted to the support of the average
-    state and renormalised; a zero-prior conditional, possibly outside it, is dropped."""
-    sup = state.supported()
-    cut = _compress_to_support([c for _, c in sup], state.average())
+def _compressed_factors(state: CqState) -> list[tuple[float, np.ndarray]]:
+    """(p_x, Y_x) per supported symbol, Y_x Y_x† being rho_x restricted to the
+    support of the average state and renormalised; a zero-prior conditional,
+    possibly outside it, is dropped. When the support is the whole space each
+    factor comes from the conditional's kept decomposition."""
+    sup = _supported_indices(state)
+    cut = _compress_to_support([state.conditionals[i] for i, _ in sup],
+                               state._decomp.average_eigh())
     if cut is None:
-        return sup
-    return [(p, c / max(tr, TOL.underflow)) for (p, _), c, tr in zip(sup, *cut)]
+        return [(p, _factor(state._decomp.eigh(i))) for i, p in sup]
+    return [(p, _factorize(c / max(tr, TOL.underflow))) for (_, p), c, tr in zip(sup, *cut)]
 
 
 def _decoupling(factors: Sequence[np.ndarray], coeffs: Sequence[float]) -> QResult:
@@ -565,8 +580,8 @@ def decoupling_q(state: CqState) -> QResult:
     if joint is not None:
         q = _table_decoupling(joint)
         return QResult(q, True, 0, 0, upper=q)
-    sup = _compressed(state)
-    return _decoupling([_factorize(c) for _, c in sup], [np.sqrt(p / m) for p, _ in sup])
+    sup = _compressed_factors(state)
+    return _decoupling([y for _, y in sup], [np.sqrt(p / m) for p, _ in sup])
 
 
 def cond_entropy(state: CqState, family: EntropyFamily) -> float:
@@ -593,11 +608,11 @@ def dispersion(state: CqState) -> tuple[float, float]:
     blockwise on the support; variance subtracts the squared conditional
     entropy. Only the variance form is invariant under the channel dual.
     """
-    lbar = _spectral_fn(state.average(), np.log2)
+    lbar = _spectral_fn(state._decomp.average_eigh(), np.log2)
     second = 0.0
     for p, c in state.supported():
         block = p * c
-        y = _spectral_fn(hermitian_part(block), np.log2) - lbar
+        y = _spectral_fn(_eigh(hermitian_part(block)), np.log2) - lbar
         second += float(np.trace(block @ y @ y).real)
     h = _vn_cond(state)
     return second, second - h * h

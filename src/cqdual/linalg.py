@@ -10,7 +10,12 @@ BEC codes, and of their duals) is handed to LAPACK's real symmetric solver,
 which is 2-3x faster than the complex one at dimension 128 and up;
 eigenvectors still come back complex.
 Validation keeps the eigenvalues it computes (_density_spectrum), so a caller
-that holds a validated density need not decompose it again.
+that holds a validated density need not decompose it again. The private
+kernels below that need a full decomposition (_spectral_fn, _fidelity,
+_factor, _purify, _compress_to_support) take it as a (w, v) pair from the
+caller: the public fronts pass a fresh _eigh, and the library passes the one
+that CqChannel and CqState keep for their validated operators and averages
+(channels._Decompositions), so each such matrix is decomposed once.
 """
 
 from __future__ import annotations
@@ -161,12 +166,12 @@ def diagonal_table(ops) -> np.ndarray | None:
 
 def spectral_fn(a: np.ndarray, fn) -> np.ndarray:
     """Apply fn to eigenvalues above TOL.rank_cut; the rest map to 0."""
-    return _spectral_fn(assert_hermitian(a), fn)
+    return _spectral_fn(_eigh(assert_hermitian(a)), fn)
 
 
-def _spectral_fn(a: np.ndarray, fn) -> np.ndarray:
-    """spectral_fn of a matrix the caller already holds Hermitian."""
-    w, v = _eigh(a)
+def _spectral_fn(eig: tuple[np.ndarray, np.ndarray], fn) -> np.ndarray:
+    """spectral_fn of a Hermitian matrix given by its eigendecomposition (w, v)."""
+    w, v = eig
     fw = np.where(w > TOL.rank_cut, fn(np.maximum(w, TOL.rank_cut)), 0.0)
     return (v * fw) @ v.conj().T
 
@@ -194,12 +199,13 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     sigma = np.asarray(sigma)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch {rho.shape} vs {sigma.shape}")
-    return _fidelity(assert_hermitian(rho), sigma)
+    return _fidelity(_eigh(assert_hermitian(rho)), sigma)
 
 
-def _fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """fidelity of a rho the caller already holds Hermitian and a sigma of its shape."""
-    w, v = _eigh(rho)
+def _fidelity(rho_eig: tuple[np.ndarray, np.ndarray], sigma: np.ndarray) -> float:
+    """fidelity of a Hermitian rho given by its eigendecomposition (w, v) and a
+    sigma of its shape."""
+    w, v = rho_eig
     scale = max(1.0, float(w.max())) if w.size else 1.0
     keep = w > TOL.roundoff * scale  # numeric noise floor, not the rank decision
     y = v[:, keep] * np.sqrt(w[keep])
@@ -268,19 +274,24 @@ def purify(rho: np.ndarray) -> PureState:
     The returned state satisfies Tr_D |phi><phi| = rho and has subsystem
     dims (dim(rho), rank).
     """
-    return _purify(assert_density(rho))
+    return _purify(_eigh(assert_density(rho)))
 
 
-def _purify(rho: np.ndarray) -> PureState:
-    """purify of a density operator the caller already validated."""
-    y = _factorize(rho)[:, ::-1]  # descending weight
+def _purify(eig: tuple[np.ndarray, np.ndarray]) -> PureState:
+    """purify of a validated density operator given by its eigendecomposition (w, v)."""
+    y = _factor(eig)[:, ::-1]  # descending weight
     flat = y.reshape(-1)
     return PureState(flat / np.linalg.norm(flat), y.shape)
 
 
 def _factorize(a: np.ndarray) -> np.ndarray:
     """Low-rank factor Y with A = Y Y† for a PSD matrix, columns in ascending weight."""
-    w, v = _eigh(hermitian_part(np.asarray(a, dtype=complex)))
+    return _factor(_eigh(hermitian_part(np.asarray(a, dtype=complex))))
+
+
+def _factor(eig: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """_factorize of a PSD matrix given by its eigendecomposition (w, v)."""
+    w, v = eig
     keep = w > TOL.rank_cut
     return v[:, keep] * np.sqrt(w[keep])
 
@@ -309,12 +320,15 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return _vn_of_spectrum(_eigvalsh(assert_hermitian(rho)))
 
 
-def _compress_to_support(ops, average: np.ndarray) -> tuple[list[np.ndarray], list[float]] | None:
-    """Each operator compressed to the support of average, a Hermitian PSD matrix
-    the caller holds (its eigenvectors with eigenvalues above TOL.rank_cut), and
-    the traces of the compressed operators; None when that support is the whole
-    space. The one support compression: entropies and polar both call it."""
-    w, v = _eigh(average)
+def _compress_to_support(
+    ops, average_eig: tuple[np.ndarray, np.ndarray]
+) -> tuple[list[np.ndarray], list[float]] | None:
+    """Each operator compressed to the support of a Hermitian PSD average given by
+    its eigendecomposition (w, v) (the eigenvectors with eigenvalues above
+    TOL.rank_cut), and the traces of the compressed operators; None when that
+    support is the whole space. The one support compression: entropies and polar
+    both call it."""
+    w, v = average_eig
     keep = w > TOL.rank_cut
     if keep.all():
         return None

@@ -11,7 +11,7 @@ from cqdual import channels as ch
 from cqdual import entropies as en
 from cqdual.config import TOL
 from cqdual.corpus import random_channel, random_density, random_symmetric_channel
-from cqdual.linalg import _purify, diagonal_table, fidelity, partial_trace, trace_distance
+from cqdual.linalg import diagonal_table, fidelity, partial_trace, purify, trace_distance
 
 
 def test_bsc_noiseless_outputs():
@@ -399,5 +399,5 @@ def test_validation_keeps_the_classical_table(small_corpus):
         assert en.from_channel(w)._table is w._table
         # exit_function's pure-pair test reads the kept spectra
         pure = [np.count_nonzero(s > TOL.rank_cut) == 1 for s in w._spectra]
-        assert pure == [_purify(o).dims[1] == 1 for o in w.outputs]
+        assert pure == [purify(o).dims[1] == 1 for o in w.outputs]
     assert seen == {True, False}

@@ -271,6 +271,14 @@ def test_pure_channel_from_file(tmp_path):
         ["polarize", "--channel", "bec:0.3", "--n", "16", "--trials", str(10**15)],
         ["exit-scan", "--channel", "bec", "--code", "rep31", "--grid", "0:1:1e-12"],
         ["fbl", "--n-grid", "1:10000:1e-9"],
+        # an unknown kind is named before any file is opened
+        ["check-duality", "--channel", "weird:@{missing}"],
+        ["check-duality", "--channel", "weird:0.3"],
+        # a grid point that is not finite is refused, not skipped
+        ["exit-scan", "--channel", "bec", "--code", "rep31", "--grid", "nan"],
+        ["exit-scan", "--channel", "bec", "--code", "rep31", "--grid", "inf"],
+        ["exit-scan", "--channel", "bec", "--code", "rep31", "--grid", "0.3,nan"],
+        ["exit-scan", "--channel", "bec", "--code", "rep31", "--grid", "0.3,-inf"],
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, args):
@@ -282,6 +290,20 @@ def test_usage_errors_exit_2(tmp_path, capsys, args):
     assert captured.out == ""
     assert captured.err.startswith("cqdual: error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", ["weird:@{missing}", "weird:0.3"])
+def test_unknown_channel_kind_is_named_before_any_file(tmp_path, capsys, spec):
+    spec = spec.format(missing=tmp_path / "missing.json")
+    assert run_cli(["check-duality", "--channel", spec]) == 2
+    assert capsys.readouterr().err == "cqdual: error: unknown channel kind 'weird'\n"
+
+
+def test_exit_scan_skips_finite_points_outside_the_unit_interval(capsys):
+    assert run_cli(["exit-scan", "--channel", "bec", "--code", "rep31",
+                    "--grid", "0,0.3,1.5,-2"]) == 0
+    rows = [ln for ln in capsys.readouterr().out.split("\n")[2:] if ln and ln[0] != "#"]
+    assert [float(r.split(",")[0]) for r in rows] == [0.3]
 
 
 def test_config_file_defaults(tmp_path):

@@ -12,7 +12,9 @@ from cqdual import entropies as en
 from cqdual import polar
 from cqdual.config import TOL
 from cqdual.corpus import binary_channel_corpus, random_channel, random_density
-from cqdual.linalg import fidelity, partial_trace, spectral_fn, tensor
+from cqdual.linalg import (
+    _eigh, _eigvalsh, fidelity, hermitian_part, partial_trace, spectral_fn, tensor,
+)
 
 
 def h2(p):
@@ -103,6 +105,80 @@ def test_from_channel_runs_no_eigensolver(monkeypatch):
     assert calls == []
     en.CqState(np.array([0.5, 0.5]), chans[0].outputs)  # the counter counts
     assert calls == ["eigvalsh", "eigvalsh"]
+
+
+IDENTITY_FAMILIES = (en.VON_NEUMANN, en.petz_down(0.5), en.petz_down(1.5),
+                     en.MIN_ENTROPY, en.MAX_ENTROPY)
+
+
+def test_each_kept_matrix_is_decomposed_once(monkeypatch):
+    # a non-classical dim-3 binary channel: its outputs and average are complex,
+    # so they reach LAPACK as they are and the spy can match them by value
+    w = random_channel(np.random.default_rng(2718), 3)
+    targets = [*w.outputs, en.from_channel(w).average()]
+    counts = {"eigh": [0, 0, 0], "eigvalsh": [0, 0, 0]}
+    for name, seen in counts.items():
+        orig = getattr(np.linalg, name)
+
+        def counted(a, *args, _orig=orig, _seen=seen, **kwargs):
+            for i, t in enumerate(targets):
+                if a.shape == t.shape and np.array_equal(a, t):
+                    _seen[i] += 1
+            return _orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    ch.invariant_profile(w)
+    for family in IDENTITY_FAMILIES:
+        en.duality_check(w, family)
+    en.dispersion(en.from_channel(w))
+    assert counts == {"eigh": [1, 1, 1], "eigvalsh": [0, 0, 1]}
+
+
+def test_kept_decompositions_have_the_bits_of_fresh_ones():
+    rng = np.random.default_rng(161)
+    chans = binary_channel_corpus(20240811, 12) + [random_channel(rng, 3, d=3)]
+    for w in chans:
+        kept = w._decomp
+        for i, out in enumerate(w.outputs):
+            for a, b in zip(kept.eigh(i), _eigh(out), strict=True):
+                assert _same_bits(a, b)
+            # what _factorize and _purify decomposed before they read the kept pair
+            for a, b in zip(kept.eigh(i), _eigh(hermitian_part(np.asarray(out, complex)))):
+                assert _same_bits(a, b)
+        avg = np.zeros_like(w.outputs[0])
+        for c in w.outputs:
+            avg = avg + (1.0 / w.input_size) * c
+        avg = hermitian_part(avg)
+        assert _same_bits(kept.average(), avg)
+        if w.input_size == 2:  # the average polar's support truncation took
+            assert _same_bits(kept.average(), hermitian_part(sum(w.outputs) / 2))
+        assert _same_bits(kept.average_spectrum(), _eigvalsh(avg))
+        for a, b in zip(kept.average_eigh(), _eigh(avg), strict=True):
+            assert _same_bits(a, b)
+        assert en.from_channel(w)._decomp is kept
+
+
+def test_a_prior_of_its_own_keeps_its_own_average():
+    w = random_channel(np.random.default_rng(31), 3)
+    families = (en.VON_NEUMANN, en.petz_down(0.5), en.MAX_ENTROPY)
+    for family in families:  # fills the channel's uniform-prior average first
+        en.cond_entropy(en.from_channel(w), family)
+    shared = en.from_channel(w, (0.3, 0.7))
+    direct = en.CqState(np.array([0.3, 0.7]), w.outputs)
+    for family in families:
+        assert en.cond_entropy(shared, family) == en.cond_entropy(direct, family)
+    assert shared._decomp.eigh(0) is w._decomp.eigh(0)
+    assert not np.array_equal(shared.average(), en.from_channel(w).average())
+
+
+def test_kept_arrays_are_read_only():
+    w = random_channel(np.random.default_rng(5), 3)
+    s = en.from_channel(w, (0.4, 0.6))
+    kept = [*w._decomp.eigh(1), *s._decomp.eigh(0), s.average(), w._decomp.average(),
+            s._decomp.average_spectrum(), *s._decomp.average_eigh()]
+    for a in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 def test_cq_state_refuses_non_hermitian_and_negative_conditionals():
