@@ -71,21 +71,16 @@ class _Decompositions:
     eigh(i) is _eigh of operator i; average() is sum_x p_x rho_x, held
     Hermitian, and average_spectrum() and average_eigh() are its _eigvalsh and
     _eigh. Validated operators are exactly Hermitian, so a kept decomposition
-    has the same bits as a fresh one of the same matrix. with_prior gives the
-    record of the same operators under another prior: it shares the
-    per-operator decompositions and keeps its own average.
+    has the same bits as a fresh one of the same matrix.
     """
 
     __slots__ = ("_ops", "_prior", "_eighs", "_average", "_average_spectrum", "_average_eigh")
 
-    def __init__(self, ops, prior, eighs=None):
+    def __init__(self, ops, prior):
         self._ops = ops
         self._prior = prior
-        self._eighs = [None] * len(ops) if eighs is None else eighs
+        self._eighs = [None] * len(ops)
         self._average = self._average_spectrum = self._average_eigh = None
-
-    def with_prior(self, prior) -> "_Decompositions":
-        return _Decompositions(self._ops, prior, self._eighs)
 
     def eigh(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         if self._eighs[i] is None:

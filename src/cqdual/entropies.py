@@ -99,8 +99,9 @@ def dual_family(f: EntropyFamily) -> EntropyFamily:
 
 def _checked_prior(prior) -> np.ndarray:
     """prior as a float array, refused when negative, NaN or not summing to 1:
-    the one distribution check, for priors and PureEnsemble weights alike."""
-    p = np.asarray(prior, dtype=float)
+    the one distribution check, for priors and PureEnsemble weights alike.
+    A copy, so freezing it leaves the caller's array writable."""
+    p = np.array(prior, dtype=float)
     if not p.min() >= 0:  # a NaN entry fails both tests
         raise ValueError("negative prior probability")
     if not abs(p.sum() - 1.0) <= TOL.prior_sum:
@@ -130,11 +131,11 @@ class CqState:
     _decomp: _ch._Decompositions = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p = _ch._freeze(_checked_prior(self.prior))
+        p = _checked_prior(self.prior)
         conds = _ch._validated(self, self.conditionals, p)
         if len(conds) != len(p):
             raise ValueError("need one conditional per prior atom")
-        object.__setattr__(self, "prior", p)
+        object.__setattr__(self, "prior", _ch._freeze(p))
         object.__setattr__(self, "conditionals", conds)
 
     @property
@@ -151,7 +152,7 @@ class CqState:
 
     def supported(self) -> list[tuple[float, np.ndarray]]:
         """(probability, conditional) pairs with zero-probability atoms dropped."""
-        return [(float(p), c) for p, c in zip(self.prior, self.conditionals) if p > 0.0]
+        return [(p, self.conditionals[i]) for i, p in _supported_indices(self)]
 
 
 class GuessResult(NamedTuple):
@@ -215,8 +216,8 @@ def from_channel(w: _ch.CqChannel, prior: Sequence[float] | None = None) -> CqSt
     channel's own outputs, which CqChannel validated and froze, so they are
     shared with their spectra and table, not copied or validated again:
     writing into one raises. The uniform prior (None) shares the channel's
-    whole _decomp, average included; any other prior shares its per-output
-    eigendecompositions and keeps an average of its own.
+    whole _decomp, average included; any other prior gets a _decomp of its
+    own.
     """
     if prior is None:
         p = np.full(w.input_size, 1.0 / w.input_size)
@@ -232,7 +233,8 @@ def from_channel(w: _ch.CqChannel, prior: Sequence[float] | None = None) -> CqSt
     object.__setattr__(state, "conditionals", w.outputs)
     object.__setattr__(state, "_spectra", w._spectra)
     object.__setattr__(state, "_table", w._table)
-    object.__setattr__(state, "_decomp", w._decomp if prior is None else w._decomp.with_prior(p))
+    decomp = w._decomp if prior is None else _ch._Decompositions(w.outputs, p)
+    object.__setattr__(state, "_decomp", decomp)
     return state
 
 
@@ -302,7 +304,8 @@ def _classical_joint(state: CqState) -> np.ndarray | None:
 
 
 def _supported_indices(state: CqState) -> list[tuple[int, float]]:
-    """(x, p_x) for each symbol of nonzero prior, in the order of state.supported()."""
+    """(x, p_x) for each symbol of nonzero prior: the one support rule, which
+    CqState.supported() reads too."""
     return [(i, float(p)) for i, p in enumerate(state.prior) if p > 0.0]
 
 

@@ -167,8 +167,20 @@ def test_a_prior_of_its_own_keeps_its_own_average():
     direct = en.CqState(np.array([0.3, 0.7]), w.outputs)
     for family in families:
         assert en.cond_entropy(shared, family) == en.cond_entropy(direct, family)
-    assert shared._decomp.eigh(0) is w._decomp.eigh(0)
     assert not np.array_equal(shared.average(), en.from_channel(w).average())
+
+
+def test_the_caller_prior_stays_writable():
+    outs = ch.make_bsc(0.11).outputs
+    for build in (lambda p: en.CqState(p, outs), lambda p: en.from_channel(ch.make_bsc(0.11), p)):
+        p = np.array([0.5, 0.5])
+        assert not build(p).prior.flags.writeable
+        p[0] = 0.4  # the state froze a copy, not the caller's array
+    for conds in ((outs[0],), (outs[0], np.diag([1.5, -0.5]).astype(complex))):
+        p = np.array([0.5, 0.5])
+        with pytest.raises(ValueError):
+            en.CqState(p, conds)
+        p[0] = 0.4  # a refused state leaves the caller's array writable too
 
 
 def test_kept_arrays_are_read_only():
