@@ -22,14 +22,14 @@ _EXPORTS = {
             "psd_sqrt", "purify", "tensor", "trace_distance", "von_neumann_entropy",
         ),
         "channels": (
-            "ChannelState", "CqChannel", "InvariantProfile", "channel_from_json",
+            "ChannelState", "CqChannel", "CqState", "InvariantProfile", "channel_from_json",
             "channel_state", "channel_to_json", "classical_dual_overlaps", "degrade_to_bsc",
             "dual", "invariant_profile", "make_bec", "make_bsc", "make_bsc_dual",
             "make_classical", "make_pure", "symmetrize",
             "trace_distance_vs_dual_fidelity", "upgrade_to_pure",
         ),
         "entropies": (
-            "CqState", "DualityReport", "EntropyFamily", "MAX_ENTROPY", "MIN_ENTROPY",
+            "DualityReport", "EntropyFamily", "MAX_ENTROPY", "MIN_ENTROPY",
             "VON_NEUMANN", "capacity", "capacity_duality_check", "cond_entropy",
             "decoupling_q", "dispersion", "duality_check", "from_channel", "guessing_prob",
             "np_beta", "petz_down",

@@ -5,12 +5,17 @@ channel into a quantum channel that measures its input in the standard basis
 and reading the complementary output in the Fourier-conjugate basis yields the
 dual channel. The dual always carries a cyclic phase-operator symmetry on the
 retained copy of the input register, whatever the original channel looks like.
+
+CqState, a prior with one density operator per symbol, is the one validator
+of such families and the one keeper of their decompositions: each CqChannel
+holds its uniform-input state, which the channel's entropies are defined on.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, astuple, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +35,7 @@ from .linalg import (
 
 __all__ = [
     "CqChannel",
+    "CqState",
     "ChannelState",
     "InvariantProfile",
     "PROFILE_ALPHAS",
@@ -63,69 +69,101 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class _Decompositions:
-    """The eigendecompositions of a validated family (a channel's outputs or a
-    state's conditionals) and of its average under a prior, each computed on
-    first request and then kept, read-only, for the family's lifetime.
+def _checked_prior(prior) -> np.ndarray:
+    """prior as a float array, refused when negative, NaN or not summing to 1:
+    the one distribution check, for priors and PureEnsemble weights alike.
+    A copy, so freezing it leaves the caller's array writable."""
+    p = np.array(prior, dtype=float)
+    if not p.min() >= 0:  # a NaN entry fails both tests
+        raise ValueError("negative prior probability")
+    if not abs(p.sum() - 1.0) <= TOL.prior_sum:
+        raise ValueError(f"prior sums to {p.sum()}, not 1 within {TOL.prior_sum}")
+    return p
 
-    eigh(i) is _eigh of operator i; average() is sum_x p_x rho_x, held
-    Hermitian, and average_spectrum() and average_eigh() are its _eigvalsh and
-    _eigh. Validated operators are exactly Hermitian, so a kept decomposition
-    has the same bits as a fresh one of the same matrix.
+
+@dataclass(frozen=True)
+class CqState:
+    """Classical prior plus one conditional density operator per symbol, the
+    cq state sum_x p_x |x><x| (x) rho_x; every CqChannel holds its
+    uniform-input one.
+
+    The one density-family validator: the constructor refuses an empty family
+    and a count that differs from the prior's, checks the prior, and keeps each
+    conditional's Hermitian part, read-only, once its eigenvalue floor, unit
+    trace and shared dimension hold. It keeps what it found: _spectra, the
+    eigenvalues, and _table, the diagonal_table of the conditionals or None,
+    which every classical path reads instead of testing again. On first
+    request, and then read-only, it keeps each conditional's _eigh
+    (_cond_eigh(i)) and the average with its _eigvalsh spectrum and _eigh
+    (_average_spectrum, _average_eigh), which the spectral readers share;
+    average() hands out the kept average. Validated operators are exactly
+    Hermitian, so a kept decomposition has the bits of a fresh one.
     """
 
-    __slots__ = ("_ops", "_prior", "_eighs", "_average", "_average_spectrum", "_average_eigh")
+    prior: np.ndarray
+    conditionals: tuple[np.ndarray, ...]
+    _spectra: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    _table: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _eighs: list = field(init=False, repr=False, compare=False)
 
-    def __init__(self, ops, prior):
-        self._ops = ops
-        self._prior = prior
-        self._eighs = [None] * len(ops)
-        self._average = self._average_spectrum = self._average_eigh = None
+    def __post_init__(self):
+        if len(self.conditionals) == 0:
+            raise ValueError("need at least one output")
+        if len(self.prior) != len(self.conditionals):
+            raise ValueError("need one conditional per prior atom")
+        p = _checked_prior(self.prior)
+        checked = [_density_spectrum(a) for a in self.conditionals]
+        conds = tuple(_freeze(a) for a, _ in checked)
+        dims = {a.shape[0] for a in conds}
+        if len(dims) != 1:
+            raise ValueError(f"outputs have mixed dimensions {sorted(dims)}")
+        table = diagonal_table(conds)
+        object.__setattr__(self, "prior", _freeze(p))
+        object.__setattr__(self, "conditionals", conds)
+        object.__setattr__(self, "_spectra", tuple(_freeze(w) for _, w in checked))
+        object.__setattr__(self, "_table", None if table is None else _freeze(table))
+        object.__setattr__(self, "_eighs", [None] * len(conds))
 
-    def eigh(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        if self._eighs[i] is None:
-            self._eighs[i] = tuple(_freeze(a) for a in _eigh(self._ops[i]))
-        return self._eighs[i]
+    @property
+    def num_symbols(self) -> int:
+        return len(self.prior)
+
+    @property
+    def dim(self) -> int:
+        return self.conditionals[0].shape[0]
 
     def average(self) -> np.ndarray:
-        if self._average is None:
-            out = np.zeros_like(self._ops[0])
-            for p, c in zip(self._prior, self._ops):
-                out = out + p * c
-            self._average = _freeze(hermitian_part(out))
+        """sum_x p_x rho_x, held Hermitian; the kept array, read-only."""
         return self._average
 
-    def average_spectrum(self) -> np.ndarray:
-        if self._average_spectrum is None:
-            self._average_spectrum = _freeze(_eigvalsh(self.average()))
-        return self._average_spectrum
+    def supported(self) -> list[tuple[float, np.ndarray]]:
+        """(probability, conditional) pairs with zero-probability atoms dropped."""
+        return [(p, self.conditionals[i]) for i, p in self._supported_indices()]
 
-    def average_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._average_eigh is None:
-            self._average_eigh = tuple(_freeze(a) for a in _eigh(self.average()))
-        return self._average_eigh
+    def _supported_indices(self) -> list[tuple[int, float]]:
+        """(x, p_x) for each symbol of nonzero prior: the one support rule, which
+        supported(), petz_curve and the decoupling factors read."""
+        return [(i, float(p)) for i, p in enumerate(self.prior) if p > 0.0]
 
+    def _cond_eigh(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        if self._eighs[i] is None:
+            self._eighs[i] = tuple(_freeze(a) for a in _eigh(self.conditionals[i]))
+        return self._eighs[i]
 
-def _validated(owner, ops, prior=None) -> tuple[np.ndarray, ...]:
-    """The one density-family validator, of CqChannel and CqState: each operator's
-    Hermitian part, read-only, once its eigenvalue floor, unit trace and shared
-    dimension hold. Keeps on owner, read-only, _spectra (the eigenvalues) and
-    _table (diagonal_table of the operators, or None), which every classical
-    path reads instead of testing again, and _decomp, the operators'
-    _Decompositions under prior (uniform if None), empty until a spectral
-    reader asks."""
-    checked = [_density_spectrum(a) for a in ops]
-    outs = tuple(_freeze(a) for a, _ in checked)
-    dims = {a.shape[0] for a in outs}
-    if len(dims) != 1:
-        raise ValueError(f"outputs have mixed dimensions {sorted(dims)}")
-    table = diagonal_table(outs)
-    object.__setattr__(owner, "_spectra", tuple(_freeze(w) for _, w in checked))
-    object.__setattr__(owner, "_table", None if table is None else _freeze(table))
-    if prior is None:
-        prior = np.full(len(outs), 1.0 / len(outs))
-    object.__setattr__(owner, "_decomp", _Decompositions(outs, prior))
-    return outs
+    @cached_property
+    def _average(self) -> np.ndarray:
+        out = np.zeros_like(self.conditionals[0])
+        for p, c in zip(self.prior, self.conditionals):
+            out = out + p * c
+        return _freeze(hermitian_part(out))
+
+    @cached_property
+    def _average_spectrum(self) -> np.ndarray:
+        return _freeze(_eigvalsh(self._average))
+
+    @cached_property
+    def _average_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(_freeze(a) for a in _eigh(self._average))
 
 
 @dataclass(frozen=True)
@@ -134,27 +172,26 @@ class CqChannel:
 
     witnesses, when present, are unitaries U_s with U_s W(z) U_s† = W(z+s)
     for all z (addition mod d); they certify the channel is symmetric.
-    _spectra and _table hold what validation found (see _validated). _decomp
-    keeps, once a reader asks, each output's eigendecomposition and the
-    uniform-input average output with its spectrum and eigendecomposition
-    (see _Decompositions): dual, channel_state, the output fidelity and every
-    entropy of from_channel(w) read them there.
+    _state is the uniform-input cq state (1/d) sum_z |z><z| (x) W(z), built
+    with the channel: its validation is the channel's, its conditionals are
+    the outputs, and dual, channel_state, the output fidelity and every
+    entropy of the channel read its kept table, spectra and decompositions.
     """
 
     outputs: tuple[np.ndarray, ...]
     witnesses: tuple[np.ndarray, ...] | None = None
-    _spectra: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    _table: np.ndarray | None = field(init=False, repr=False, compare=False)
-    _decomp: _Decompositions = field(init=False, repr=False, compare=False)
+    _state: CqState = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        outs = _validated(self, self.outputs)
+        d = len(self.outputs)
+        state = CqState(np.ones(d) / d, self.outputs)  # not 1 / d: CqState refuses d = 0
+        outs = state.conditionals
+        object.__setattr__(self, "_state", state)
         object.__setattr__(self, "outputs", outs)
         if self.witnesses is not None:
             wit = tuple(_freeze(np.asarray(u, dtype=complex)) for u in self.witnesses)
             if len(wit) != len(outs):
                 raise ValueError("need one witness per input symbol")
-            d = len(outs)
             for u in wit:
                 if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > TOL.witness:
                     raise ValueError("witness is not unitary")
@@ -333,12 +370,12 @@ def _common_purifications(w: CqChannel, classical_canonical: bool = False) -> np
     Otherwise D is kept at the minimal common rank.
     """
     d, dim = w.input_size, w.dim
-    table = w._table if classical_canonical else None
+    table = w._state._table if classical_canonical else None
     if table is not None:
         phis = np.zeros((d, dim, dim), dtype=complex)
         phis[:, np.arange(dim), np.arange(dim)] = np.sqrt(table)
         return phis
-    pures = [_purify(w._decomp.eigh(z)) for z in range(d)]
+    pures = [_purify(w._state._cond_eigh(z)) for z in range(d)]
     r = max(p.dims[1] for p in pures)
     phis = np.zeros((d, dim, r), dtype=complex)
     for z, p in enumerate(pures):
@@ -389,7 +426,7 @@ def classical_dual_overlaps(w: CqChannel) -> list[tuple[float, float]]:
     cos theta_y = |P(Z=0|y) - P(Z=1|y)| under a uniform input; symbols with
     zero probability are skipped.
     """
-    t = w._table
+    t = w._state._table
     if t is None or t.shape[0] != 2:
         raise Unsupported("overlap formula requires binary input and diagonal outputs")
     out = []
@@ -406,9 +443,9 @@ def _erasure_probability(w: CqChannel) -> float | None:
     """Mass of the output symbols both inputs see, if w has binary input and
     diagonal outputs whose every symbol is seen by one input only or equally
     likely under both (within TOL.diagonal); else None."""
-    if w.input_size != 2 or w._table is None:
+    if w.input_size != 2 or w._state._table is None:
         return None
-    t0, t1 = w._table
+    t0, t1 = w._state._table
     seen_by_one = np.minimum(t0, t1) <= TOL.diagonal
     if not np.all(seen_by_one | (np.abs(t0 - t1) <= TOL.diagonal)):
         return None
@@ -458,7 +495,7 @@ def upgrade_to_pure(w: CqChannel) -> CqChannel:
     """Pure-output channel whose overlap equals the output fidelity of w."""
     if w.input_size != 2:
         raise Unsupported("upgrade needs a binary-input channel")
-    f = min(1.0, _fidelity(w._decomp.eigh(0), w.outputs[1]))
+    f = min(1.0, _fidelity(w._state._cond_eigh(0), w.outputs[1]))
     return make_bsc_dual((1.0 - f) / 2.0)
 
 
@@ -498,9 +535,9 @@ def invariant_profile(w: CqChannel) -> InvariantProfile:
 
     if w.input_size != 2:
         raise Unsupported("invariant profiles are defined for binary-input channels")
-    state = entropies.from_channel(w)
+    state = w._state
     delta = trace_distance(w.outputs[0], w.outputs[1])
-    bhat = _fidelity(w._decomp.eigh(0), w.outputs[1])
+    bhat = _fidelity(state._cond_eigh(0), w.outputs[1])
     h = entropies.cond_entropy(state, entropies.VON_NEUMANN)
     hmin = entropies.cond_entropy(state, entropies.MIN_ENTROPY)
     hmax = entropies.cond_entropy(state, entropies.MAX_ENTROPY)
@@ -523,7 +560,7 @@ def trace_distance_vs_dual_fidelity(w: CqChannel) -> tuple[float, float]:
         raise Unsupported("needs a binary-input channel")
     delta = trace_distance(w.outputs[0], w.outputs[1])
     wd = dual(w)
-    return float(delta), float(_fidelity(wd._decomp.eigh(0), wd.outputs[1]))
+    return float(delta), float(_fidelity(wd._state._cond_eigh(0), wd.outputs[1]))
 
 
 # ---------------------------------------------------------------------------

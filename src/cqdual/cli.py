@@ -415,11 +415,30 @@ def _apply_config(commands: dict[str, argparse.ArgumentParser], argv: list[str])
     return argv[: pos + 1] + flags + argv[pos + 1 :]
 
 
+def _join_dashed_values(argv: list[str]) -> list[str]:
+    """Write `--flag -0.1,0.3` as `--flag=-0.1,0.3`.
+
+    argparse reads a token that starts with '-' as an option unless it is one
+    plain negative number, so a grid or range that starts below zero would
+    leave its flag without a value. A token of '-' and a digit or '.' is a
+    value here, since no option is spelled that way.
+    """
+    out: list[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if (prev.startswith("--") and "=" not in prev and len(tok) > 1 and tok[0] == "-"
+                and (tok[1].isdigit() or tok[1] == ".")):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = _build_parser()
     try:
-        args = parser.parse_args(_apply_config(commands, argv))
+        args = parser.parse_args(_join_dashed_values(_apply_config(commands, argv)))
         return args.func(args)
     except (_UsageError, Unsupported) as exc:
         print(f"cqdual: error: {exc}", file=sys.stderr)

@@ -78,7 +78,7 @@ def classical_coded_table(channel: _ch.CqChannel, cp: CodePair, leg: str) -> np.
     """
     if channel.input_size != cp.q:
         raise Unsupported("channel input alphabet must match the code field")
-    t = channel._table
+    t = channel._state._table
     if t is None:
         raise Unsupported("exhaustive tables need diagonal (classical) outputs")
     if cp.n > 14:
@@ -114,7 +114,7 @@ class PureEnsemble:
     labels: np.ndarray
 
     def __post_init__(self):
-        w = _en._checked_prior(self.weights)
+        w = _ch._checked_prior(self.weights)
         g = np.asarray(self.gram, dtype=complex)
         lab = np.asarray(self.labels, dtype=np.int64)
         m = len(w)
@@ -441,7 +441,8 @@ def exit_function(channel: _ch.CqChannel, cp: CodePair, family: _en.EntropyFamil
     if eps is not None:
         return _erasure_exit(eps, cp, family)
     # each path refuses past its cap before it enumerates the q^k codewords
-    t = channel._table
+    state = channel._state
+    t = state._table
     if t is not None:
         if cp.n > 12:
             raise Unsupported("classical EXIT blocklength capped at 12")
@@ -457,12 +458,12 @@ def exit_function(channel: _ch.CqChannel, cp: CodePair, family: _en.EntropyFamil
             total += _en.table_entropy(joint, family)
         return total / cp.n
     # pure outputs: validation found one eigenvalue above the rank cut in each
-    if channel.input_size == 2 and all((w > TOL.rank_cut).sum() == 1 for w in channel._spectra):
+    if channel.input_size == 2 and all((w > TOL.rank_cut).sum() == 1 for w in state._spectra):
         if cp.n > 10:
             raise Unsupported("pure-dual EXIT blocklength capped at 10")
         words = cp.codewords()
         mcount = words.shape[0]
-        overlap = _fidelity(channel._decomp.eigh(0), channel.outputs[1])
+        overlap = _fidelity(state._cond_eigh(0), channel.outputs[1])
         total = 0.0
         for i in range(cp.n):
             gram = _word_gram(np.delete(words, i, axis=1), overlap)

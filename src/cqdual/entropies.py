@@ -3,17 +3,21 @@
 All entropies are reported in bits. The family covers the von Neumann
 entropy, min- and max-entropy (via guessing probability and decoupling
 quality), and the downarrow Renyi family built on the Petz divergence.
+Every function here reads a CqState (defined in channels, re-exported here)
+and the table, spectra and decompositions it keeps; a channel's entropies
+are those of its uniform-input state, from_channel(w).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .config import TOL, Unsupported
 from . import channels as _ch
+from .channels import CqState
 from .linalg import (
     _compress_to_support,
     _eigh,
@@ -97,64 +101,6 @@ def dual_family(f: EntropyFamily) -> EntropyFamily:
     return petz_down(2.0 - float(f.alpha))
 
 
-def _checked_prior(prior) -> np.ndarray:
-    """prior as a float array, refused when negative, NaN or not summing to 1:
-    the one distribution check, for priors and PureEnsemble weights alike.
-    A copy, so freezing it leaves the caller's array writable."""
-    p = np.array(prior, dtype=float)
-    if not p.min() >= 0:  # a NaN entry fails both tests
-        raise ValueError("negative prior probability")
-    if not abs(p.sum() - 1.0) <= TOL.prior_sum:
-        raise ValueError(f"prior sums to {p.sum()}, not 1 within {TOL.prior_sum}")
-    return p
-
-
-@dataclass(frozen=True)
-class CqState:
-    """Classical prior plus one conditional density operator per symbol.
-
-    The constructor checks the prior and the count of conditionals; the
-    conditionals go through channels._validated, which keeps their Hermitian
-    parts, read-only, and what it found in _spectra and _table. _decomp keeps,
-    once a reader asks, each conditional's eigendecomposition and the average
-    with its spectrum and eigendecomposition (channels._Decompositions), which
-    the von Neumann, Petz, max-entropy and dispersion paths read instead of
-    decomposing again; average() hands out the kept average, read-only. A
-    state built by from_channel shares the channel's validated outputs,
-    spectra, table and decompositions instead.
-    """
-
-    prior: np.ndarray
-    conditionals: tuple[np.ndarray, ...]
-    _spectra: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    _table: np.ndarray | None = field(init=False, repr=False, compare=False)
-    _decomp: _ch._Decompositions = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        p = _checked_prior(self.prior)
-        conds = _ch._validated(self, self.conditionals, p)
-        if len(conds) != len(p):
-            raise ValueError("need one conditional per prior atom")
-        object.__setattr__(self, "prior", _ch._freeze(p))
-        object.__setattr__(self, "conditionals", conds)
-
-    @property
-    def num_symbols(self) -> int:
-        return len(self.prior)
-
-    @property
-    def dim(self) -> int:
-        return self.conditionals[0].shape[0]
-
-    def average(self) -> np.ndarray:
-        """sum_x p_x rho_x, held Hermitian and read-only."""
-        return self._decomp.average()
-
-    def supported(self) -> list[tuple[float, np.ndarray]]:
-        """(probability, conditional) pairs with zero-probability atoms dropped."""
-        return [(p, self.conditionals[i]) for i, p in _supported_indices(self)]
-
-
 class GuessResult(NamedTuple):
     value: float
     exact: bool
@@ -209,33 +155,14 @@ class DualityReport:
         return doc
 
 
-def from_channel(w: _ch.CqChannel, prior: Sequence[float] | None = None) -> CqState:
-    """CQ state of input-given-output for a channel; uniform prior by default.
-
-    The prior is checked as CqState checks it. The conditionals are the
-    channel's own outputs, which CqChannel validated and froze, so they are
-    shared with their spectra and table, not copied or validated again:
-    writing into one raises. The uniform prior (None) shares the channel's
-    whole _decomp, average included; any other prior gets a _decomp of its
-    own.
+def from_channel(w: _ch.CqChannel) -> CqState:
+    """The channel's uniform-input cq state (1/d) sum_z |z><z| (x) W(z), which
+    CqChannel built with the channel and which the paper's H(W) = H(Z|B) is
+    defined on: returned as it is, so its conditionals are the channel's
+    outputs and its kept table, spectra and decompositions are the channel's.
+    A state under another prior is CqState(prior, w.outputs).
     """
-    if prior is None:
-        p = np.full(w.input_size, 1.0 / w.input_size)
-    else:
-        p = np.asarray(prior, dtype=float)
-        if len(p) != w.input_size:
-            raise ValueError(
-                f"prior length {len(p)} != input alphabet {w.input_size}"
-            )
-    p = _ch._freeze(_checked_prior(p))
-    state = object.__new__(CqState)
-    object.__setattr__(state, "prior", p)
-    object.__setattr__(state, "conditionals", w.outputs)
-    object.__setattr__(state, "_spectra", w._spectra)
-    object.__setattr__(state, "_table", w._table)
-    decomp = w._decomp if prior is None else _ch._Decompositions(w.outputs, p)
-    object.__setattr__(state, "_decomp", decomp)
-    return state
+    return w._state
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +230,6 @@ def _classical_joint(state: CqState) -> np.ndarray | None:
 # ---------------------------------------------------------------------------
 
 
-def _supported_indices(state: CqState) -> list[tuple[int, float]]:
-    """(x, p_x) for each symbol of nonzero prior: the one support rule, which
-    CqState.supported() reads too."""
-    return [(i, float(p)) for i, p in enumerate(state.prior) if p > 0.0]
-
-
 def _vn_from_spectra(prior, spectra, average_spectrum: np.ndarray) -> float:
     """H(X) + sum_x p_x S(rho_x) - S(rho_bar) in bits, from the eigenvalues of
     each conditional and of the average state; zero-prior atoms are skipped.
@@ -323,7 +244,7 @@ def _vn_cond(state: CqState) -> float:
     joint = _classical_joint(state)
     if joint is not None:
         return table_entropy(joint, VON_NEUMANN)
-    return _vn_from_spectra(state.prior, state._spectra, state._decomp.average_spectrum())
+    return _vn_from_spectra(state.prior, state._spectra, state._average_spectrum)
 
 
 def petz_curve(state: CqState, alphas: Sequence[float]) -> list[float]:
@@ -336,13 +257,13 @@ def petz_curve(state: CqState, alphas: Sequence[float]) -> list[float]:
     joint = _classical_joint(state)
     if joint is not None:
         return _table_petz(joint, alphas)
-    mu, wvec = state._decomp.average_eigh()
+    mu, wvec = state._average_eigh
     keep = mu > TOL.rank_cut
     mu = mu[keep]
     wvec = wvec[:, keep]
     pieces = []
-    for i, p in _supported_indices(state):
-        lam, v = state._decomp.eigh(i)
+    for i, p in state._supported_indices():
+        lam, v = state._cond_eigh(i)
         pos = lam > TOL.rank_cut
         lam = lam[pos]
         v = v[:, pos]
@@ -555,11 +476,11 @@ def _compressed_factors(state: CqState) -> list[tuple[float, np.ndarray]]:
     support of the average state and renormalised; a zero-prior conditional,
     possibly outside it, is dropped. When the support is the whole space each
     factor comes from the conditional's kept decomposition."""
-    sup = _supported_indices(state)
+    sup = state._supported_indices()
     cut = _compress_to_support([state.conditionals[i] for i, _ in sup],
-                               state._decomp.average_eigh())
+                               state._average_eigh)
     if cut is None:
-        return [(p, _factor(state._decomp.eigh(i))) for i, p in sup]
+        return [(p, _factor(state._cond_eigh(i))) for i, p in sup]
     return [(p, _factorize(c / max(tr, TOL.underflow))) for (_, p), c, tr in zip(sup, *cut)]
 
 
@@ -611,7 +532,7 @@ def dispersion(state: CqState) -> tuple[float, float]:
     blockwise on the support; variance subtracts the squared conditional
     entropy. Only the variance form is invariant under the channel dual.
     """
-    lbar = _spectral_fn(state._decomp.average_eigh(), np.log2)
+    lbar = _spectral_fn(state._average_eigh, np.log2)
     second = 0.0
     for p, c in state.supported():
         block = p * c

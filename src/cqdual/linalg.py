@@ -14,8 +14,9 @@ that holds a validated density need not decompose it again. The private
 kernels below that need a full decomposition (_spectral_fn, _fidelity,
 _factor, _purify, _compress_to_support) take it as a (w, v) pair from the
 caller: the public fronts pass a fresh _eigh, and the library passes the one
-that CqChannel and CqState keep for their validated operators and averages
-(channels._Decompositions), so each such matrix is decomposed once.
+that channels.CqState keeps for its validated operators and average (a
+channel's are those of its uniform-input state), so each such matrix is
+decomposed once.
 """
 
 from __future__ import annotations

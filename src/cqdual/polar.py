@@ -138,13 +138,13 @@ def _channel_stats(state: _en.CqState) -> tuple[float, float, float]:
     statistics every polarization fraction reads."""
     hmin = _en.cond_entropy(state, _en.MIN_ENTROPY)
     hmax = _en.cond_entropy(state, _en.MAX_ENTROPY)
-    return hmin, hmax, _fidelity(state._decomp.eigh(0), state.conditionals[1])
+    return hmin, hmax, _fidelity(state._cond_eigh(0), state.conditionals[1])
 
 
 def _truncate_to_joint_support(w: _ch.CqChannel) -> tuple[_ch.CqChannel, float]:
     """Project outputs onto the support of the average output (w's kept one)
     and renormalize; the loss reported is the largest mass any one output loses."""
-    table = w._table
+    table = w._state._table
     if table is not None:
         # diagonality-preserving path: drop zero-probability symbols, then
         # merge symbols with proportional likelihood columns (a sufficient
@@ -165,7 +165,7 @@ def _truncate_to_joint_support(w: _ch.CqChannel) -> tuple[_ch.CqChannel, float]:
         table = np.stack(merged, axis=1)
         table /= table.sum(axis=1, keepdims=True)
         return _ch.CqChannel(tuple(np.diag(row).astype(complex) for row in table)), lost
-    cut = _compress_to_support(w.outputs, w._decomp.average_eigh())
+    cut = _compress_to_support(w.outputs, w._state._average_eigh)
     if cut is None:
         return w, 0.0
     outs, kept = cut

@@ -1,8 +1,8 @@
 """The names and keywords the benchmark in perfbench/ binds or passes.
 
-perfbench wraps the functions listed in tracer.TRACED and calls some of them
-with keywords. A rename or deletion on the library side should fail here,
-not only in a traced benchmark run.
+perfbench wraps the functions listed in tracer.TRACED, calls library names
+from its workloads, and passes some of them keywords. A rename, move or
+deletion on the library side should fail here, not only in a benchmark run.
 """
 
 import ast
@@ -16,7 +16,8 @@ import pytest
 from cqdual import channels as ch
 from cqdual import codedchannels, codes, entropies, polar
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _traced() -> dict[str, list[str]]:
@@ -35,6 +36,36 @@ def _traced() -> dict[str, list[str]]:
 def test_traced_names_exist(name):
     mod, fn = name.split(".")
     assert callable(getattr(importlib.import_module(f"cqdual.{mod}"), fn))
+
+
+def _workload_names() -> list[str]:
+    """Every <module>.<name> that perfbench/workloads.py reads off a cqdual
+    module, by alias (`from cqdual import entropies as en`) or by import
+    (`from cqdual.config import SCHEMA_VERSION`), read from the source."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    aliases, names = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "cqdual":
+            aliases.update({a.asname or a.name: a.name for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cqdual."):
+            names.update(f"{node.module[len('cqdual.'):]}.{a.name}" for a in node.names)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            names.add(f"{aliases[node.value.id]}.{node.attr}")
+    return sorted(names)
+
+
+def test_workload_names_are_read():
+    # the reader sees the calls the workloads are built from
+    assert {"entropies.CqState", "entropies.from_channel", "corpus.binary_channel_corpus",
+            "fbl.log2_beta_bsc", "cli.main", "config.SCHEMA_VERSION"} <= set(_workload_names())
+
+
+@pytest.mark.parametrize("name", _workload_names())
+def test_workload_names_resolve(name):
+    mod, attr = name.split(".")
+    assert hasattr(importlib.import_module(f"cqdual.{mod}"), attr), name
 
 
 @pytest.mark.parametrize(

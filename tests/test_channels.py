@@ -355,13 +355,17 @@ def test_channel_dict_holds_outputs_and_witnesses_only():
 
 
 def _callers(name: str) -> list[str]:
-    """module.function, innermost, of every call to name in the cqdual sources."""
+    """module.function (module.Class.method), innermost, of every call to name
+    in the cqdual sources."""
     found = []
 
     def walk(node, module, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 walk(child, module, child.name)
+                continue
+            if isinstance(child, ast.ClassDef):
+                walk(child, f"{module}.{child.name}", where)
                 continue
             if isinstance(child, ast.Call):
                 f = child.func
@@ -375,8 +379,9 @@ def _callers(name: str) -> list[str]:
 
 
 def test_structure_is_decided_by_validation_alone():
-    assert _callers("diagonal_table") == ["channels._validated"]
-    assert _callers("_density_spectrum") == ["channels._validated", "linalg.assert_density"]
+    assert _callers("diagonal_table") == ["channels.CqState.__post_init__"]
+    assert _callers("_density_spectrum") == ["channels.CqState.__post_init__",
+                                             "linalg.assert_density"]
 
 
 def test_validation_keeps_the_classical_table(small_corpus):
@@ -391,13 +396,13 @@ def test_validation_keeps_the_classical_table(small_corpus):
         table = diagonal_table(w.outputs)
         seen.add(table is None)
         state = en.CqState(np.full(w.input_size, 1.0 / w.input_size), w.outputs)
-        for kept in (w._table, state._table):
+        for kept in (w._state._table, state._table):
             if table is None:
                 assert kept is None
             else:
                 assert np.array_equal(kept, table) and not kept.flags.writeable
-        assert en.from_channel(w)._table is w._table
+        assert en.from_channel(w) is w._state
         # exit_function's pure-pair test reads the kept spectra
-        pure = [np.count_nonzero(s > TOL.rank_cut) == 1 for s in w._spectra]
+        pure = [np.count_nonzero(s > TOL.rank_cut) == 1 for s in w._state._spectra]
         assert pure == [purify(o).dims[1] == 1 for o in w.outputs]
     assert seen == {True, False}

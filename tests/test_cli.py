@@ -306,6 +306,30 @@ def test_exit_scan_skips_finite_points_outside_the_unit_interval(capsys):
     assert [float(r.split(",")[0]) for r in rows] == [0.3]
 
 
+@pytest.mark.parametrize(
+    "args, value, code, expected",
+    [
+        (["exit-scan", "--channel", "bec", "--code", "rep31", "--grid"], "-0.1,0.3", 0,
+         ("out", [0.3])),
+        (["fbl", "--n-grid"], "-100:100:100", 2,
+         ("err", "cqdual: error: n must be in [1, 10^4]\n")),
+    ],
+    ids=["exit_scan_grid", "fbl_n_grid"],
+)
+def test_a_value_starting_with_a_dash_reads_as_its_equals_form(capsys, args, value, code, expected):
+    spaced = run_cli([*args, value]), capsys.readouterr()
+    joined = run_cli([*args[:-1], f"{args[-1]}={value}"]), capsys.readouterr()
+    assert spaced == joined
+    status, captured = spaced
+    assert status == code
+    stream, want = expected
+    if stream == "out":  # the grid's one point inside (0, 1)
+        rows = [ln for ln in captured.out.split("\n")[2:] if ln and ln[0] != "#"]
+        assert [float(r.split(",")[0]) for r in rows] == want and captured.err == ""
+    else:
+        assert captured.out == "" and captured.err == want
+
+
 def test_config_file_defaults(tmp_path):
     cfg = tmp_path / "defaults.cfg"
     cfg.write_text("p=0.3\nn_grid=100:200:100\n")
@@ -436,6 +460,10 @@ def test_library_refusals_exit_2(tmp_path, capsys, args, message):
         (["dual", "--channel", "pure:@{f}"], '{"foo": 1}', "a list under 'vectors'"),
         (["dual", "--channel", "pure:@{f}"], '{"vectors": [[1, 0]]}',
          "expected rows of [re, im] pairs"),
+        (["dual", "--channel", "channel:@{f}"], '{"outputs": []}', "need at least one output"),
+        (["dual", "--channel", "classical:@{f}"], '{"transition": []}',
+         "need at least one output"),
+        (["dual", "--channel", "pure:@{f}"], '{"vectors": []}', "need at least one output"),
         (["code-analyze", "--code", "@{f}", "--p", "0.11"], "", "expected a 'q n k' line"),
         (["code-analyze", "--code", "@{f}", "--p", "0.11"], "2 3 1\n100\n030\n001\n",
          "digit 3 is not below q = 2"),
@@ -444,7 +472,8 @@ def test_library_refusals_exit_2(tmp_path, capsys, args, message):
     ],
     ids=["channel_no_outputs", "channel_not_object", "channel_row_of_numbers",
          "classical_no_transition", "classical_null_entry", "classical_object_entry",
-         "pure_no_vectors", "pure_vector_of_numbers", "empty_code", "code_digit_past_q",
+         "pure_no_vectors", "pure_vector_of_numbers", "channel_empty_outputs",
+         "classical_empty_transition", "pure_empty_vectors", "empty_code", "code_digit_past_q",
          "code_row_past_n"],
 )
 def test_malformed_files_exit_2(tmp_path, capsys, args, content, message):

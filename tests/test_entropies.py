@@ -27,11 +27,13 @@ def test_from_channel_defaults_uniform():
     assert np.allclose(s.conditionals[0], np.diag([0.89, 0.11]))
 
 
-def test_from_channel_explicit_prior():
-    s = en.from_channel(ch.make_bsc(0.11), prior=[0.6, 0.4])
+def test_cq_state_takes_an_explicit_prior():
+    outs = ch.make_bsc(0.11).outputs
+    s = en.CqState(np.array([0.6, 0.4]), outs)
     assert np.allclose(s.prior, [0.6, 0.4])
+    assert all(np.array_equal(c, o) for c, o in zip(s.conditionals, outs, strict=True))
     with pytest.raises(ValueError):
-        en.from_channel(ch.make_bsc(0.11), prior=[1.0])
+        en.CqState(np.array([1.0]), outs)
 
 
 def _same_bits(a, b):
@@ -47,26 +49,28 @@ def _from_channel_cases():
 
 
 def test_from_channel_matches_the_validating_constructor():
-    # from_channel shares the channel's validated outputs instead of
-    # re-validating them; the state must be the one CqState builds, bit for bit
+    # the channel's own state is the one CqState builds from its outputs, bit
+    # for bit; under any prior, validating the outputs again keeps their bits
     for w, prior in _from_channel_cases():
         p = np.full(w.input_size, 1.0 / w.input_size) if prior is None else prior
-        fast, slow = en.from_channel(w, prior), en.CqState(p, w.outputs)
-        assert np.array_equal(fast.prior, slow.prior) and _same_bits(fast.prior, slow.prior)
-        assert len(fast.conditionals) == len(slow.conditionals)
-        for a, b in zip(fast.conditionals, slow.conditionals):
+        own, built = en.from_channel(w), en.CqState(p, w.outputs)
+        assert own is w._state
+        if prior is None:
+            assert np.array_equal(own.prior, built.prior) and _same_bits(own.prior, built.prior)
+        assert len(own.conditionals) == len(built.conditionals)
+        for a, b in zip(own.conditionals, built.conditionals):
             assert np.array_equal(a, b) and _same_bits(a, b)
-        for a, b in zip(fast._spectra, slow._spectra, strict=True):
+        for a, b in zip(own._spectra, built._spectra, strict=True):
             assert _same_bits(a, b)
-        assert not fast.prior.flags.writeable
-        assert not any(c.flags.writeable for c in slow.conditionals)
+        assert not own.prior.flags.writeable and not built.prior.flags.writeable
+        assert not any(c.flags.writeable for c in built.conditionals)
 
 
 def test_from_channel_shares_the_read_only_outputs():
     w = ch.make_bsc_dual(0.11)
     s = en.from_channel(w)
+    assert s is w._state
     assert all(c is o for c, o in zip(s.conditionals, w.outputs))
-    assert s._spectra is w._spectra
     with pytest.raises(ValueError, match="read-only"):
         s.conditionals[0][0, 0] = 1.0
 
@@ -76,16 +80,21 @@ def test_from_channel_shares_the_read_only_outputs():
     [
         ([1.5, -0.5], "negative prior probability"),
         ([0.6, 0.6], "prior sums to 1.2, not 1 within 1e-12"),
-        ([0.5, 0.25, 0.25], "prior length 3 != input alphabet 2"),
+        ([0.5, 0.25, 0.25], "need one conditional per prior atom"),
+        ([], "need one conditional per prior atom"),
     ],
 )
-def test_from_channel_refuses_a_bad_prior(prior, message):
-    w = ch.make_bsc(0.11)
+def test_cq_state_refuses_a_bad_prior(prior, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        en.from_channel(w, prior)
-    if len(prior) == w.input_size:  # the constructor's own checks, same message
-        with pytest.raises(ValueError, match=re.escape(message)):
-            en.CqState(np.asarray(prior), w.outputs)
+        en.CqState(np.asarray(prior), ch.make_bsc(0.11).outputs)
+
+
+def test_an_empty_family_is_refused_by_name():
+    for build in (lambda: ch.CqChannel(()), lambda: en.CqState(np.array([]), ()),
+                  lambda: en.CqState(np.array([1.0]), ()), lambda: ch.make_classical([]),
+                  lambda: ch.make_pure([])):
+        with pytest.raises(ValueError, match="^need at least one output$"):
+            build()
 
 
 def test_from_channel_runs_no_eigensolver(monkeypatch):
@@ -101,7 +110,6 @@ def test_from_channel_runs_no_eigensolver(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     for w in chans:
         en.from_channel(w)
-        en.from_channel(w, np.full(w.input_size, 1.0 / w.input_size))
     assert calls == []
     en.CqState(np.array([0.5, 0.5]), chans[0].outputs)  # the counter counts
     assert calls == ["eigvalsh", "eigvalsh"]
@@ -138,12 +146,12 @@ def test_kept_decompositions_have_the_bits_of_fresh_ones():
     rng = np.random.default_rng(161)
     chans = binary_channel_corpus(20240811, 12) + [random_channel(rng, 3, d=3)]
     for w in chans:
-        kept = w._decomp
+        kept = w._state
         for i, out in enumerate(w.outputs):
-            for a, b in zip(kept.eigh(i), _eigh(out), strict=True):
+            for a, b in zip(kept._cond_eigh(i), _eigh(out), strict=True):
                 assert _same_bits(a, b)
             # what _factorize and _purify decomposed before they read the kept pair
-            for a, b in zip(kept.eigh(i), _eigh(hermitian_part(np.asarray(out, complex)))):
+            for a, b in zip(kept._cond_eigh(i), _eigh(hermitian_part(np.asarray(out, complex)))):
                 assert _same_bits(a, b)
         avg = np.zeros_like(w.outputs[0])
         for c in w.outputs:
@@ -152,10 +160,10 @@ def test_kept_decompositions_have_the_bits_of_fresh_ones():
         assert _same_bits(kept.average(), avg)
         if w.input_size == 2:  # the average polar's support truncation took
             assert _same_bits(kept.average(), hermitian_part(sum(w.outputs) / 2))
-        assert _same_bits(kept.average_spectrum(), _eigvalsh(avg))
-        for a, b in zip(kept.average_eigh(), _eigh(avg), strict=True):
+        assert _same_bits(kept._average_spectrum, _eigvalsh(avg))
+        for a, b in zip(kept._average_eigh, _eigh(avg), strict=True):
             assert _same_bits(a, b)
-        assert en.from_channel(w)._decomp is kept
+        assert en.from_channel(w) is kept
 
 
 def test_a_prior_of_its_own_keeps_its_own_average():
@@ -163,19 +171,19 @@ def test_a_prior_of_its_own_keeps_its_own_average():
     families = (en.VON_NEUMANN, en.petz_down(0.5), en.MAX_ENTROPY)
     for family in families:  # fills the channel's uniform-prior average first
         en.cond_entropy(en.from_channel(w), family)
-    shared = en.from_channel(w, (0.3, 0.7))
-    direct = en.CqState(np.array([0.3, 0.7]), w.outputs)
+    own = en.CqState(np.array([0.3, 0.7]), w.outputs)
+    fresh = en.CqState(np.array([0.3, 0.7]), ch.CqChannel(w.outputs).outputs)
     for family in families:
-        assert en.cond_entropy(shared, family) == en.cond_entropy(direct, family)
-    assert not np.array_equal(shared.average(), en.from_channel(w).average())
+        assert en.cond_entropy(own, family) == en.cond_entropy(fresh, family)
+    assert _same_bits(own.average(), hermitian_part(0.3 * w.outputs[0] + 0.7 * w.outputs[1]))
+    assert not np.array_equal(own.average(), en.from_channel(w).average())
 
 
 def test_the_caller_prior_stays_writable():
     outs = ch.make_bsc(0.11).outputs
-    for build in (lambda p: en.CqState(p, outs), lambda p: en.from_channel(ch.make_bsc(0.11), p)):
-        p = np.array([0.5, 0.5])
-        assert not build(p).prior.flags.writeable
-        p[0] = 0.4  # the state froze a copy, not the caller's array
+    p = np.array([0.5, 0.5])
+    assert not en.CqState(p, outs).prior.flags.writeable
+    p[0] = 0.4  # the state froze a copy, not the caller's array
     for conds in ((outs[0],), (outs[0], np.diag([1.5, -0.5]).astype(complex))):
         p = np.array([0.5, 0.5])
         with pytest.raises(ValueError):
@@ -185,9 +193,9 @@ def test_the_caller_prior_stays_writable():
 
 def test_kept_arrays_are_read_only():
     w = random_channel(np.random.default_rng(5), 3)
-    s = en.from_channel(w, (0.4, 0.6))
-    kept = [*w._decomp.eigh(1), *s._decomp.eigh(0), s.average(), w._decomp.average(),
-            s._decomp.average_spectrum(), *s._decomp.average_eigh()]
+    s = en.CqState(np.array([0.4, 0.6]), w.outputs)
+    kept = [*w._state._cond_eigh(1), *s._cond_eigh(0), s.average(), w._state.average(),
+            s._average_spectrum, *s._average_eigh]
     for a in kept:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
@@ -334,7 +342,8 @@ def test_decoupling_drops_a_zero_prior_conditional_outside_the_support():
     # |-> has prior 0 and lies outside the support |+> of the average state,
     # so projecting it would leave a conditional of trace 0
     s = np.sqrt(0.5)
-    state = en.from_channel(ch.make_pure([np.array([s, s]), np.array([s, -s])]), [1.0, 0.0])
+    w = ch.make_pure([np.array([s, s]), np.array([s, -s])])
+    state = en.CqState(np.array([1.0, 0.0]), w.outputs)
     assert abs(en.cond_entropy(state, en.MAX_ENTROPY)) < 1e-12
     assert abs(en.cond_entropy(state, en.MIN_ENTROPY)) < 1e-12
 

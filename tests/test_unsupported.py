@@ -100,12 +100,12 @@ def test_refusals_raise_unsupported(message, refusal):
         lambda: polar.convolve(BSC, BSC, "sideways"),
         lambda: polar.trajectory(BSC, [2]),
         lambda: cc.classical_coded_table(BSC, codes.repetition_pair(3), "sideways"),
-        lambda: en.from_channel(BSC, [0.7, 0.7]),
+        lambda: en.CqState([0.7, 0.7], BSC.outputs),
         lambda: en.petz_down(3.0),
         lambda: ch.make_bsc(1.5),
         # a NaN passes every comparison written as `x > tol`
-        lambda: en.from_channel(BSC, [np.nan, np.nan]),
-        lambda: en.from_channel(BSC, [np.nan, 1.0]),
+        lambda: en.CqState([np.nan, np.nan], BSC.outputs),
+        lambda: en.CqState([np.nan, 1.0], BSC.outputs),
         lambda: cc.PureEnsemble([np.nan, 1.0], np.eye(2), [0, 1]),
         lambda: cc.PureEnsemble([0.5, 0.5], np.array([[1.0, np.nan], [np.nan, 1.0]]), [0, 1]),
         lambda: PureState(np.array([np.nan, 0.0]), (2,)),
