@@ -114,6 +114,8 @@ class PureEnsemble:
     labels: np.ndarray
 
     def __post_init__(self):
+        if np.size(self.weights) == 0:
+            raise ValueError("need at least one state")
         w = _ch._checked_prior(self.weights)
         g = np.asarray(self.gram, dtype=complex)
         lab = np.asarray(self.labels, dtype=np.int64)
@@ -615,22 +617,40 @@ def _block_gram(y: np.ndarray, xs: np.ndarray, py: np.ndarray, mod: np.ndarray) 
     return g
 
 
-def _best_decouple_by_dim(source: _en.CqState, n: int, subspaces: _Subspaces) -> dict[int, float]:
-    """Best decoupling quality over linear extractions with each kernel dimension.
+def _best_decouple_by_dim(
+    source: _en.CqState, n: int, subspaces: _Subspaces
+) -> tuple[dict[int, float], int, int]:
+    """Best decoupling quality over linear extractions with each kernel
+    dimension, with the number of ascents run and of those whose bracket
+    stayed open.
 
     The conjugate-side states are block diagonal over the classical output
     record, so the decoupling optimization splits into per-block ascents whose
-    squared optima add up.
+    squared optima add up. Block y's Gram is w_y D_y K D_y: the weight
+    w_y = prod_i py[y_i], a diagonal D_y of signs +-1 fixed by the signs of
+    mod[y_i], and a matrix K that depends on the ratios
+    r[y_i] = |mod[y_i]| / py[y_i] alone. A sign flip on a state leaves each
+    label's Y_c Y_c† unchanged, and F(w rho, sigma) = sqrt(w) F(rho, sigma),
+    so a block's squared optimum is w_y / w_rep times that of any block with
+    the same tuple of ratios. The blocks are therefore grouped by that tuple,
+    read off the source's table; each subspace runs one ascent per group, on
+    its first block, and counts its squared optimum (sum of the group's w) /
+    w_rep times. A block of weight 0 holds no state and is skipped.
     """
     t = _source_table(source)
     prior = source.prior
     py = prior @ t  # per-copy output distribution
     mod = prior[0] * t[0] - prior[1] * t[1]  # <eta_y| Z |eta_y>
     xs = all_vectors(2, n)  # row r encodes integer r, most significant bit first
-    ys = all_vectors(2, n)
+    groups: dict[tuple[float, ...], list[tuple[np.ndarray, float]]] = {}  # ratios -> (y, w_y)
+    for y in all_vectors(2, n):
+        if (py[y] > 0).all():
+            key = tuple((np.abs(mod[y]) / py[y]).tolist())
+            groups.setdefault(key, []).append((y, float(np.prod(py[y]))))
+    embeds = [(gram_embed(_block_gram(blocks[0][0], xs, py, mod).astype(complex)),
+               sum(w for _, w in blocks) / blocks[0][1]) for blocks in groups.values()]
     best: dict[int, float] = {}
-    blocks = [_block_gram(y, xs, py, mod) for y in ys]
-    embeds = [gram_embed(b.astype(complex)) for b in blocks]
+    ascents = unconverged = 0
     for dim, spans in subspaces.items():
         nlab = 1 << (n - dim)
         if nlab == 1:
@@ -640,21 +660,30 @@ def _best_decouple_by_dim(source: _en.CqState, n: int, subspaces: _Subspaces) ->
         for labels in spans:
             q = 0.0
             scale = 1.0 / np.sqrt(1 << dim)
-            for vecs in embeds:
+            for vecs, mult in embeds:
                 factors = [
                     np.ascontiguousarray(scale * vecs[labels == c].T) for c in range(nlab)
                 ]
-                q += _en.max_fidelity_sum(factors, [1.0 / nlab] * nlab).value ** 2
+                res = _en.max_fidelity_sum(factors, [1.0 / nlab] * nlab)
+                ascents += 1
+                unconverged += not res.converged
+                q += mult * res.value**2
             top = max(top, q)
         best[dim] = min(1.0, top)
-    return best
+    return best, ascents, unconverged
 
 
 @dataclass(frozen=True)
 class BruteForceTables:
+    """Exhaustive best values by size, and the work behind the decoupling
+    table: the number of ascents run and of those whose certified bracket did
+    not close (0 when every decoupling value is certified)."""
+
     n: int
     best_guess_by_k: dict[int, float]  # code dimension k -> best P
     best_decouple_by_k: dict[int, float]  # output size k -> best Q
+    ascents: int
+    unconverged: int
 
 
 def compression_extraction_tables(
@@ -664,11 +693,13 @@ def compression_extraction_tables(
 
     seed is accepted and ignored: every computation here is deterministic.
     """
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     subspaces = _coset_labels_by_dim(n)
     guess = _best_guess_by_dim(source, n, subspaces)
-    dec_by_kernel = _best_decouple_by_dim(source, n, subspaces)
+    dec_by_kernel, ascents, unconverged = _best_decouple_by_dim(source, n, subspaces)
     decouple = {n - kdim: v for kdim, v in dec_by_kernel.items()}
-    return BruteForceTables(n, guess, decouple)
+    return BruteForceTables(n, guess, decouple, ascents, unconverged)
 
 
 def compression_extraction_bruteforce(
@@ -683,8 +714,12 @@ def compression_extraction_bruteforce(
     extraction side for decoupling quality at least 1 - eps^2. Both searches
     are exhaustive and independent.
     """
+    if not 0.0 <= eps <= 1.0:  # NaN included
+        raise ValueError(f"eps must be in [0, 1], got {eps!r}")
     if tables is None:
         tables = compression_extraction_tables(source, n)
+    elif tables.n != n:
+        raise ValueError(f"n = {n} but the tables are for n = {tables.n}")
     thr = 1.0 - eps * eps
     ks = [k for k in range(n + 1) if tables.best_guess_by_k[k] >= thr]
     m_len = n - max(ks)

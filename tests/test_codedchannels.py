@@ -14,7 +14,7 @@ from cqdual import entropies as en
 from cqdual.cli import parse_grid
 from cqdual.config import Unsupported
 from cqdual.corpus import random_channel, random_density
-from cqdual.linalg import partial_trace
+from cqdual.linalg import gram_embed, partial_trace
 
 
 def h2(p):
@@ -168,6 +168,11 @@ def test_ensemble_memory_guard():
     # 2^15 words of length 16: the distance array alone would take 16 GiB
     with pytest.raises(ValueError):
         cc.dual_coded_ensemble(0.11, codes.single_parity_pair(16), "deterministic")
+
+
+def test_empty_ensemble_is_refused_by_name():
+    with pytest.raises(ValueError, match="^need at least one state$"):
+        cc.PureEnsemble([], np.zeros((0, 0)), [])
 
 
 def _pure_ensemble(rng, weights, labels, dim=3):
@@ -602,6 +607,83 @@ def test_bruteforce_sums(acceptance_corpus):
         for eps in (0.2, 0.3, 0.5):
             m, l, total = cc.compression_extraction_bruteforce(src, n, eps, tables)
             assert total == n
+
+
+def _per_block_decouple(source, n):
+    """The decoupling table by one ascent per output block y: the reference
+    for the grouped loop of codedchannels._best_decouple_by_dim."""
+    t = cc._source_table(source)
+    prior = source.prior
+    py = prior @ t
+    mod = prior[0] * t[0] - prior[1] * t[1]
+    xs = codes.all_vectors(2, n)
+    embeds = [gram_embed(cc._block_gram(y, xs, py, mod).astype(complex))
+              for y in codes.all_vectors(2, n)]
+    best = {}
+    for dim, spans in cc._coset_labels_by_dim(n).items():
+        nlab = 1 << (n - dim)
+        if nlab == 1:
+            best[n - dim] = 1.0
+            continue
+        top = 0.0
+        for labels in spans:
+            q = 0.0
+            scale = 1.0 / np.sqrt(1 << dim)
+            for vecs in embeds:
+                factors = [np.ascontiguousarray(scale * vecs[labels == c].T) for c in range(nlab)]
+                q += en.max_fidelity_sum(factors, [1.0 / nlab] * nlab).value ** 2
+            top = max(top, q)
+        best[n - dim] = min(1.0, top)
+    return best
+
+
+ASYMMETRIC = ch.make_classical([[0.8, 0.2], [0.3, 0.7]])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_grouped_blocks_match_the_per_block_ascents(n):
+    # a uniform-prior BSC collapses to one group of blocks, equal up to rounding;
+    # the asymmetric source keeps one block per group, counted exactly once
+    bsc = en.from_channel(ch.make_bsc(0.11))
+    tables = cc.compression_extraction_tables(bsc, n)
+    reference = _per_block_decouple(bsc, n)
+    assert tables.best_decouple_by_k.keys() == reference.keys()
+    for k, q in reference.items():
+        assert abs(tables.best_decouple_by_k[k] - q) <= 1e-12
+    asym = en.from_channel(ASYMMETRIC)
+    asym_tables = cc.compression_extraction_tables(asym, n)
+    assert asym_tables.best_decouple_by_k == _per_block_decouple(asym, n)
+    assert asym_tables.ascents == (1 << n) * tables.ascents
+
+
+@pytest.mark.parametrize("n, ascents", [(2, 4), (3, 15), (4, 66)])
+def test_bsc_runs_one_ascent_per_subspace(n, ascents):
+    tables = cc.compression_extraction_tables(en.from_channel(ch.make_bsc(0.11)), n)
+    assert (tables.ascents, tables.unconverged) == (ascents, 0)
+
+
+def test_bruteforce_zero_probability_output():
+    # the output symbol 1 never occurs: its blocks have weight 0 and no state
+    src = en.from_channel(ch.make_classical([[1, 0], [1, 0]]))
+    for n in (2, 3):
+        tables = cc.compression_extraction_tables(src, n)
+        for eps in (0.2, 0.3, 0.5):
+            assert cc.compression_extraction_bruteforce(src, n, eps, tables) == (n, 0, n)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda src: cc.compression_extraction_bruteforce(src, 2, float("nan")), "eps must be in"),
+    (lambda src: cc.compression_extraction_bruteforce(src, 2, -0.1), "eps must be in"),
+    (lambda src: cc.compression_extraction_bruteforce(src, 2, 1.5), "eps must be in"),
+    (lambda src: cc.compression_extraction_tables(src, -1), "n must be a nonnegative integer"),
+    (lambda src: cc.compression_extraction_tables(src, 2.0), "n must be a nonnegative integer"),
+    (lambda src: cc.compression_extraction_bruteforce(
+        src, 3, 0.2, cc.compression_extraction_tables(src, 2)), "n = 3 but the tables are for n = 2"),
+], ids=["eps_nan", "eps_negative", "eps_above_one", "n_negative", "n_float", "n_tables"])
+def test_bruteforce_refuses_bad_input_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{message}") as exc:
+        call(en.from_channel(ch.make_bsc(0.11)))
+    assert not isinstance(exc.value, Unsupported)
 
 
 def test_bruteforce_monotone_tables():
