@@ -98,6 +98,13 @@ class CqState:
     (_average_spectrum, _average_eigh), which the spectral readers share;
     average() hands out the kept average. Validated operators are exactly
     Hermitian, so a kept decomposition has the bits of a fresh one.
+
+    It also keeps the results of the state's two optimisations, each solved
+    at most once: _guess, the GuessResult of entropies.guessing_prob (the
+    Helstrom, SRM or classical value), and _q, the QResult of
+    entropies.decoupling_q (the decoupling ascent). Both are None until
+    those two functions, their only writers, first run on the state; every
+    later request gets the same immutable object, shared by all readers.
     """
 
     prior: np.ndarray
@@ -105,6 +112,8 @@ class CqState:
     _spectra: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     _table: np.ndarray | None = field(init=False, repr=False, compare=False)
     _eighs: list = field(init=False, repr=False, compare=False)
+    _guess: object = field(init=False, repr=False, compare=False)  # GuessResult | None
+    _q: object = field(init=False, repr=False, compare=False)  # QResult | None
 
     def __post_init__(self):
         if len(self.conditionals) == 0:
@@ -123,6 +132,8 @@ class CqState:
         object.__setattr__(self, "_spectra", tuple(_freeze(w) for _, w in checked))
         object.__setattr__(self, "_table", None if table is None else _freeze(table))
         object.__setattr__(self, "_eighs", [None] * len(conds))
+        object.__setattr__(self, "_guess", None)
+        object.__setattr__(self, "_q", None)
 
     @property
     def num_symbols(self) -> int:

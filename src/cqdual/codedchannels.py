@@ -173,16 +173,18 @@ def dual_coded_ensemble(p: float, cp: CodePair, mode: str) -> PureEnsemble:
 
 
 def dual_coded_states_dense(p: float, xs: np.ndarray) -> np.ndarray:
-    """Explicit tensor-product state vectors (columns) for the encoded words."""
+    """Explicit tensor-product state vectors (columns) for the encoded words:
+    column j is the Kronecker product, first position most significant, of
+    eta for each 0 and zeta for each 1 of word j, built for all words at once
+    with one broadcast product per position."""
     eta = np.array([np.sqrt(p), np.sqrt(1 - p)], dtype=complex)
     zeta = np.array([np.sqrt(p), -np.sqrt(1 - p)], dtype=complex)
-    cols = []
-    for x in xs:
-        v = np.array([1.0 + 0j])
-        for b in x:
-            v = np.kron(v, eta if b == 0 else zeta)
-        cols.append(v)
-    return np.stack(cols, axis=1)
+    xs = np.asarray(xs)
+    cols = np.ones((1, xs.shape[0]), dtype=complex)
+    for bits in xs.T:
+        factor = np.where(bits == 0, eta[:, None], zeta[:, None])  # (2, words)
+        cols = (cols[:, None, :] * factor[None, :, :]).reshape(-1, xs.shape[0])
+    return cols
 
 
 def _weighted_gram(e: PureEnsemble) -> np.ndarray:
@@ -236,14 +238,16 @@ def ensemble_decoupling(e: PureEnsemble) -> _en.QResult:
 
 
 def ensemble_cond_entropy(e: PureEnsemble, family: _en.EntropyFamily) -> float:
-    """Conditional entropy of the label given the quantum states, in bits."""
+    """Conditional entropy of the label given the quantum states, in bits; the
+    min-entropy of more than two labels, an SRM estimate, is refused
+    (Unsupported) as in entropies.cond_entropy."""
     if family.kind == "von_neumann":
         s = _weighted_gram(e)
         groups = _labels(e)
         spectra = [_eigvalsh(hermitian_part(s[np.ix_(idx, idx)] / pl)) for pl, idx in groups]
         return _en._vn_from_spectra([pl for pl, _ in groups], spectra, _eigvalsh(s))
     if family.kind == "min":
-        return -float(np.log2(ensemble_guessing(e).value))
+        return _en._min_entropy(ensemble_guessing(e))
     if family.kind == "max":
         q = ensemble_decoupling(e).value
         return float(np.log2(e.num_labels) + np.log2(q))

@@ -4,8 +4,9 @@ All entropies are reported in bits. The family covers the von Neumann
 entropy, min- and max-entropy (via guessing probability and decoupling
 quality), and the downarrow Renyi family built on the Petz divergence.
 Every function here reads a CqState (defined in channels, re-exported here)
-and the table, spectra and decompositions it keeps; a channel's entropies
-are those of its uniform-input state, from_channel(w).
+and the table, spectra and decompositions it keeps; guessing_prob and
+decoupling_q keep their results on it too. A channel's entropies are those
+of its uniform-input state, from_channel(w).
 """
 
 from __future__ import annotations
@@ -285,7 +286,14 @@ def guessing_prob(state: CqState) -> GuessResult:
     Otherwise two supported symbols use the exact binary Helstrom value and
     more than two fall back to the square-root measurement, flagged
     exact=False: _srm on the Gram matrix of the stacked factors of p_x rho_x.
+    The state keeps the result: a later call returns the same GuessResult.
     """
+    if state._guess is None:
+        object.__setattr__(state, "_guess", _guessing(state))
+    return state._guess
+
+
+def _guessing(state: CqState) -> GuessResult:
     joint = _classical_joint(state)
     if joint is not None:
         return GuessResult(_table_guess(joint), True, "classical_ml")
@@ -497,8 +505,15 @@ def decoupling_q(state: CqState) -> QResult:
 
     Computed by direct concave ascent over sigma, never through any duality
     shortcut. Commuting conditionals instead use the exact closed form of
-    _table_decoupling.
+    _table_decoupling. The state keeps the result: a later call returns the
+    same QResult and runs no ascent.
     """
+    if state._q is None:
+        object.__setattr__(state, "_q", _decoupling_q(state))
+    return state._q
+
+
+def _decoupling_q(state: CqState) -> QResult:
     m = state.num_symbols
     joint = _classical_joint(state)
     if joint is not None:
@@ -508,14 +523,31 @@ def decoupling_q(state: CqState) -> QResult:
     return _decoupling([y for _, y in sup], [np.sqrt(p / m) for p, _ in sup])
 
 
+def _min_entropy(guess: GuessResult) -> float:
+    """-log2 of an exact guessing probability. A square-root-measurement value
+    (exact=False) is refused: it only bounds the optimum from below, so its
+    -log2 would pass for a min-entropy it is not."""
+    if not guess.exact:
+        raise Unsupported(
+            "the min-entropy is computed for commuting conditionals or at most two "
+            "labels; more would need an optimal measurement, and the square-root "
+            "measurement only bounds the guessing probability"
+        )
+    return -float(np.log2(guess.value))
+
+
 def cond_entropy(state: CqState, family: EntropyFamily) -> float:
-    """Conditional entropy of the symbol given the quantum system, in bits."""
+    """Conditional entropy of the symbol given the quantum system, in bits.
+
+    The min-entropy is refused (Unsupported) where guessing_prob falls back
+    to the square-root measurement: more than two supported symbols whose
+    conditionals do not commute."""
     if family.kind == "von_neumann":
         return _vn_cond(state)
     if family.kind == "petz_down":
         return petz_curve(state, [family.alpha])[0]
     if family.kind == "min":
-        return -float(np.log2(guessing_prob(state).value))
+        return _min_entropy(guessing_prob(state))
     q = decoupling_q(state).value
     return float(np.log2(state.num_symbols) + np.log2(q))
 

@@ -148,6 +148,29 @@ def test_hamming_gram_vs_dense_oracle():
     assert abs(vn_gram - vn_dense) <= 1e-8
 
 
+def _kron_states(p, xs):
+    """The reference: one Kronecker product per position, word by word."""
+    eta = np.array([np.sqrt(p), np.sqrt(1 - p)], dtype=complex)
+    zeta = np.array([np.sqrt(p), -np.sqrt(1 - p)], dtype=complex)
+    cols = []
+    for x in xs:
+        v = np.array([1.0 + 0j])
+        for b in x:
+            v = np.kron(v, eta if b == 0 else zeta)
+        cols.append(v)
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("name", ["rep21", "rep31", "parity32", "hamming74", "rm13"])
+def test_dense_states_have_the_bits_of_the_kron_loop(name):
+    for cp in (codes.preset_pair(name), codes.preset_pair(name).dual()):
+        xs = cp.codewords()
+        for p in (0.0, 0.11, 0.3, 0.5):
+            got, want = cc.dual_coded_states_dense(p, xs), _kron_states(p, xs)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_dense_oracle_decomposes_only_the_average(monkeypatch):
     # the conditionals' spectra are the ones validation computed; H(X|B)
     # decomposes the 128-dim average state and nothing else

@@ -97,17 +97,18 @@ def test_an_empty_family_is_refused_by_name():
             build()
 
 
-def test_from_channel_runs_no_eigensolver(monkeypatch):
-    chans = [w for w, _ in _from_channel_cases()]
+def _counted_eigensolvers(monkeypatch) -> list[str]:
     calls = []
     for name in ("eigh", "eigvalsh"):
         orig = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *args, _f=orig, _n=name, **kwargs:
+                            calls.append(_n) or _f(*args, **kwargs))
+    return calls
 
-        def counted(*args, _orig=orig, _name=name, **kwargs):
-            calls.append(_name)
-            return _orig(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+def test_from_channel_runs_no_eigensolver(monkeypatch):
+    chans = [w for w, _ in _from_channel_cases()]
+    calls = _counted_eigensolvers(monkeypatch)
     for w in chans:
         en.from_channel(w)
     assert calls == []
@@ -351,9 +352,62 @@ def test_decoupling_drops_a_zero_prior_conditional_outside_the_support():
 def test_decoupling_q_deterministic_and_flagged(rng):
     s = en.from_channel(random_channel(rng, 3))
     a = en.decoupling_q(s)
-    b = en.decoupling_q(s)
+    b = en.decoupling_q(en.CqState(s.prior, s.conditionals))  # a fresh ascent
     assert a.value == b.value
     assert a.converged
+
+
+def _counted_ascents(monkeypatch) -> list:
+    results = []
+    ascent = en.max_fidelity_sum
+    monkeypatch.setattr(en, "max_fidelity_sum", lambda *args, **kwargs:
+                        results.append(ascent(*args, **kwargs)) or results[-1])
+    return results
+
+
+@pytest.mark.parametrize("make", [lambda: random_channel(np.random.default_rng(5), 3),
+                                  lambda: ch.make_bsc(0.11)], ids=["mixed", "classical"])
+def test_a_state_keeps_its_guessing_and_decoupling_results(monkeypatch, make):
+    state = en.from_channel(make())
+    assert state._guess is None and state._q is None
+    guess, q = en.guessing_prob(state), en.decoupling_q(state)
+    calls = _counted_eigensolvers(monkeypatch)
+    ascents = _counted_ascents(monkeypatch)
+    assert en.guessing_prob(state) is guess and en.decoupling_q(state) is q
+    assert (state._guess, state._q) == (guess, q)
+    assert en.cond_entropy(state, en.MIN_ENTROPY) == -np.log2(guess.value)
+    assert en.cond_entropy(state, en.MAX_ENTROPY) == 1.0 + np.log2(q.value)
+    assert calls == [] and ascents == []
+
+
+def test_duality_checks_and_exchange_run_one_ascent_per_side(monkeypatch):
+    # the min and max families solve both sides' problems; the exchange
+    # P_guess(W) = Q(W⊥), Q(W) = P_guess(W⊥) then reads what they kept
+    w = random_channel(np.random.default_rng(6), 3)
+    wd = ch.dual(w)
+    ascents = _counted_ascents(monkeypatch)
+    for family in IDENTITY_FAMILIES:
+        en.duality_check(w, family, dual_channel=wd)
+    st, std = en.from_channel(w), en.from_channel(wd)
+    exchange = (en.guessing_prob(st), en.decoupling_q(std), en.decoupling_q(st),
+                en.guessing_prob(std))
+    assert len(ascents) == 2
+    assert all(a is b for a, b in zip(exchange, (st._guess, std._q, st._q, std._guess)))
+
+
+def test_a_state_of_its_own_solves_its_own_problems(monkeypatch):
+    w = random_channel(np.random.default_rng(7), 3)
+    kept = en.from_channel(w)
+    guess, q = en.guessing_prob(kept), en.decoupling_q(kept)
+    ascents = _counted_ascents(monkeypatch)
+    for prior in ([0.5, 0.5], [0.3, 0.7]):
+        own = en.CqState(np.array(prior), w.outputs)
+        assert own._guess is None and own._q is None
+        assert en.guessing_prob(own) is not guess and en.decoupling_q(own) is not q
+        assert (own._guess, own._q) != (None, None)
+    assert len(ascents) == 2
+    own = en.CqState(np.array([0.5, 0.5]), w.outputs)
+    assert (en.guessing_prob(own), en.decoupling_q(own)) == (guess, q)  # the same problem
 
 
 def test_ascent_recovers_from_eigensolver_failure(rng, monkeypatch):

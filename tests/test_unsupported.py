@@ -15,6 +15,9 @@ THREE = ch.make_classical(np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1,
 MIXED = ch.CqChannel((np.diag([0.9, 0.1]).astype(complex), np.full((2, 2), 0.5, dtype=complex)))
 Q3 = codes.build_code(np.eye(3, dtype=int), 1, q=3)
 WIDE = ch.make_classical(np.random.default_rng(0).dirichlet(np.ones(65), size=2))
+TRINE = ch.make_pure([[np.cos(np.pi * k / 3), np.sin(np.pi * k / 3)] for k in range(3)])
+SRM = ("the min-entropy is computed for commuting conditionals or at most two labels; "
+       "more would need an optimal measurement, and the square-root measurement")
 
 REFUSALS = {  # id: (start of the message, the refused call)
     "convolve_non_binary": ("convolutions are defined for binary-input",
@@ -72,6 +75,11 @@ REFUSALS = {  # id: (start of the message, the refused call)
                               lambda: codes.weight_enumerator(codes.repetition_pair(25))),
     "min_max_beyond_binary": ("the min entropy sum is checked for binary input only",
                               lambda: en.duality_check(THREE, en.MIN_ENTROPY)),
+    # guessing_prob flags these exact=False: the square-root measurement
+    "min_entropy_srm": (SRM, lambda: en.cond_entropy(en.from_channel(TRINE), en.MIN_ENTROPY)),
+    "ensemble_min_entropy_srm": (SRM, lambda: cc.ensemble_cond_entropy(
+        cc.PureEnsemble(np.full(3, 1 / 3), np.full((3, 3), 0.5) + 0.5 * np.eye(3), [0, 1, 2]),
+        en.MIN_ENTROPY)),
     "capacity_without_witnesses": ("capacity formula requires symmetry witnesses",
                                    lambda: en.capacity(MIXED)),
     "dual_overlaps_binary": ("overlap formula requires binary input",
