@@ -151,21 +151,21 @@ def _families_from_flag(flag: str) -> list[EntropyFamily]:
     from . import channels as _ch
     from . import entropies as _en
 
-    if flag == "all":
-        fams = [_en.VON_NEUMANN, _en.MIN_ENTROPY, _en.MAX_ENTROPY]
-        fams.extend(_en.petz_down(a) for a in _ch.PROFILE_ALPHAS)
-        return fams
-    if flag == "von_neumann":
-        return [_en.VON_NEUMANN]
-    if flag == "min":
-        return [_en.MIN_ENTROPY]
-    if flag == "max":
-        return [_en.MAX_ENTROPY]
-    if flag.startswith("petz"):
-        if ":" in flag:
-            return [_en.petz_down(float(flag.split(":", 1)[1]))]
-        return [_en.petz_down(a) for a in _ch.PROFILE_ALPHAS]
-    raise ValueError(f"unknown family {flag!r}")
+    petz = [_en.petz_down(a) for a in _ch.PROFILE_ALPHAS]
+    named = {"all": [_en.VON_NEUMANN, _en.MIN_ENTROPY, _en.MAX_ENTROPY, *petz],
+             "von_neumann": [_en.VON_NEUMANN], "min": [_en.MIN_ENTROPY],
+             "max": [_en.MAX_ENTROPY], "petz": petz}
+    if flag in named:
+        return named[flag]
+    if not flag.startswith("petz:"):
+        raise ValueError(f"unknown family {flag!r}")
+    fam = _en.petz_down(float(flag[len("petz:"):]))
+    try:
+        fam.dual()
+    except ValueError:
+        raise ValueError(f"Petz order {fam.alpha:g} pairs with order {2.0 - fam.alpha:g}, "
+                         "which is not computed") from None
+    return [fam]
 
 
 def _cmd_check_duality(args) -> int:

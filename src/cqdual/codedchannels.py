@@ -237,21 +237,23 @@ def ensemble_decoupling(e: PureEnsemble) -> _en.QResult:
     return _en._decoupling(factors, np.sqrt(prior / e.num_labels))
 
 
+def _ensemble_vn(e: PureEnsemble) -> float:
+    s = _weighted_gram(e)
+    groups = _labels(e)
+    spectra = [_eigvalsh(hermitian_part(s[np.ix_(idx, idx)] / pl)) for pl, idx in groups]
+    return _en._vn_from_spectra([pl for pl, _ in groups], spectra, _eigvalsh(s))
+
+
+_ENSEMBLE = _en._Reader(lambda e: e.num_labels, _ensemble_vn,
+                        lambda e, a: _en.petz_curve(ensemble_to_cqstate(e), [a])[0],
+                        lambda e: ensemble_guessing(e), lambda e: ensemble_decoupling(e).value)
+
+
 def ensemble_cond_entropy(e: PureEnsemble, family: _en.EntropyFamily) -> float:
     """Conditional entropy of the label given the quantum states, in bits; the
     min-entropy of more than two labels, an SRM estimate, is refused
     (Unsupported) as in entropies.cond_entropy."""
-    if family.kind == "von_neumann":
-        s = _weighted_gram(e)
-        groups = _labels(e)
-        spectra = [_eigvalsh(hermitian_part(s[np.ix_(idx, idx)] / pl)) for pl, idx in groups]
-        return _en._vn_from_spectra([pl for pl, _ in groups], spectra, _eigvalsh(s))
-    if family.kind == "min":
-        return _en._min_entropy(ensemble_guessing(e))
-    if family.kind == "max":
-        q = ensemble_decoupling(e).value
-        return float(np.log2(e.num_labels) + np.log2(q))
-    return _en.petz_curve(ensemble_to_cqstate(e), [family.alpha])[0]
+    return family.of(_ENSEMBLE, e)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +499,7 @@ def exit_duality_check(
     if channel_family not in _EXIT_CHANNELS:
         raise ValueError("channel_family must be 'bec' or 'bsc'")
     w, wd = _EXIT_CHANNELS[channel_family](p)
-    dualf = _en.dual_family(family)
+    dualf = family.dual()
     lhs = float(exit_function(w, cp, family))
     rhs = float(exit_function(wd, cp.dual(), dualf))
     total = lhs + rhs

@@ -2,17 +2,19 @@
 
 All entropies are reported in bits. The family covers the von Neumann
 entropy, min- and max-entropy (via guessing probability and decoupling
-quality), and the downarrow Renyi family built on the Petz divergence.
-Every function here reads a CqState (defined in channels, re-exported here)
-and the table, spectra and decompositions it keeps; guessing_prob and
-decoupling_q keep their results on it too. A channel's entropies are those
-of its uniform-input state, from_channel(w).
+quality), and the downarrow Renyi family built on the Petz divergence:
+each member one EntropyFamily, read off a source through that source's
+_Reader (_STATE, _TABLE, codedchannels._ENSEMBLE). Every function here reads
+a CqState (defined in channels, re-exported here) and the table, spectra and
+decompositions it keeps, guessing and decoupling results included. A
+channel's entropies are those of its uniform-input state, from_channel(w).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,7 +38,6 @@ __all__ = [
     "MIN_ENTROPY",
     "MAX_ENTROPY",
     "petz_down",
-    "dual_family",
     "CqState",
     "DualityReport",
     "GuessResult",
@@ -60,46 +61,40 @@ __all__ = [
 LOG2 = np.log(2.0)
 
 
+# What the families are written in, read off one kind of source: its label
+# count, von Neumann sum, Petz value at one order, GuessResult and decoupling
+# value. An entry that reaches a function perfbench traces looks it up by name
+# when called, so the tracer's replacement is the one called.
+_Reader = namedtuple("_Reader", "count vn petz guess q")
+
+
 @dataclass(frozen=True)
 class EntropyFamily:
-    """Tag for one member of the conditional entropy family."""
+    """One member of the conditional entropy family: its label, its value read
+    off a source through that source's _Reader, the family paired with it in
+    the entropy-sum identity, and its Petz order (None outside that family).
+    Families compare by label and order."""
 
-    kind: str  # "von_neumann" | "min" | "max" | "petz_down"
+    label: str
+    of: Callable[[_Reader, Any], float] = field(compare=False, repr=False)
+    dual: Callable[[], EntropyFamily] = field(compare=False, repr=False)
     alpha: float | None = None
 
-    def __post_init__(self):
-        if self.kind == "petz_down":
-            a = self.alpha
-            if a is None or not (0.0 < a < 1.0 or 1.0 < a <= 2.0):
-                raise ValueError(f"petz_down needs alpha in (0,1) or (1,2], got {a}")
-        elif self.kind not in ("von_neumann", "min", "max"):
-            raise ValueError(f"unknown entropy kind {self.kind!r}")
 
-    @property
-    def label(self) -> str:
-        if self.kind == "petz_down":
-            return f"petz_down({self.alpha:g})"
-        return self.kind
-
-
-VON_NEUMANN = EntropyFamily("von_neumann")
-MIN_ENTROPY = EntropyFamily("min")
-MAX_ENTROPY = EntropyFamily("max")
+VON_NEUMANN = EntropyFamily("von_neumann", lambda r, x: r.vn(x), lambda: VON_NEUMANN)
+MIN_ENTROPY = EntropyFamily("min", lambda r, x: _min_entropy(r.guess(x)), lambda: MAX_ENTROPY)
+MAX_ENTROPY = EntropyFamily("max", lambda r, x: float(np.log2(r.count(x)) + np.log2(r.q(x))),
+                            lambda: MIN_ENTROPY)
 
 
 def petz_down(alpha: float) -> EntropyFamily:
-    return EntropyFamily("petz_down", float(alpha))
-
-
-def dual_family(f: EntropyFamily) -> EntropyFamily:
-    """The family paired with f in the entropy-sum identity."""
-    if f.kind == "von_neumann":
-        return VON_NEUMANN
-    if f.kind == "min":
-        return MAX_ENTROPY
-    if f.kind == "max":
-        return MIN_ENTROPY
-    return petz_down(2.0 - float(f.alpha))
+    """The downarrow Petz family at order alpha in (0, 1) or (1, 2], paired
+    with order 2 - alpha: the one check of the Petz range."""
+    a = float(alpha)
+    if not (0.0 < a < 1.0 or 1.0 < a <= 2.0):
+        raise ValueError(f"petz_down needs alpha in (0,1) or (1,2], got {a}")
+    return EntropyFamily(f"petz_down({a:g})", lambda r, x: r.petz(x, a),
+                         lambda: petz_down(2.0 - a), a)
 
 
 class GuessResult(NamedTuple):
@@ -209,16 +204,17 @@ def _table_petz(joint: np.ndarray, alphas: Sequence[float]) -> list[float]:
     return out
 
 
+_TABLE = _Reader(lambda j: j.shape[0],
+                 lambda j: float(-_xlog2x(j).sum() + _xlog2x(j.sum(axis=0)).sum()),
+                 lambda j, a: _table_petz(j, [a])[0],
+                 lambda j: GuessResult(_table_guess(j), True, "classical_ml"),
+                 _table_decoupling)
+
+
 def table_entropy(joint: np.ndarray, family: EntropyFamily) -> float:
     """Conditional entropy of the row label given the column of a joint table
     P(x, y), in bits: the exact value of every family on commuting states."""
-    if family.kind == "von_neumann":
-        return float(-_xlog2x(joint).sum() + _xlog2x(joint.sum(axis=0)).sum())
-    if family.kind == "min":
-        return -float(np.log2(_table_guess(joint)))
-    if family.kind == "max":
-        return float(np.log2(joint.shape[0]) + np.log2(_table_decoupling(joint)))
-    return _table_petz(joint, [family.alpha])[0]
+    return family.of(_TABLE, joint)
 
 
 def _classical_joint(state: CqState) -> np.ndarray | None:
@@ -244,7 +240,7 @@ def _vn_from_spectra(prior, spectra, average_spectrum: np.ndarray) -> float:
 def _vn_cond(state: CqState) -> float:
     joint = _classical_joint(state)
     if joint is not None:
-        return table_entropy(joint, VON_NEUMANN)
+        return _TABLE.vn(joint)
     return _vn_from_spectra(state.prior, state._spectra, state._average_spectrum)
 
 
@@ -296,7 +292,7 @@ def guessing_prob(state: CqState) -> GuessResult:
 def _guessing(state: CqState) -> GuessResult:
     joint = _classical_joint(state)
     if joint is not None:
-        return GuessResult(_table_guess(joint), True, "classical_ml")
+        return _TABLE.guess(joint)
     sup = state.supported()
     if len(sup) == 1:
         return GuessResult(1.0, True, "trivial")
@@ -536,20 +532,17 @@ def _min_entropy(guess: GuessResult) -> float:
     return -float(np.log2(guess.value))
 
 
+_STATE = _Reader(lambda s: s.num_symbols, _vn_cond, lambda s, a: petz_curve(s, [a])[0],
+                 lambda s: guessing_prob(s), lambda s: decoupling_q(s).value)
+
+
 def cond_entropy(state: CqState, family: EntropyFamily) -> float:
     """Conditional entropy of the symbol given the quantum system, in bits.
 
     The min-entropy is refused (Unsupported) where guessing_prob falls back
     to the square-root measurement: more than two supported symbols whose
     conditionals do not commute."""
-    if family.kind == "von_neumann":
-        return _vn_cond(state)
-    if family.kind == "petz_down":
-        return petz_curve(state, [family.alpha])[0]
-    if family.kind == "min":
-        return _min_entropy(guessing_prob(state))
-    q = decoupling_q(state).value
-    return float(np.log2(state.num_symbols) + np.log2(q))
+    return family.of(_STATE, state)
 
 
 # ---------------------------------------------------------------------------
@@ -622,12 +615,12 @@ def duality_check(
     refused (Unsupported) for more than two inputs, where guessing_prob falls
     back to the square-root measurement, which is not optimal there.
     """
-    if family.kind in ("min", "max") and w.input_size > 2:
+    dualf = family.dual()
+    if MIN_ENTROPY in (family, dualf) and w.input_size > 2:
         raise Unsupported(
             f"the {family.label} entropy sum is checked for binary input only; "
             f"{w.input_size} inputs would need an optimal measurement"
         )
-    dualf = dual_family(family)
     lhs = cond_entropy(from_channel(w), family)
     wd = _ch.dual(w) if dual_channel is None else dual_channel
     rhs = cond_entropy(from_channel(wd), dualf)

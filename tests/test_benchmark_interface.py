@@ -9,6 +9,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -104,3 +105,41 @@ def test_benchmark_result_fields():
     quantities = codedchannels.coded_duality_check(0.11, rep3, seed=0).quantities
     assert {"vn_sum", "minmax_sum", "maxmin_sum", "vn_sum_2", "minmax_sum_2", "srm_cross_gap",
             "srm_cross_gap_2"} <= set(quantities)
+
+
+def test_family_labels_of_check_duality_all(capsys):
+    # workloads.py names its checks f"{fam.label}_sum" and scores check-duality's
+    # reports by their "family" strings
+    from cqdual import cli
+
+    assert cli.main(["check-duality", "--channel", "bsc:0.11", "--family", "all"]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert [r["family"] for r in reports] == [
+        "von_neumann", "min", "max", "petz_down(0.5)", "petz_down(0.75)", "petz_down(1.25)",
+        "petz_down(1.5)",
+    ]
+
+
+@pytest.mark.parametrize("source", ["state", "ensemble"])
+def test_families_reach_the_traced_functions(monkeypatch, source):
+    # the tracer replaces these module names in place, so a family's value must
+    # look them up when it is read, once per family that uses them
+    if source == "state":
+        x, evaluate = entropies.from_channel(ch.make_bsc_dual(0.11)), entropies.cond_entropy
+        traced = {"min": (entropies, "guessing_prob"), "max": (entropies, "decoupling_q")}
+    else:
+        x = codedchannels.dual_coded_ensemble(0.11, codes.repetition_pair(2), "deterministic")
+        evaluate = codedchannels.ensemble_cond_entropy
+        traced = {"min": (codedchannels, "ensemble_guessing"),
+                  "max": (codedchannels, "ensemble_decoupling")}
+    traced["petz"] = (entropies, "petz_curve")
+    calls = []
+    for key, (module, name) in traced.items():
+        orig = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _orig=orig, _key=key: calls.append(_key) or _orig(*a))
+    for fam, want in ((entropies.VON_NEUMANN, []), (entropies.MIN_ENTROPY, ["min"]),
+                      (entropies.MAX_ENTROPY, ["max"]), (entropies.petz_down(0.5), ["petz"])):
+        calls.clear()
+        evaluate(x, fam)
+        assert calls == want, fam.label

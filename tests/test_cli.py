@@ -279,6 +279,9 @@ def test_pure_channel_from_file(tmp_path):
         ["exit-scan", "--channel", "bec", "--code", "rep31", "--grid", "inf"],
         ["exit-scan", "--channel", "bec", "--code", "rep31", "--grid", "0.3,nan"],
         ["exit-scan", "--channel", "bec", "--code", "rep31", "--grid", "0.3,-inf"],
+        # order 2 pairs with order 0, which petz_down refuses
+        ["check-duality", "--channel", "bsc:0.11", "--family", "petz:2"],
+        ["check-duality", "--channel", "bsc:0.11", "--family", "petzzz"],
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, args):
@@ -290,6 +293,15 @@ def test_usage_errors_exit_2(tmp_path, capsys, args):
     assert captured.out == ""
     assert captured.err.startswith("cqdual: error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("family, message", [
+    ("petz:2", "Petz order 2 pairs with order 0, which is not computed"),
+    ("petzzz", "unknown family 'petzzz'"),
+])
+def test_family_refusal_names_its_cause(capsys, family, message):
+    assert run_cli(["check-duality", "--channel", "bsc:0.11", "--family", family]) == 2
+    assert capsys.readouterr().err == f"cqdual: error: {message}\n"
 
 
 @pytest.mark.parametrize("spec", ["weird:@{missing}", "weird:0.3"])

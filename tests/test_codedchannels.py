@@ -122,7 +122,8 @@ def test_gram_matches_dense_tensor_construction():
         np.full(2, 0.5),
         tuple(np.outer(cols[:, i], cols[:, i].conj()) for i in range(2)),
     )
-    for fam in (en.VON_NEUMANN, en.MIN_ENTROPY):
+    for fam in (en.VON_NEUMANN, en.MIN_ENTROPY, en.MAX_ENTROPY, en.petz_down(0.5),
+                en.petz_down(1.5)):
         assert abs(
             cc.ensemble_cond_entropy(e, fam) - en.cond_entropy(dense_state, fam)
         ) < 1e-10

@@ -135,7 +135,7 @@ def test_refusals_raise_unsupported(message, refusal):
         lambda: codes.preset_pair("golay"),
         lambda: en.np_beta([0.5, 0.5], [1.0], 0.1),
         lambda: en.np_beta([0.5, 0.5], [0.5, 0.5], 1.0),
-        lambda: en.EntropyFamily("renyi"),
+        lambda: en.petz_down(0.0),
         lambda: PureState(np.array([1.0, 0.0]), (3,)),
         lambda: linalg.assert_hermitian(np.ones(3)),
         lambda: linalg.assert_density(np.eye(2)),
