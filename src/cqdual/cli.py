@@ -160,11 +160,7 @@ def _families_from_flag(flag: str) -> list[EntropyFamily]:
     if not flag.startswith("petz:"):
         raise ValueError(f"unknown family {flag!r}")
     fam = _en.petz_down(float(flag[len("petz:"):]))
-    try:
-        fam.dual()
-    except ValueError:
-        raise ValueError(f"Petz order {fam.alpha:g} pairs with order {2.0 - fam.alpha:g}, "
-                         "which is not computed") from None
+    fam.dual()  # refuses order 2, whose dual order 0 is not computed
     return [fam]
 
 

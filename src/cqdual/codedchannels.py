@@ -3,7 +3,9 @@
 The classical side is handled by exhaustive enumeration of messages and output
 strings. The dual side works with pure-state ensembles represented by their
 Gram matrices, which is exact: the nonzero spectrum of a weighted pure mixture
-equals the spectrum of its weighted Gram matrix.
+equals the spectrum of its weighted Gram matrix. An EXIT function is one sum
+over per-position sources that the channel's outputs choose: erasure joints,
+enumerated diagonal joints or Gram ensembles.
 """
 
 from __future__ import annotations
@@ -156,6 +158,11 @@ def _word_gram(xs: np.ndarray, overlap: float) -> np.ndarray:
     return (overlap**ham).astype(complex)
 
 
+def _word_ensemble(xs: np.ndarray, labels: np.ndarray, overlap: float) -> PureEnsemble:
+    """Uniform ensemble of the product states of the words xs, labelled by labels."""
+    return PureEnsemble(np.full(len(xs), 1.0 / len(xs)), _word_gram(xs, overlap), labels)
+
+
 def dual_coded_ensemble(p: float, cp: CodePair, mode: str) -> PureEnsemble:
     """Coded ensemble of modulated pure dual-channel states.
 
@@ -167,9 +174,7 @@ def dual_coded_ensemble(p: float, cp: CodePair, mode: str) -> PureEnsemble:
         raise Unsupported("pure dual ensembles are built for binary codes")
     if mode not in ("deterministic", "randomized"):
         raise ValueError(f"unknown mode {mode!r}")
-    xs, labels = _encoding(cp, mode == "randomized")
-    m = xs.shape[0]
-    return PureEnsemble(np.full(m, 1.0 / m), _word_gram(xs, 1.0 - 2.0 * p), labels)
+    return _word_ensemble(*_encoding(cp, mode == "randomized"), 1.0 - 2.0 * p)
 
 
 def dual_coded_states_dense(p: float, xs: np.ndarray) -> np.ndarray:
@@ -303,37 +308,28 @@ def coded_duality_check(p: float, cp: CodePair, seed: int | None = None) -> Code
     ch = _ch.make_bsc(p)
     n, k = cp.n, cp.k
     q: dict[str, float] = {}
-
-    # ---- first pairing (target k)
-    det = classical_coded_table(ch, cp, "deterministic")
-    ens1 = dual_coded_ensemble(p, cp.dual_complement(), "randomized")
-    q["vn_message_leg"] = _en.table_entropy(det, _en.VON_NEUMANN)
-    q["vn_dual_leg"] = ensemble_cond_entropy(ens1, _en.VON_NEUMANN)
-    q["vn_sum"] = q["vn_message_leg"] + q["vn_dual_leg"]
-    p_ml = _en._table_guess(det)
-    q_dual = ensemble_decoupling(ens1).value
-    q["guess_message_leg"] = p_ml
-    q["decouple_dual_leg"] = q_dual
-    q["minmax_sum"] = -np.log2(p_ml) + np.log2(ens1.num_labels * q_dual)
-    hmax_cls = _en.table_entropy(det, _en.MAX_ENTROPY)
-    srm = ensemble_guessing(ens1)
-    q["maxmin_sum"] = hmax_cls + (-np.log2(srm.value))
-    q["srm_cross_gap"] = abs((-np.log2(srm.value)) - (k - hmax_cls))
-    q["srm_exact"] = float(srm.exact)
-
-    # ---- second pairing (target n - k)
-    rand = classical_coded_table(ch, cp.complement(), "randomized")
-    ens2 = dual_coded_ensemble(p, cp.dual(), "deterministic")
-    q["vn_syndrome_leg"] = _en.table_entropy(rand, _en.VON_NEUMANN)
-    q["vn_dual_det_leg"] = ensemble_cond_entropy(ens2, _en.VON_NEUMANN)
-    q["vn_sum_2"] = q["vn_syndrome_leg"] + q["vn_dual_det_leg"]
-    p_ml2 = _en._table_guess(rand)
-    q_dual2 = ensemble_decoupling(ens2).value
-    q["minmax_sum_2"] = -np.log2(p_ml2) + np.log2(ens2.num_labels * q_dual2)
-    hmax_cls2 = _en.table_entropy(rand, _en.MAX_ENTROPY)
-    srm2 = ensemble_guessing(ens2)
-    q["maxmin_sum_2"] = hmax_cls2 + (-np.log2(srm2.value))
-    q["srm_cross_gap_2"] = abs((-np.log2(srm2.value)) - ((n - k) - hmax_cls2))
+    pairings = (  # key suffix, von Neumann leg keys, coded table, dual ensemble, target
+        ("", ("vn_message_leg", "vn_dual_leg"), (cp, "deterministic"),
+         (cp.dual_complement(), "randomized"), k),
+        ("_2", ("vn_syndrome_leg", "vn_dual_det_leg"), (cp.complement(), "randomized"),
+         (cp.dual(), "deterministic"), n - k),
+    )
+    for suffix, (vn_cls, vn_dual), table, dual_ens, target in pairings:
+        joint = classical_coded_table(ch, *table)
+        ens = dual_coded_ensemble(p, *dual_ens)
+        q[vn_cls] = _en.table_entropy(joint, _en.VON_NEUMANN)
+        q[vn_dual] = ensemble_cond_entropy(ens, _en.VON_NEUMANN)
+        q[f"vn_sum{suffix}"] = q[vn_cls] + q[vn_dual]
+        p_ml = _en._table_guess(joint)
+        q_dual = ensemble_decoupling(ens).value
+        q[f"minmax_sum{suffix}"] = -np.log2(p_ml) + np.log2(ens.num_labels * q_dual)
+        hmax_cls = _en.table_entropy(joint, _en.MAX_ENTROPY)
+        srm = ensemble_guessing(ens)
+        q[f"maxmin_sum{suffix}"] = hmax_cls + (-np.log2(srm.value))
+        q[f"srm_cross_gap{suffix}"] = abs((-np.log2(srm.value)) - (target - hmax_cls))
+        if not suffix:  # the message pairing also reports its raw legs
+            q.update(guess_message_leg=p_ml, decouple_dual_leg=q_dual,
+                     srm_exact=float(srm.exact))
     return CodedAnalysis(n, k, f"bsc({p})", cp.name or "custom", q)
 
 
@@ -407,8 +403,8 @@ def _undetermined_counts(cp: CodePair) -> np.ndarray:
     return counts
 
 
-def _erasure_exit(eps: float, cp: CodePair, family: _en.EntropyFamily) -> float:
-    """EXIT function of a binary code on an erasure channel with erasure
+def _erasure_sources(eps: float, cp: CodePair):
+    """Per-position joints of a binary code on an erasure channel with erasure
     probability eps, from _undetermined_counts.
 
     Given the other outputs, x_i is determined (0 or 1) or undetermined, and
@@ -423,62 +419,64 @@ def _erasure_exit(eps: float, cp: CodePair, family: _en.EntropyFamily) -> float:
     # a probability: rounding can take a full count's sum a hair past 1
     undetermined = np.clip(counts @ ((1.0 - eps) ** s * eps ** (n - 1 - s)), 0.0, 1.0)
     ones = 0.5 * (counts[:, 0] > 0)  # P(x_i = 1): 1/2 unless x_i is always 0
-    total = 0.0
     for p1, u in zip(ones, undetermined):
-        joint = np.array(
+        yield np.array(
             [[(1.0 - p1) * (1.0 - u), 0.0, (1.0 - p1) * u], [0.0, p1 * (1.0 - u), p1 * u]]
         )
-        total += _en.table_entropy(joint, family)
-    return total / n
+
+
+def _diagonal_sources(t: np.ndarray, cp: CodePair):
+    """Per-position joints P(x_i, other outputs) over a transition table t,
+    every output string enumerated."""
+    if cp.n > 12:
+        raise Unsupported("classical EXIT blocklength capped at 12")
+    words = cp.codewords()
+    ys = all_vectors(t.shape[1], cp.n - 1)
+    for i in range(cp.n):
+        lik = _product_likelihood(np.delete(words, i, axis=1), ys, t)
+        joint = np.zeros((cp.q, ys.shape[0]))
+        np.add.at(joint, words[:, i], lik / words.shape[0])
+        yield joint
+
+
+def _pure_sources(channel: _ch.CqChannel, cp: CodePair):
+    """Per-position ensembles of the other positions' pure product states,
+    labelled by x_i; up to phases the two states have the real overlap
+    F(W(0), W(1))."""
+    if cp.n > 10:
+        raise Unsupported("pure-dual EXIT blocklength capped at 10")
+    words = cp.codewords()
+    overlap = _fidelity(channel._state._cond_eigh(0), channel.outputs[1])
+    for i in range(cp.n):
+        yield _word_ensemble(np.delete(words, i, axis=1), words[:, i], overlap)
 
 
 def exit_function(channel: _ch.CqChannel, cp: CodePair, family: _en.EntropyFamily) -> float:
     """Average per-position entropy of a codeword digit given the other outputs.
 
-    The position's own output is deleted, not conditioned on. The path is
-    chosen from the outputs: erasure channels (channels._erasure_probability)
-    take exact counts of undetermined positions, with a memory cap on the 2^n
-    masks; other diagonal (classical) outputs are enumerated exactly, up to
-    n = 12; a binary-input channel with pure outputs (such as the dual of the
-    BSC) goes through Gram-matrix ensembles, since up to phases its two states
-    have the real overlap F(W(0), W(1)). Any other channel is refused.
+    The position's own output is deleted, not conditioned on. The outputs
+    choose an entropy reader and one source per position, built lazily:
+    erasure channels (channels._erasure_probability) take exact counts of
+    undetermined positions, with a memory cap on the 2^n masks; other
+    diagonal (classical) outputs are enumerated exactly, up to n = 12; a
+    binary-input channel with pure outputs (such as the dual of the BSC) goes
+    through Gram-matrix ensembles, up to n = 10. Any other channel is refused.
+    Each source refuses past its cap before it enumerates the q^k codewords.
     """
     if channel.input_size != cp.q:
         raise Unsupported("channel alphabet must match the code field")
+    state = channel._state
     eps = _ch._erasure_probability(channel)
     if eps is not None:
-        return _erasure_exit(eps, cp, family)
-    # each path refuses past its cap before it enumerates the q^k codewords
-    state = channel._state
-    t = state._table
-    if t is not None:
-        if cp.n > 12:
-            raise Unsupported("classical EXIT blocklength capped at 12")
-        words = cp.codewords()
-        mcount = words.shape[0]
-        total = 0.0
-        ys = all_vectors(t.shape[1], cp.n - 1)
-        for i in range(cp.n):
-            others = np.delete(words, i, axis=1)
-            lik = _product_likelihood(others, ys, t)
-            joint = np.zeros((cp.q, ys.shape[0]))
-            np.add.at(joint, words[:, i], lik / mcount)
-            total += _en.table_entropy(joint, family)
-        return total / cp.n
+        entropy, sources = _en.table_entropy, _erasure_sources(eps, cp)
+    elif state._table is not None:
+        entropy, sources = _en.table_entropy, _diagonal_sources(state._table, cp)
     # pure outputs: validation found one eigenvalue above the rank cut in each
-    if channel.input_size == 2 and all((w > TOL.rank_cut).sum() == 1 for w in state._spectra):
-        if cp.n > 10:
-            raise Unsupported("pure-dual EXIT blocklength capped at 10")
-        words = cp.codewords()
-        mcount = words.shape[0]
-        overlap = _fidelity(state._cond_eigh(0), channel.outputs[1])
-        total = 0.0
-        for i in range(cp.n):
-            gram = _word_gram(np.delete(words, i, axis=1), overlap)
-            ens = PureEnsemble(np.full(mcount, 1.0 / mcount), gram, words[:, i])
-            total += ensemble_cond_entropy(ens, family)
-        return total / cp.n
-    raise Unsupported("EXIT functions need diagonal outputs, or binary input and pure outputs")
+    elif channel.input_size == 2 and all((w > TOL.rank_cut).sum() == 1 for w in state._spectra):
+        entropy, sources = ensemble_cond_entropy, _pure_sources(channel, cp)
+    else:
+        raise Unsupported("EXIT functions need diagonal outputs, or binary input and pure outputs")
+    return sum(entropy(x, family) for x in sources) / cp.n
 
 
 # each channel family's W(p) and its dual W(p)⊥

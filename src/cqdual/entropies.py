@@ -93,8 +93,13 @@ def petz_down(alpha: float) -> EntropyFamily:
     a = float(alpha)
     if not (0.0 < a < 1.0 or 1.0 < a <= 2.0):
         raise ValueError(f"petz_down needs alpha in (0,1) or (1,2], got {a}")
-    return EntropyFamily(f"petz_down({a:g})", lambda r, x: r.petz(x, a),
-                         lambda: petz_down(2.0 - a), a)
+
+    def dual() -> EntropyFamily:
+        if a == 2.0:
+            raise Unsupported("Petz order 2 pairs with order 0, which is not computed")
+        return petz_down(2.0 - a)
+
+    return EntropyFamily(f"petz_down({a:g})", lambda r, x: r.petz(x, a), dual, a)
 
 
 class GuessResult(NamedTuple):

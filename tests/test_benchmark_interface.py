@@ -143,3 +143,26 @@ def test_families_reach_the_traced_functions(monkeypatch, source):
         calls.clear()
         evaluate(x, fam)
         assert calls == want, fam.label
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: codedchannels.exit_duality_check(0.11, codes.hamming74_pair(), channel_family="bsc"),
+     {"exit_duality_check": 1, "ensemble_cond_entropy": 7}),
+    (lambda: codedchannels.coded_duality_check(0.11, codes.repetition_pair(3)),
+     {"coded_duality_check": 1, "classical_coded_table": 2, "ensemble_cond_entropy": 2,
+      "ensemble_decoupling": 2, "ensemble_guessing": 2}),
+], ids=["exit_bsc_hamming74", "coded_rep3"])
+def test_traced_codedchannels_call_counts(monkeypatch, call, want):
+    # the per-layer view of a traced run counts calls of these names; a
+    # refactor that calls one more or less often moves it silently
+    calls = dict.fromkeys(_traced()["codedchannels"], 0)
+    for name in calls:
+        orig = getattr(codedchannels, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(codedchannels, name, counted)
+    call()
+    assert {name: n for name, n in calls.items() if n} == want

@@ -453,6 +453,17 @@ def test_erasure_exit_of_trivial_codes(monkeypatch, k, value):
         assert abs(got - value) <= 1e-13 and abs(got - enumerated) <= 1e-13
 
 
+@pytest.mark.parametrize("k, value", [(0, 0.0), (4, 1.0)])
+@pytest.mark.parametrize("make", [ch.make_bsc, ch.make_bsc_dual], ids=["diagonal", "pure"])
+def test_exit_of_trivial_codes(make, k, value):
+    # as on the erasure path: the zero code leaves nothing to learn, and no
+    # word carries the digit 1; the full code leaves every digit independent
+    # of the others
+    cp = codes.build_code(np.eye(4, dtype=np.int64), k)
+    for fam in _FAMILIES:
+        assert abs(cc.exit_function(make(0.11), cp, fam) - value) <= 1e-12, fam.label
+
+
 def test_erasure_exit_is_chosen_from_the_outputs(monkeypatch):
     monkeypatch.setattr(cc, "_product_likelihood", _no_enumeration)
     cp = codes.hamming74_pair()
@@ -492,6 +503,11 @@ def test_exit_caps_refuse_before_enumerating(monkeypatch):
         cc.exit_function(ch.make_bsc(0.11), cp, en.VON_NEUMANN)
     with pytest.raises(Unsupported, match="^pure-dual EXIT blocklength capped at 10$"):
         cc.exit_function(ch.make_bsc_dual(0.11), cp, en.VON_NEUMANN)
+    # and one position past each cap
+    with pytest.raises(Unsupported, match="^classical EXIT blocklength capped at 12$"):
+        cc.exit_function(ch.make_bsc(0.11), codes.repetition_pair(13), en.VON_NEUMANN)
+    with pytest.raises(Unsupported, match="^pure-dual EXIT blocklength capped at 10$"):
+        cc.exit_function(ch.make_bsc_dual(0.11), codes.repetition_pair(11), en.VON_NEUMANN)
 
 
 def _bsc_exit_terms(p, cp):

@@ -80,6 +80,11 @@ REFUSALS = {  # id: (start of the message, the refused call)
     "ensemble_min_entropy_srm": (SRM, lambda: cc.ensemble_cond_entropy(
         cc.PureEnsemble(np.full(3, 1 / 3), np.full((3, 3), 0.5) + 0.5 * np.eye(3), [0, 1, 2]),
         en.MIN_ENTROPY)),
+    "petz_order_2_dual": ("Petz order 2 pairs with order 0, which is not computed$",
+                          lambda: en.duality_check(BSC, en.petz_down(2.0))),
+    "exit_petz_order_2_dual": ("Petz order 2 pairs with order 0, which is not computed$",
+                               lambda: cc.exit_duality_check(0.3, codes.repetition_pair(3),
+                                                             en.petz_down(2.0))),
     "capacity_without_witnesses": ("capacity formula requires symmetry witnesses",
                                    lambda: en.capacity(MIXED)),
     "dual_overlaps_binary": ("overlap formula requires binary input",
