@@ -11,7 +11,7 @@ enumerated diagonal joints or Gram ensembles.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -553,31 +553,44 @@ def exit_scan(channel_family: str, cp: CodePair, grid) -> ExitScan:
 
 
 _Subspaces = dict[int, list[np.ndarray]]  # dimension -> each subspace's coset labels
+_Value = Callable[[np.ndarray], float]  # a subspace's coset labels -> its value
 
 
 def _coset_labels_by_dim(n: int) -> _Subspaces:
-    """Every subspace of GF(2)^n by dimension, in order of its sorted members,
-    as an array that maps each x in 0..2^n-1 to the number of its coset; cosets
-    are numbered smallest member first."""
+    """Every subspace S of GF(2)^n by dimension, as an array that maps each x
+    in 0..2^n-1 to the number of its coset; cosets are numbered smallest
+    member first.
+
+    S is the kernel of one parity matrix H in reduced row-echelon form, with
+    the most significant bit as the first column: a row per pivot bit p, set
+    at p and free at the lower bits that are not pivots. Distinct matrices
+    have distinct row spaces S⊥, so each S is listed once, and the syndrome
+    Hx names the coset of x.
+    """
     if n > 4:
         raise Unsupported("subspace enumeration capped at n=4")
-    from itertools import combinations
+    from itertools import combinations, product
 
-    found: set[frozenset[int]] = {frozenset({0})}
-    nonzero = list(range(1, 1 << n))
-    for size in range(1, n + 1):
-        for basis in combinations(nonzero, size):
-            span = {0}
-            for v in basis:
-                span |= {m ^ v for m in span}
-            found.add(frozenset(span))
     xs = np.arange(1 << n)
+    parity = np.array([bin(v).count("1") & 1 for v in range(1 << n)])
     out: _Subspaces = {}
-    for span in sorted(tuple(sorted(s)) for s in found):
-        smallest = (xs[:, None] ^ np.array(span)[None, :]).min(axis=1)
-        labels = np.unique(smallest, return_inverse=True)[1]
-        out.setdefault(len(span).bit_length() - 1, []).append(labels)
+    for rank in range(n, -1, -1):
+        spans = out[n - rank] = []
+        for pivots in combinations(range(n), rank):
+            mask = sum(1 << p for p in pivots)
+            rows = [[1 << p | f for f in range(1 << p) if not f & mask] for p in pivots]
+            for h in product(*rows):
+                syndromes = parity[xs[:, None] & np.array(h, dtype=int)] @ (1 << np.arange(rank))
+                first = np.unique(syndromes, return_index=True)[1]
+                spans.append(np.unique(first[syndromes], return_inverse=True)[1])
     return out
+
+
+def _best_by_dim(subspaces: _Subspaces, trivial: int, value: _Value) -> dict[int, float]:
+    """The best value over each dimension's subspaces, at most 1; the one
+    subspace of dimension `trivial` scores exactly 1."""
+    return {dim: 1.0 if dim == trivial else min(1.0, max(map(value, spans)))
+            for dim, spans in subspaces.items()}
 
 
 def _source_table(source: _en.CqState) -> np.ndarray:
@@ -589,26 +602,14 @@ def _source_table(source: _en.CqState) -> np.ndarray:
     return source._table
 
 
-def _best_guess_by_dim(source: _en.CqState, n: int, subspaces: _Subspaces) -> dict[int, float]:
-    """Best achievable P(message | outputs, syndrome) over codes of each dimension."""
+def _guess_value(source: _en.CqState, n: int) -> _Value:
+    """P(message | outputs, syndrome) of the code with the given coset labels."""
     t = _source_table(source)
-    prior = source.prior
     xs = all_vectors(2, n)
-    ys = all_vectors(2, n)
-    px = np.ones(1 << n)
-    for i in range(n):
-        px *= prior[xs[:, i]]
-    lik = _product_likelihood(xs, ys, t) * px[:, None]  # joint P(x, y)
-    best: dict[int, float] = {}
-    for dim, spans in subspaces.items():
-        top = 0.0
-        for labels in spans:
-            val = 0.0
-            for c in range(1 << (n - dim)):
-                val += _en._table_guess(lik[labels == c])
-            top = max(top, val)
-        best[dim] = top
-    return best
+    lik = _product_likelihood(xs, xs, t) * source.prior[xs].prod(axis=1)[:, None]  # P(x, y)
+    return lambda labels: sum(
+        _en._table_guess(lik[labels == c]) for c in range(labels.max() + 1)
+    )
 
 
 def _block_gram(y: np.ndarray, xs: np.ndarray, py: np.ndarray, mod: np.ndarray) -> np.ndarray:
@@ -621,12 +622,9 @@ def _block_gram(y: np.ndarray, xs: np.ndarray, py: np.ndarray, mod: np.ndarray) 
     return g
 
 
-def _best_decouple_by_dim(
-    source: _en.CqState, n: int, subspaces: _Subspaces
-) -> tuple[dict[int, float], int, int]:
-    """Best decoupling quality over linear extractions with each kernel
-    dimension, with the number of ascents run and of those whose bracket
-    stayed open.
+def _decouple_value(source: _en.CqState, n: int, work: dict[str, int]) -> _Value:
+    """Decoupling quality of the extraction whose kernel has the given coset
+    labels; each call adds its ascents, and those left open, to `work`.
 
     The conjugate-side states are block diagonal over the classical output
     record, so the decoupling optimization splits into per-block ascents whose
@@ -653,28 +651,20 @@ def _best_decouple_by_dim(
             groups.setdefault(key, []).append((y, float(np.prod(py[y]))))
     embeds = [(gram_embed(_block_gram(blocks[0][0], xs, py, mod).astype(complex)),
                sum(w for _, w in blocks) / blocks[0][1]) for blocks in groups.values()]
-    best: dict[int, float] = {}
-    ascents = unconverged = 0
-    for dim, spans in subspaces.items():
-        nlab = 1 << (n - dim)
-        if nlab == 1:
-            best[dim] = 1.0
-            continue
-        top = 0.0
-        for labels in spans:
-            q = 0.0
-            scale = 1.0 / np.sqrt(1 << dim)
-            for vecs, mult in embeds:
-                factors = [
-                    np.ascontiguousarray(scale * vecs[labels == c].T) for c in range(nlab)
-                ]
-                res = _en.max_fidelity_sum(factors, [1.0 / nlab] * nlab)
-                ascents += 1
-                unconverged += not res.converged
-                q += mult * res.value**2
-            top = max(top, q)
-        best[dim] = min(1.0, top)
-    return best, ascents, unconverged
+
+    def value(labels: np.ndarray) -> float:
+        nlab = int(labels.max()) + 1
+        scale = 1.0 / np.sqrt(len(labels) // nlab)
+        q = 0.0
+        for vecs, mult in embeds:
+            factors = [np.ascontiguousarray(scale * vecs[labels == c].T) for c in range(nlab)]
+            res = _en.max_fidelity_sum(factors, [1.0 / nlab] * nlab)
+            work["ascents"] += 1
+            work["unconverged"] += not res.converged
+            q += mult * res.value**2
+        return q
+
+    return value
 
 
 @dataclass(frozen=True)
@@ -693,17 +683,20 @@ class BruteForceTables:
 def compression_extraction_tables(
     source: _en.CqState, n: int, seed: int | None = None
 ) -> BruteForceTables:
-    """Exhaustive best guessing/decoupling values over all linear codes.
+    """Exhaustive best guessing/decoupling values over all linear codes; a
+    code of dimension 0 (one word per coset) guesses, and an extraction to
+    one coset decouples, exactly.
 
     seed is accepted and ignored: every computation here is deterministic.
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     subspaces = _coset_labels_by_dim(n)
-    guess = _best_guess_by_dim(source, n, subspaces)
-    dec_by_kernel, ascents, unconverged = _best_decouple_by_dim(source, n, subspaces)
-    decouple = {n - kdim: v for kdim, v in dec_by_kernel.items()}
-    return BruteForceTables(n, guess, decouple, ascents, unconverged)
+    work = {"ascents": 0, "unconverged": 0}
+    guess = _best_by_dim(subspaces, 0, _guess_value(source, n))
+    by_kernel = _best_by_dim(subspaces, n, _decouple_value(source, n, work))
+    decouple = {n - kdim: v for kdim, v in by_kernel.items()}
+    return BruteForceTables(n, guess, decouple, **work)
 
 
 def compression_extraction_bruteforce(

@@ -10,6 +10,7 @@ import dataclasses
 import importlib
 import inspect
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -150,19 +151,36 @@ def test_families_reach_the_traced_functions(monkeypatch, source):
      {"exit_duality_check": 1, "ensemble_cond_entropy": 7}),
     (lambda: codedchannels.coded_duality_check(0.11, codes.repetition_pair(3)),
      {"coded_duality_check": 1, "classical_coded_table": 2, "ensemble_cond_entropy": 2,
-      "ensemble_decoupling": 2, "ensemble_guessing": 2}),
-], ids=["exit_bsc_hamming74", "coded_rep3"])
+      "ensemble_decoupling": 2, "ensemble_guessing": 2, "gram_embed": 3, "guessing_prob": 1,
+      "max_fidelity_sum": 2}),
+    (lambda: codedchannels.compression_extraction_tables(
+        entropies.from_channel(ch.make_bsc(0.11)), 2),
+     {"compression_extraction_tables": 1, "max_fidelity_sum": 4, "gram_embed": 1}),
+    (lambda: codedchannels.compression_extraction_tables(
+        entropies.from_channel(ch.make_bsc(0.11)), 3),
+     {"compression_extraction_tables": 1, "max_fidelity_sum": 15, "gram_embed": 1}),
+    (lambda: codedchannels.compression_extraction_tables(
+        entropies.from_channel(ch.make_classical([[0.8, 0.2], [0.3, 0.7]])), 2),
+     {"compression_extraction_tables": 1, "max_fidelity_sum": 16, "gram_embed": 4}),
+], ids=["exit_bsc_hamming74", "coded_rep3", "frontier_bsc_n2", "frontier_bsc_n3",
+        "frontier_asymmetric_n2"])
 def test_traced_codedchannels_call_counts(monkeypatch, call, want):
-    # the per-layer view of a traced run counts calls of these names; a
+    # the per-layer view of a traced run counts calls of the traced names, bound
+    # in every cqdual module that holds them as the tracer binds them; a
     # refactor that calls one more or less often moves it silently
-    calls = dict.fromkeys(_traced()["codedchannels"], 0)
-    for name in calls:
-        orig = getattr(codedchannels, name)
+    traced = [(name, getattr(importlib.import_module(f"cqdual.{mod}"), name))
+              for mod, names in _traced().items() for name in names]
+    modules = [m for n, m in sys.modules.items() if n == "cqdual" or n.startswith("cqdual.")]
+    calls = dict.fromkeys((name for name, _ in traced), 0)
+    for name, orig in traced:
 
         def counted(*args, _orig=orig, _name=name, **kwargs):
             calls[_name] += 1
             return _orig(*args, **kwargs)
 
-        monkeypatch.setattr(codedchannels, name, counted)
+        for module in modules:
+            for attr, val in list(vars(module).items()):
+                if val is orig:
+                    monkeypatch.setattr(module, attr, counted)
     call()
     assert {name: n for name, n in calls.items() if n} == want

@@ -649,9 +649,57 @@ def test_bruteforce_sums(acceptance_corpus):
             assert total == n
 
 
+def _spanned_coset_labels(n):
+    """Every subspace's coset labels by dimension, found by spanning every
+    basis and dropping repeated spans: the reference for the parity-matrix
+    enumeration of codedchannels._coset_labels_by_dim."""
+    found = {frozenset({0})}
+    nonzero = list(range(1, 1 << n))
+    for size in range(1, n + 1):
+        for basis in itertools.combinations(nonzero, size):
+            span = {0}
+            for v in basis:
+                span |= {m ^ v for m in span}
+            found.add(frozenset(span))
+    xs = np.arange(1 << n)
+    out = {}
+    for span in sorted(tuple(sorted(s)) for s in found):
+        smallest = (xs[:, None] ^ np.array(span)[None, :]).min(axis=1)
+        labels = np.unique(smallest, return_inverse=True)[1]
+        out.setdefault(len(span).bit_length() - 1, []).append(labels)
+    return out
+
+
+@pytest.mark.parametrize("n, counts", [
+    (0, [1]), (1, [1, 1]), (2, [1, 3, 1]), (3, [1, 7, 7, 1]), (4, [1, 15, 35, 15, 1]),
+])
+def test_parity_matrices_list_each_subspace_once(n, counts):
+    # one reduced row-echelon parity matrix per subspace: the Gaussian binomial
+    # count per dimension, no repeats, and the same label arrays as the spans
+    got = cc._coset_labels_by_dim(n)
+    want = _spanned_coset_labels(n)
+    assert list(got) == list(want) == list(range(n + 1))
+    assert [len(spans) for spans in got.values()] == counts
+    for dim, spans in got.items():
+        assert all(labels.dtype == want[dim][0].dtype for labels in spans)
+        as_set = {tuple(labels.tolist()) for labels in spans}
+        assert len(as_set) == len(spans)
+        assert as_set == {tuple(labels.tolist()) for labels in want[dim]}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("eps", [0.0, 1e-9])
+def test_bruteforce_small_eps(n, eps):
+    # a code of dimension 0 has one word per coset and guesses exactly, so the
+    # syndrome side meets 1 - eps^2 however small eps is
+    src = en.from_channel(ch.make_bsc(0.3))
+    assert cc.compression_extraction_tables(src, n).best_guess_by_k[0] == 1.0
+    assert cc.compression_extraction_bruteforce(src, n, eps) == (n, 0, n)
+
+
 def _per_block_decouple(source, n):
     """The decoupling table by one ascent per output block y: the reference
-    for the grouped loop of codedchannels._best_decouple_by_dim."""
+    for the grouped ascents of codedchannels._decouple_value."""
     t = cc._source_table(source)
     prior = source.prior
     py = prior @ t
@@ -678,6 +726,18 @@ def _per_block_decouple(source, n):
 
 
 ASYMMETRIC = ch.make_classical([[0.8, 0.2], [0.3, 0.7]])
+
+
+@pytest.mark.parametrize("source, n", [
+    (lambda: en.from_channel(ASYMMETRIC), 2),
+    (lambda: en.from_channel(ASYMMETRIC), 3),
+    (lambda: en.CqState([0.7, 0.3], (np.diag([0.9, 0.1]), np.diag([0.2, 0.8]))), 2),
+], ids=["asymmetric_n2", "asymmetric_n3", "nonuniform_prior_n2"])
+def test_bruteforce_sums_beyond_the_bsc(source, n):
+    src = source()
+    tables = cc.compression_extraction_tables(src, n)
+    for eps in (0.2, 0.3, 0.5, 0.7):
+        assert cc.compression_extraction_bruteforce(src, n, eps, tables)[2] == n
 
 
 @pytest.mark.parametrize("n", [2, 3])
