@@ -26,6 +26,7 @@ from .linalg import (
     _eigh,
     _eigvalsh,
     _fidelity,
+    _kron,
     _purify,
     diagonal_table,
     hermitian_part,
@@ -94,10 +95,12 @@ class CqState:
     eigenvalues, and _table, the diagonal_table of the conditionals or None,
     which every classical path reads instead of testing again. On first
     request, and then read-only, it keeps each conditional's _eigh
-    (_cond_eigh(i)) and the average with its _eigvalsh spectrum and _eigh
-    (_average_spectrum, _average_eigh), which the spectral readers share;
-    average() hands out the kept average. Validated operators are exactly
-    Hermitian, so a kept decomposition has the bits of a fresh one.
+    (_cond_eigh(i)) and purification (_purification(i)), the average with its
+    _eigvalsh spectrum and _eigh (_average_spectrum, _average_eigh), and the
+    Petz overlaps of the conditionals' eigenvectors with the average's
+    (_petz_overlaps), which the spectral readers share; average() hands out
+    the kept average. Validated operators are exactly Hermitian, so a kept
+    decomposition has the bits of a fresh one.
 
     It also keeps the results of the state's two optimisations, each solved
     at most once: _guess, the GuessResult of entropies.guessing_prob (the
@@ -112,6 +115,7 @@ class CqState:
     _spectra: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     _table: np.ndarray | None = field(init=False, repr=False, compare=False)
     _eighs: list = field(init=False, repr=False, compare=False)
+    _pures: list = field(init=False, repr=False, compare=False)
     _guess: object = field(init=False, repr=False, compare=False)  # GuessResult | None
     _q: object = field(init=False, repr=False, compare=False)  # QResult | None
 
@@ -132,6 +136,7 @@ class CqState:
         object.__setattr__(self, "_spectra", tuple(_freeze(w) for _, w in checked))
         object.__setattr__(self, "_table", None if table is None else _freeze(table))
         object.__setattr__(self, "_eighs", [None] * len(conds))
+        object.__setattr__(self, "_pures", [None] * len(conds))
         object.__setattr__(self, "_guess", None)
         object.__setattr__(self, "_q", None)
 
@@ -161,6 +166,15 @@ class CqState:
             self._eighs[i] = tuple(_freeze(a) for a in _eigh(self.conditionals[i]))
         return self._eighs[i]
 
+    def _purification(self, i: int) -> PureState:
+        """linalg.purify of conditional i, from its kept decomposition; the
+        dual and the channel state both read it."""
+        if self._pures[i] is None:
+            pure = _purify(self._cond_eigh(i))
+            pure.amplitudes.setflags(write=False)
+            self._pures[i] = pure
+        return self._pures[i]
+
     @cached_property
     def _average(self) -> np.ndarray:
         out = np.zeros_like(self.conditionals[0])
@@ -175,6 +189,24 @@ class CqState:
     @cached_property
     def _average_eigh(self) -> tuple[np.ndarray, np.ndarray]:
         return tuple(_freeze(a) for a in _eigh(self._average))
+
+    @cached_property
+    def _petz_overlaps(self) -> tuple[np.ndarray, tuple]:
+        """(mu, terms): mu holds the average's eigenvalues above TOL.rank_cut;
+        terms holds (p_x, lam, ov) per supported symbol, with lam the
+        conditional's eigenvalues above TOL.rank_cut and ov[i, j] the overlap
+        |<v_i|w_j>|^2 of their eigenvectors with those of mu. What
+        entropies.petz_curve reads at every order."""
+        mu, wvec = self._average_eigh
+        keep = mu > TOL.rank_cut
+        wvec = wvec[:, keep]
+        terms = []
+        for i, p in self._supported_indices():
+            lam, v = self._cond_eigh(i)
+            pos = lam > TOL.rank_cut
+            ov = np.abs(v[:, pos].conj().T @ wvec) ** 2
+            terms.append((p, _freeze(lam[pos]), _freeze(ov)))
+        return _freeze(mu[keep]), tuple(terms)
 
 
 @dataclass(frozen=True)
@@ -386,7 +418,7 @@ def _common_purifications(w: CqChannel, classical_canonical: bool = False) -> np
         phis = np.zeros((d, dim, dim), dtype=complex)
         phis[:, np.arange(dim), np.arange(dim)] = np.sqrt(table)
         return phis
-    pures = [_purify(w._state._cond_eigh(z)) for z in range(d)]
+    pures = [w._state._purification(z) for z in range(d)]
     r = max(p.dims[1] for p in pures)
     phis = np.zeros((d, dim, r), dtype=complex)
     for z, p in enumerate(pures):
@@ -425,7 +457,7 @@ def dual(w: CqChannel) -> CqChannel:
         outs.append(hermitian_part(out))
     phase = omega ** np.arange(d)
     witnesses = tuple(
-        np.kron(np.diag(phase**x), np.eye(r, dtype=complex)) for x in range(d)
+        _kron(np.diag(phase**x), np.eye(r, dtype=complex)) for x in range(d)
     )
     return CqChannel(tuple(outs), witnesses=witnesses)
 
@@ -487,7 +519,7 @@ def symmetrize(w: CqChannel) -> CqChannel:
     for u in range(d):
         shift[(u + 1) % d, u] = 1.0
     witnesses = tuple(
-        np.kron(np.linalg.matrix_power(shift, s), np.eye(dim, dtype=complex))
+        _kron(np.linalg.matrix_power(shift, s), np.eye(dim, dtype=complex))
         for s in range(d)
     )
     return CqChannel(outs, witnesses=witnesses)

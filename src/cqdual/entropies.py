@@ -252,29 +252,21 @@ def _vn_cond(state: CqState) -> float:
 def petz_curve(state: CqState, alphas: Sequence[float]) -> list[float]:
     """Petz downarrow conditional entropies at several orders, in bits.
 
-    Reads the state's kept decompositions, shared across orders. Supports are
-    handled by the 0**p := 0 convention; the conditionals always live inside
-    the support of the average state, so no support violation can occur.
+    Reads the overlaps |<v_i|w_j>|^2 of the conditionals' eigenvectors with
+    the average's, which the state keeps (CqState._petz_overlaps) from its
+    kept decompositions: every order, in this call or a later one, reads the
+    same overlaps. Supports are handled by the 0**p := 0 convention; the
+    conditionals always live inside the support of the average state, so no
+    support violation can occur.
     """
     joint = _classical_joint(state)
     if joint is not None:
         return _table_petz(joint, alphas)
-    mu, wvec = state._average_eigh
-    keep = mu > TOL.rank_cut
-    mu = mu[keep]
-    wvec = wvec[:, keep]
-    pieces = []
-    for i, p in state._supported_indices():
-        lam, v = state._cond_eigh(i)
-        pos = lam > TOL.rank_cut
-        lam = lam[pos]
-        v = v[:, pos]
-        ov = np.abs(v.conj().T @ wvec) ** 2  # |<v_i|w_j>|^2
-        pieces.append((p, lam, ov))
+    mu, terms = state._petz_overlaps
     out = []
     for alpha in alphas:
         total = 0.0
-        for p, lam, ov in pieces:
+        for p, lam, ov in terms:
             total += p**alpha * float(lam**alpha @ ov @ mu ** (1.0 - alpha))
         out.append(float(np.log2(total) / (1.0 - alpha)))
     return out
@@ -348,30 +340,39 @@ def _uhlmann_start(cs: np.ndarray, ys: list[np.ndarray]) -> np.ndarray | None:
 
 
 def _ascent_terms(
-    w: np.ndarray, v: np.ndarray, cs: np.ndarray, ys: list[np.ndarray]
-) -> tuple[float, np.ndarray, bool]:
-    """Objective g, summed gradient R and whether Alberti's bound holds.
+    w: np.ndarray, v: np.ndarray, cs: np.ndarray, vys: list[np.ndarray]
+) -> tuple[float, Callable[[], np.ndarray], bool]:
+    """Objective g, the summed gradient R as a function and whether Alberti's
+    bound holds.
 
-    sigma = v diag(w) v† is given by its eigendecomposition.
+    sigma = v diag(w) v† is given by its eigendecomposition and each factor
+    Y_i by vys[i] = v† Y_i. R is assembled only when the function is called,
+    so a caller that never reads it skips its products.
     """
     root = np.where(w > TOL.nonzero, np.sqrt(w), 0.0)
     g = 0.0
-    r_op = np.zeros((v.shape[0], v.shape[0]), dtype=complex)
     bounded = w[0] > TOL.nonzero
-    for c, y in zip(cs, ys):
-        vy = v.conj().T @ y
+    roots = []
+    for c, vy in zip(cs, vys):
         b = root[:, None] * vy  # sqrt(sigma) y in the sigma eigenbasis
         wm, vm = _eigh(hermitian_part(b.conj().T @ b))
         wm = np.clip(wm, 0.0, None)
         sm = np.sqrt(wm)
         g += c * float(sm.sum())
         bounded = bounded and sm.min(initial=np.inf) > TOL.invertible
+        roots.append((vm, sm))
+
+    def gradient() -> np.ndarray:
         # grad F = (proj y) vm diag(1/sm) vm† (proj y)†
-        inv_sm = np.where(sm > TOL.invertible, 1.0 / np.maximum(sm, TOL.underflow), 0.0)
-        proj_y = v @ (np.where(w > TOL.nonzero, 1.0, 0.0)[:, None] * vy)
-        half = proj_y @ (vm * np.sqrt(inv_sm))
-        r_op += c * (half @ half.conj().T)
-    return g, r_op, bounded
+        support = np.where(w > TOL.nonzero, 1.0, 0.0)[:, None]
+        r_op = np.zeros((v.shape[0], v.shape[0]), dtype=complex)
+        for c, vy, (vm, sm) in zip(cs, vys, roots):
+            inv_sm = np.where(sm > TOL.invertible, 1.0 / np.maximum(sm, TOL.underflow), 0.0)
+            half = (v @ (support * vy)) @ (vm * np.sqrt(inv_sm))
+            r_op += c * (half @ half.conj().T)
+        return r_op
+
+    return g, gradient, bounded
 
 
 def _alberti_bound(g: float, r_op: np.ndarray) -> float:
@@ -447,16 +448,19 @@ def max_fidelity_sum(factors: Sequence[np.ndarray], coeffs: Sequence[float]) -> 
     for it in range(TOL.ascent_max_iter):
         w, v = _eigh(sigma)
         w = np.clip(w, 0.0, None)
-        g, r_op, bounded = _ascent_terms(w, v, cs, ys)
+        vys = [v.conj().T @ y for y in ys]
+        g, gradient, bounded = _ascent_terms(w, v, cs, vys)
         lower = max(lower, g)
+        r_op = None
         if bounded:
+            r_op = gradient()
             upper = min(upper, _alberti_bound(g, r_op))
         if uhlmann is not None and it == 0 and upper - lower > TOL.ascent_value:
             # the bound at sigma_delta, which shares sigma*'s eigenvectors
             w_mix = (1.0 - TOL.bound_mix) * w + TOL.bound_mix / dim
-            g_mix, r_mix, mix_bounded = _ascent_terms(w_mix, v, cs, ys)
+            g_mix, mix_gradient, mix_bounded = _ascent_terms(w_mix, v, cs, vys)
             if mix_bounded:
-                upper = min(upper, _alberti_bound(g_mix, r_mix))
+                upper = min(upper, _alberti_bound(g_mix, mix_gradient()))
         if upper - lower <= TOL.ascent_value:
             break
         d = abs(g - g_prev)
@@ -466,6 +470,8 @@ def max_fidelity_sum(factors: Sequence[np.ndarray], coeffs: Sequence[float]) -> 
                 break
             rescues -= 1
             burst, mix = 80, 1e-5
+        if r_op is None:
+            r_op = gradient()
         sigma = hermitian_part(r_op @ sigma @ r_op.conj().T)
         t = np.trace(sigma).real
         if t < TOL.underflow:
@@ -561,12 +567,20 @@ def dispersion(state: CqState) -> tuple[float, float]:
     second_moment is Tr[psi (log psi - log(I (x) psi_B))^2] evaluated
     blockwise on the support; variance subtracts the squared conditional
     entropy. Only the variance form is invariant under the channel dual.
+
+    Each block p_x rho_x is read off the state's kept decompositions, the
+    eigenvalues of rho_x scaled by p_x, so no eigensolver runs once the
+    state holds them. Under a dyadic prior (p_x a power of 2, the uniform
+    binary prior included) the scaling is exact and the bits are those of a
+    fresh decomposition of p_x rho_x; under any other prior they may differ
+    from it in the last few ulps.
     """
     lbar = _spectral_fn(state._average_eigh, np.log2)
     second = 0.0
-    for p, c in state.supported():
-        block = p * c
-        y = _spectral_fn(_eigh(hermitian_part(block)), np.log2) - lbar
+    for i, p in state._supported_indices():
+        lam, v = state._cond_eigh(i)
+        block = p * state.conditionals[i]
+        y = _spectral_fn((p * lam, v), np.log2) - lbar
         second += float(np.trace(block @ y @ y).real)
     h = _vn_cond(state)
     return second, second - h * h

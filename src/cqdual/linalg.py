@@ -235,8 +235,23 @@ def tensor(*ops: np.ndarray) -> np.ndarray:
     """Kronecker product of one or more matrices (or vectors)."""
     out = np.asarray(ops[0], dtype=complex)
     for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
+        out = _kron(out, np.asarray(op, dtype=complex))
     return out
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two vectors or matrices, a vector beside a matrix counting as
+    one row, by one broadcast product. It forms the same products a_ij b_kl in
+    the same operand order, so its bits are np.kron's, -0.0 included; it skips
+    np.kron's general shape handling, which costs five times the product on
+    the small operators of dual, convolve and symmetrize. The one Kronecker
+    kernel."""
+    if a.ndim == b.ndim == 1:
+        return (a[:, None] * b).reshape(-1)
+    if a.ndim == 1 or b.ndim == 1:
+        a, b = np.atleast_2d(a), np.atleast_2d(b)
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 def partial_trace(state: np.ndarray, dims, keep) -> np.ndarray:

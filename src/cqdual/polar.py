@@ -14,7 +14,7 @@ import numpy as np
 from .config import TOL, Unsupported
 from . import channels as _ch
 from . import entropies as _en
-from .linalg import _compress_to_support, _fidelity, hermitian_part
+from .linalg import _compress_to_support, _fidelity, _kron, hermitian_part
 
 __all__ = [
     "VARIABLE",
@@ -47,24 +47,22 @@ def convolve(w: _ch.CqChannel, wp: _ch.CqChannel, kind: str) -> _ch.CqChannel:
     if w.input_size != 2 or wp.input_size != 2:
         raise Unsupported("convolutions are defined for binary-input channels")
     if kind == VARIABLE:
-        outs = tuple(np.kron(w.outputs[z], wp.outputs[z]) for z in range(2))
+        outs = tuple(_kron(w.outputs[z], wp.outputs[z]) for z in range(2))
         witnesses = None
         if w.is_symmetric and wp.is_symmetric:
-            witnesses = tuple(
-                np.kron(w.witnesses[s], wp.witnesses[s]) for s in range(2)
-            )
+            witnesses = tuple(_kron(w.witnesses[s], wp.witnesses[s]) for s in range(2))
     elif kind == CHECK:
         outs = tuple(
             hermitian_part(
-                0.5 * np.kron(w.outputs[z], wp.outputs[0])
-                + 0.5 * np.kron(w.outputs[(z + 1) % 2], wp.outputs[1])
+                0.5 * _kron(w.outputs[z], wp.outputs[0])
+                + 0.5 * _kron(w.outputs[(z + 1) % 2], wp.outputs[1])
             )
             for z in range(2)
         )
         witnesses = None
         if w.is_symmetric:
             eye = np.eye(wp.dim, dtype=complex)
-            witnesses = tuple(np.kron(w.witnesses[s], eye) for s in range(2))
+            witnesses = tuple(_kron(w.witnesses[s], eye) for s in range(2))
     else:
         raise ValueError(f"unknown convolution kind {kind!r}")
     return _ch.CqChannel(outs, witnesses=witnesses)

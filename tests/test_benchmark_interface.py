@@ -8,11 +8,13 @@ deletion on the library side should fail here, not only in a benchmark run.
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cqdual import channels as ch
@@ -184,3 +186,44 @@ def test_traced_codedchannels_call_counts(monkeypatch, call, want):
                     monkeypatch.setattr(module, attr, counted)
     call()
     assert {name: n for name, n in calls.items() if n} == want
+
+
+def _identity_check(w):
+    """perfbench's identity_corpus check on w, from workloads.py itself."""
+    path = PERFBENCH / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module._channel_check(w)
+
+
+def test_identity_check_eigensolver_counts(monkeypatch):
+    # kernel.eigh.calls and kernel.eigvalsh.calls of one identity_corpus check on
+    # a non-classical corpus channel: the first check, then each later one, which
+    # reads what the channel's state kept (perfbench builds its channels once).
+    # A change that decomposes more or less often moves these silently
+    from cqdual import corpus
+
+    w = corpus.binary_channel_corpus(20240811, 1)[0]
+    assert w._state._table is None
+    run = _identity_check(w)
+    counts = {"eigh": 0, "eigvalsh": 0}
+    for name in counts:
+        orig = getattr(np.linalg, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    seen = []
+    for _ in range(3):
+        counts.update(eigh=0, eigvalsh=0)
+        assert all(gap <= tol for _, gap, tol in run())
+        seen.append(dict(counts))
+    # before dispersion read the kept decompositions: 18/8, then 12/5
+    assert seen == [{"eigh": 14, "eigvalsh": 8}] + [{"eigh": 8, "eigvalsh": 5}] * 2

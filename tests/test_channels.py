@@ -406,3 +406,51 @@ def test_validation_keeps_the_classical_table(small_corpus):
         pure = [np.count_nonzero(s > TOL.rank_cut) == 1 for s in w._state._spectra]
         assert pure == [purify(o).dims[1] == 1 for o in w.outputs]
     assert seen == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the one Kronecker kernel keeps np.kron's bits
+# ---------------------------------------------------------------------------
+
+
+def _np_kron_convolve(w, wp, kind):
+    """polar.convolve as written with np.kron, kept as the bit reference."""
+    from cqdual import polar
+
+    if kind == polar.VARIABLE:
+        outs = tuple(np.kron(w.outputs[z], wp.outputs[z]) for z in range(2))
+        wit = tuple(np.kron(w.witnesses[s], wp.witnesses[s]) for s in range(2))
+    else:
+        outs = tuple((lambda m: (m + m.conj().T) / 2)(
+            0.5 * np.kron(w.outputs[z], wp.outputs[0])
+            + 0.5 * np.kron(w.outputs[(z + 1) % 2], wp.outputs[1])) for z in range(2))
+        eye = np.eye(wp.dim, dtype=complex)
+        wit = tuple(np.kron(w.witnesses[s], eye) for s in range(2))
+    return ch.CqChannel(outs, witnesses=wit)
+
+
+def test_witnesses_and_convolutions_keep_the_bits_of_np_kron(small_corpus):
+    from cqdual import polar
+
+    named = [ch.make_bec(0.3), ch.make_bsc(0.11), ch.make_bsc_dual(0.2),
+             random_channel(np.random.default_rng(5), 2, d=3)]
+    for w in [*small_corpus[:12], *named]:
+        d = w.input_size
+        wd = ch.dual(w)
+        r = wd.dim // d
+        phase = np.exp(2j * np.pi / d) ** np.arange(d)
+        for x, u in enumerate(wd.witnesses):  # what `dual --channel` prints
+            assert u.tobytes() == np.kron(np.diag(phase**x), np.eye(r, dtype=complex)).tobytes()
+        shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+        for s, u in enumerate(ch.symmetrize(w).witnesses):
+            want = np.kron(np.linalg.matrix_power(shift, s), np.eye(w.dim, dtype=complex))
+            assert u.tobytes() == want.tobytes()
+    assert any(np.signbit(u.real).any() for u in ch.dual(named[0]).witnesses)
+    pairs = [(named[2], named[0]), (named[0], ch.dual(named[1])),
+             (small_corpus[1], small_corpus[5])]
+    for w, wp in pairs:
+        for kind in (polar.VARIABLE, polar.CHECK):
+            got, want = polar.convolve(w, wp, kind), _np_kron_convolve(w, wp, kind)
+            for a, b in zip(got.outputs + got.witnesses, want.outputs + want.witnesses,
+                            strict=True):
+                assert a.tobytes() == b.tobytes()

@@ -139,8 +139,42 @@ def test_each_kept_matrix_is_decomposed_once(monkeypatch):
     ch.invariant_profile(w)
     for family in IDENTITY_FAMILIES:
         en.duality_check(w, family)
-    en.dispersion(en.from_channel(w))
+    calls = _counted_eigensolvers(monkeypatch)
+    en.dispersion(en.from_channel(w))  # reads the kept decompositions only
+    assert calls == []
     assert counts == {"eigh": [1, 1, 1], "eigvalsh": [0, 0, 1]}
+
+
+def test_a_second_petz_order_reads_the_kept_overlaps(monkeypatch):
+    state = en.from_channel(random_channel(np.random.default_rng(2719), 3))
+    first = en.petz_curve(state, [0.5])
+    kept = state._petz_overlaps
+    monkeypatch.setattr(en.CqState, "_cond_eigh", lambda self, i: pytest.fail("decomposed"))
+    calls = _counted_eigensolvers(monkeypatch)
+    assert en.petz_curve(state, [0.5, 1.5])[0] == first[0]
+    assert state._petz_overlaps is kept and calls == []
+    mu, terms = kept
+    assert not mu.flags.writeable
+    assert all(not a.flags.writeable for _, lam, ov in terms for a in (lam, ov))
+
+
+def test_dual_and_disjointness_purify_each_output_once(monkeypatch):
+    from cqdual import linalg
+
+    w = random_channel(np.random.default_rng(2720), 3)
+    seen = []
+    purify = linalg._purify
+    for module in (linalg, ch):  # wherever the kernel is bound
+        monkeypatch.setattr(module, "_purify", lambda eig: seen.append(eig) or purify(eig))
+    wd = ch.dual(w)
+    gap = en.state_disjointness_gap(w)
+    kept = [w._state._cond_eigh(z) for z in range(w.input_size)]
+    assert len(seen) == 2 and all(any(e is k for e in seen) for k in kept)
+    assert not w._state._purification(0).amplitudes.flags.writeable
+    monkeypatch.undo()
+    fresh = ch.CqChannel(w.outputs)  # no keeps: purifies afresh
+    assert gap == en.state_disjointness_gap(fresh)
+    assert all(_same_bits(a, b) for a, b in zip(wd.outputs, ch.dual(fresh).outputs))
 
 
 def test_kept_decompositions_have_the_bits_of_fresh_ones():
@@ -551,6 +585,107 @@ def test_table_decoupling_clips_rounding_negatives():
             en._table_decoupling(np.array([[0.5, bad], [0.0, 0.5]]))
 
 
+def _eager_ascent_terms(w, v, cs, ys):
+    """entropies._ascent_terms as it was before its gradient became lazy."""
+    root = np.where(w > TOL.nonzero, np.sqrt(w), 0.0)
+    g = 0.0
+    r_op = np.zeros((v.shape[0], v.shape[0]), dtype=complex)
+    bounded = w[0] > TOL.nonzero
+    for c, y in zip(cs, ys):
+        vy = v.conj().T @ y
+        b = root[:, None] * vy
+        wm, vm = _eigh(hermitian_part(b.conj().T @ b))
+        wm = np.clip(wm, 0.0, None)
+        sm = np.sqrt(wm)
+        g += c * float(sm.sum())
+        bounded = bounded and sm.min(initial=np.inf) > TOL.invertible
+        inv_sm = np.where(sm > TOL.invertible, 1.0 / np.maximum(sm, TOL.underflow), 0.0)
+        proj_y = v @ (np.where(w > TOL.nonzero, 1.0, 0.0)[:, None] * vy)
+        half = proj_y @ (vm * np.sqrt(inv_sm))
+        r_op += c * (half @ half.conj().T)
+    return g, r_op, bounded
+
+
+def _eager_max_fidelity_sum(factors, coeffs):
+    """max_fidelity_sum as it was when every evaluation formed V†Y and the
+    summed gradient R, read or not: the bit reference of the lazy gradient."""
+    ys = [np.asarray(y, dtype=complex) for y in factors]
+    ys = [en._factorize(y @ y.conj().T) if y.shape[1] > y.shape[0] else y for y in ys]
+    cs = np.asarray(coeffs, dtype=float)
+    dim = ys[0].shape[0]
+    uhlmann = en._uhlmann_start(cs, ys) if len(ys) == 2 else None
+    if uhlmann is None:
+        avg = hermitian_part(sum(c * (y @ y.conj().T) for c, y in zip(cs, ys)))
+        tr = np.trace(avg).real
+        base = avg / tr if tr > TOL.nonzero else np.eye(dim) / dim
+        sigma = hermitian_part(0.7 * base + 0.3 * np.eye(dim) / dim)
+    else:
+        sigma = uhlmann
+    eye = np.eye(dim, dtype=complex) / dim
+    lower, upper = -np.inf, np.inf
+    g_prev = -np.inf
+    rescues, burst, mix = 1, 0, 0.0
+    for it in range(TOL.ascent_max_iter):
+        w, v = _eigh(sigma)
+        w = np.clip(w, 0.0, None)
+        g, r_op, bounded = _eager_ascent_terms(w, v, cs, ys)
+        lower = max(lower, g)
+        if bounded:
+            upper = min(upper, en._alberti_bound(g, r_op))
+        if uhlmann is not None and it == 0 and upper - lower > TOL.ascent_value:
+            w_mix = (1.0 - TOL.bound_mix) * w + TOL.bound_mix / dim
+            g_mix, r_mix, mix_bounded = _eager_ascent_terms(w_mix, v, cs, ys)
+            if mix_bounded:
+                upper = min(upper, en._alberti_bound(g_mix, r_mix))
+        if upper - lower <= TOL.ascent_value:
+            break
+        d = abs(g - g_prev)
+        g_prev = g
+        if burst == 0 and d < TOL.ascent_value:
+            if rescues == 0:
+                break
+            rescues -= 1
+            burst, mix = 80, 1e-5
+        sigma = hermitian_part(r_op @ sigma @ r_op.conj().T)
+        t = np.trace(sigma).real
+        if t < TOL.underflow:
+            break
+        sigma = sigma / t
+        if burst > 0:
+            sigma = hermitian_part((1.0 - mix) * sigma + mix * eye)
+            burst -= 1
+            if burst == 40:
+                mix = 1e-10
+    return en.QResult(float(lower), bool(upper - lower <= TOL.ascent_value), it, 2 - rescues,
+                      upper=None if upper == np.inf else float(max(upper, lower)))
+
+
+def test_the_lazy_gradient_leaves_every_two_label_result_equal(monkeypatch):
+    # every two-label ascent of the corpus, its duals and criterion 5's
+    # convolutions returns the QResult of the eager loop, field for field
+    from cqdual import checks
+
+    problems = []
+    ascent = en.max_fidelity_sum
+
+    def recorded(factors, coeffs):
+        if len(factors) == 2:
+            problems.append((factors, coeffs))
+        return ascent(factors, coeffs)
+
+    monkeypatch.setattr(en, "max_fidelity_sum", recorded)
+    for w in binary_channel_corpus(20240811, 12):
+        en.decoupling_q(en.from_channel(w))
+        en.decoupling_q(en.from_channel(ch.dual(w)))
+    row = next(r for r in checks.ROWS if r.name == "convolution_duality")
+    assert all(gap <= row.tol for _, gap in row.gaps(row.fast, 20240811))
+    monkeypatch.undo()
+    assert len(problems) >= 48
+    for factors, coeffs in problems:
+        assert repr(en.max_fidelity_sum(factors, coeffs)) == repr(
+            _eager_max_fidelity_sum(factors, coeffs))
+
+
 # ---------------------------------------------------------------------------
 # dispersion
 # ---------------------------------------------------------------------------
@@ -578,6 +713,33 @@ def test_dispersion_derivative_identity(rng):
         s = en.from_channel(random_channel(rng, 3))
         if en.dispersion(s)[1] > 1e-2:
             assert en.dispersion_derivative_gap(s) < 1e-3
+
+
+def _fresh_eigh_dispersion(state):
+    """dispersion as it was when each block p_x rho_x had a fresh eigh of its
+    own: the bit reference of the kept-decomposition reader."""
+    lbar = spectral_fn(state.average(), np.log2)
+    second = 0.0
+    for p, c in state.supported():
+        block = p * c
+        y = spectral_fn(hermitian_part(block), np.log2) - lbar
+        second += float(np.trace(block @ y @ y).real)
+    h = en.cond_entropy(state, en.VON_NEUMANN)
+    return second, second - h * h
+
+
+def test_dispersion_from_kept_decompositions_matches_fresh_ones():
+    # at the uniform binary prior the scaling by p_x = 1/2 is exact: the same bits
+    for w in binary_channel_corpus(20240811, 12):
+        for state in (en.from_channel(w), en.from_channel(ch.dual(w))):
+            assert repr(en.dispersion(state)) == repr(_fresh_eigh_dispersion(state))
+    # under other priors the scaled eigenvalues may move by a few ulps
+    rng = np.random.default_rng(2721)
+    for dim, d in ((3, 3), (4, 3), (3, 4), (4, 4)):
+        w = random_channel(rng, dim, d=d)
+        state = en.CqState(rng.dirichlet(np.ones(d)), w.outputs)
+        got, want = en.dispersion(state), _fresh_eigh_dispersion(state)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
 
 def test_second_moment_not_dual_invariant():

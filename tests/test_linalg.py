@@ -272,3 +272,29 @@ def test_eigh_retry_takes_the_real_matrix(rng, monkeypatch):
     w, v = linalg._eigh(a)
     assert seen == [np.float64] and v.dtype == np.complex128
     assert np.linalg.norm(a @ v - v * w) <= 1e-12
+
+
+def _kron_cases(rng):
+    real = [rng.normal(size=s) for s in ((2, 2), (3, 3), (2, 5), (4,), (1, 3))]
+    cplx = [a + 1j * rng.normal(size=a.shape) for a in real]
+    # entries whose products have signed zeros: np.kron's -0.0 must survive
+    signed = np.array([[-1.0 + 1.2e-16j, 0.0], [-0.0j, -2.0 - 0.0j]])
+    mats = [*real, *cplx, signed, np.eye(3, dtype=complex), np.eye(2)]
+    for a in mats:
+        for b in mats:
+            yield a, b
+
+
+def test_kron_has_the_bytes_of_np_kron(rng):
+    # vectors with vectors, a vector beside a matrix, real and complex operands
+    for a, b in _kron_cases(rng):
+        want = np.kron(a, b)
+        got = linalg._kron(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    signed = np.diag([1.0, -1.0 + 1.2e-16j])
+    out = linalg._kron(signed, np.eye(2, dtype=complex))
+    assert np.signbit(out.real).any()  # the -0.0 entries np.kron also makes
+    ops = [random_density(rng, 2), random_pure_vector(rng, 3), random_density(rng, 2)]
+    assert linalg.tensor(*ops[::2]).tobytes() == np.kron(ops[0], ops[2]).tobytes()
+    assert linalg.tensor(ops[1], ops[1]).tobytes() == np.kron(ops[1], ops[1]).tobytes()
