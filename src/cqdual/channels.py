@@ -93,31 +93,22 @@ class CqState:
     conditional's Hermitian part, read-only, once its eigenvalue floor, unit
     trace and shared dimension hold. It keeps what it found: _spectra, the
     eigenvalues, and _table, the diagonal_table of the conditionals or None,
-    which every classical path reads instead of testing again. On first
-    request, and then read-only, it keeps each conditional's _eigh
-    (_cond_eigh(i)) and purification (_purification(i)), the average with its
-    _eigvalsh spectrum and _eigh (_average_spectrum, _average_eigh), and the
-    Petz overlaps of the conditionals' eigenvectors with the average's
-    (_petz_overlaps), which the spectral readers share; average() hands out
-    the kept average. Validated operators are exactly Hermitian, so a kept
-    decomposition has the bits of a fresh one.
+    which every classical path reads instead of testing again.
 
-    It also keeps the results of the state's two optimisations, each solved
-    at most once: _guess, the GuessResult of entropies.guessing_prob (the
-    Helstrom, SRM or classical value), and _q, the QResult of
-    entropies.decoupling_q (the decoupling ascent). Both are None until
-    those two functions, their only writers, first run on the state; every
-    later request gets the same immutable object, shared by all readers.
+    Every value derived from the state is a cached property, derived on first
+    read and then kept, its arrays read-only: the conditionals' _eigh and
+    purifications, the classical joint table, the average with its spectrum
+    and _eigh, the Petz overlaps, the output fidelity of a two-symbol state,
+    and the results of the state's two optimisations, _guess and _q, which
+    entropies.guessing_prob and entropies.decoupling_q alone read. Validated
+    operators are exactly Hermitian, so a kept decomposition has the bits of
+    a fresh one.
     """
 
     prior: np.ndarray
     conditionals: tuple[np.ndarray, ...]
     _spectra: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     _table: np.ndarray | None = field(init=False, repr=False, compare=False)
-    _eighs: list = field(init=False, repr=False, compare=False)
-    _pures: list = field(init=False, repr=False, compare=False)
-    _guess: object = field(init=False, repr=False, compare=False)  # GuessResult | None
-    _q: object = field(init=False, repr=False, compare=False)  # QResult | None
 
     def __post_init__(self):
         if len(self.conditionals) == 0:
@@ -135,10 +126,6 @@ class CqState:
         object.__setattr__(self, "conditionals", conds)
         object.__setattr__(self, "_spectra", tuple(_freeze(w) for _, w in checked))
         object.__setattr__(self, "_table", None if table is None else _freeze(table))
-        object.__setattr__(self, "_eighs", [None] * len(conds))
-        object.__setattr__(self, "_pures", [None] * len(conds))
-        object.__setattr__(self, "_guess", None)
-        object.__setattr__(self, "_q", None)
 
     @property
     def num_symbols(self) -> int:
@@ -161,19 +148,23 @@ class CqState:
         supported(), petz_curve and the decoupling factors read."""
         return [(i, float(p)) for i, p in enumerate(self.prior) if p > 0.0]
 
-    def _cond_eigh(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        if self._eighs[i] is None:
-            self._eighs[i] = tuple(_freeze(a) for a in _eigh(self.conditionals[i]))
-        return self._eighs[i]
+    @cached_property
+    def _cond_eighs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        return tuple(tuple(_freeze(a) for a in _eigh(c)) for c in self.conditionals)
 
-    def _purification(self, i: int) -> PureState:
-        """linalg.purify of conditional i, from its kept decomposition; the
-        dual and the channel state both read it."""
-        if self._pures[i] is None:
-            pure = _purify(self._cond_eigh(i))
+    @cached_property
+    def _purifications(self) -> tuple[PureState, ...]:
+        """linalg.purify of each conditional, from its kept decomposition; the
+        dual and the channel state both read them."""
+        pures = tuple(_purify(eig) for eig in self._cond_eighs)
+        for pure in pures:
             pure.amplitudes.setflags(write=False)
-            self._pures[i] = pure
-        return self._pures[i]
+        return pures
+
+    @cached_property
+    def _joint(self) -> np.ndarray | None:
+        """Joint table P(x, y) when every conditional is diagonal, else None."""
+        return None if self._table is None else _freeze(self.prior[:, None] * self._table)
 
     @cached_property
     def _average(self) -> np.ndarray:
@@ -202,11 +193,28 @@ class CqState:
         wvec = wvec[:, keep]
         terms = []
         for i, p in self._supported_indices():
-            lam, v = self._cond_eigh(i)
+            lam, v = self._cond_eighs[i]
             pos = lam > TOL.rank_cut
             ov = np.abs(v[:, pos].conj().T @ wvec) ** 2
             terms.append((p, _freeze(lam[pos]), _freeze(ov)))
         return _freeze(mu[keep]), tuple(terms)
+
+    @cached_property
+    def _output_fidelity(self) -> float:
+        """F(rho_0, rho_1) of a two-symbol state, from rho_0's kept _eigh."""
+        return _fidelity(self._cond_eighs[0], self.conditionals[1])
+
+    @cached_property
+    def _guess(self):  # GuessResult
+        from . import entropies  # local import: entropies depends on this module
+
+        return entropies._guessing(self)
+
+    @cached_property
+    def _q(self):  # QResult
+        from . import entropies
+
+        return entropies._decoupling_q(self)
 
 
 @dataclass(frozen=True)
@@ -418,7 +426,7 @@ def _common_purifications(w: CqChannel, classical_canonical: bool = False) -> np
         phis = np.zeros((d, dim, dim), dtype=complex)
         phis[:, np.arange(dim), np.arange(dim)] = np.sqrt(table)
         return phis
-    pures = [w._state._purification(z) for z in range(d)]
+    pures = w._state._purifications
     r = max(p.dims[1] for p in pures)
     phis = np.zeros((d, dim, r), dtype=complex)
     for z, p in enumerate(pures):
@@ -538,7 +546,7 @@ def upgrade_to_pure(w: CqChannel) -> CqChannel:
     """Pure-output channel whose overlap equals the output fidelity of w."""
     if w.input_size != 2:
         raise Unsupported("upgrade needs a binary-input channel")
-    f = min(1.0, _fidelity(w._state._cond_eigh(0), w.outputs[1]))
+    f = min(1.0, w._state._output_fidelity)
     return make_bsc_dual((1.0 - f) / 2.0)
 
 
@@ -580,7 +588,7 @@ def invariant_profile(w: CqChannel) -> InvariantProfile:
         raise Unsupported("invariant profiles are defined for binary-input channels")
     state = w._state
     delta = trace_distance(w.outputs[0], w.outputs[1])
-    bhat = _fidelity(state._cond_eigh(0), w.outputs[1])
+    bhat = state._output_fidelity
     h = entropies.cond_entropy(state, entropies.VON_NEUMANN)
     hmin = entropies.cond_entropy(state, entropies.MIN_ENTROPY)
     hmax = entropies.cond_entropy(state, entropies.MAX_ENTROPY)
@@ -602,8 +610,7 @@ def trace_distance_vs_dual_fidelity(w: CqChannel) -> tuple[float, float]:
     if w.input_size != 2:
         raise Unsupported("needs a binary-input channel")
     delta = trace_distance(w.outputs[0], w.outputs[1])
-    wd = dual(w)
-    return float(delta), float(_fidelity(wd._state._cond_eigh(0), wd.outputs[1]))
+    return float(delta), float(dual(w)._state._output_fidelity)
 
 
 # ---------------------------------------------------------------------------

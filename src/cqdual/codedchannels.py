@@ -11,6 +11,7 @@ enumerated diagonal joints or Gram ensembles.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -19,7 +20,7 @@ from .config import TOL, Unsupported
 from . import channels as _ch
 from . import entropies as _en
 from .codes import CodePair, all_vectors
-from .linalg import _eigvalsh, _fidelity, gram_embed, hermitian_part, tensor
+from .linalg import _eigvalsh, gram_embed, hermitian_part, tensor
 
 __all__ = [
     "PureEnsemble",
@@ -108,7 +109,10 @@ class PureEnsemble:
     """Weighted pure-state family known through its Gram matrix.
 
     labels partition the states into hypotheses (e.g. the message); the
-    underlying vectors never need to be materialized.
+    underlying vectors never need to be materialized. Every value derived
+    from the ensemble is a cached property, derived on first read and then
+    kept: its label split, its weighted Gram, its label factors from one
+    gram_embed, and its label CqState, which keeps its own derived values.
     """
 
     weights: np.ndarray
@@ -145,6 +149,34 @@ class PureEnsemble:
     @property
     def num_labels(self) -> int:
         return int(self.labels.max()) + 1
+
+    @cached_property
+    def _label_split(self) -> tuple[tuple[float, np.ndarray], ...]:
+        """(prior, member indices) of each label with nonzero prior, in label order."""
+        members = (np.where(self.labels == label)[0] for label in range(self.num_labels))
+        return tuple((pl, idx) for idx in members if (pl := self.weights[idx].sum()) > 0)
+
+    @cached_property
+    def _mixture_gram(self) -> np.ndarray:
+        """Gram of the vectors sqrt(w_i) |psi_i>: its spectrum is the mixture's."""
+        root = np.sqrt(self.weights)
+        return _ch._freeze(hermitian_part(root[:, None] * self.gram * root[None, :]))
+
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """(prior, factors) of the labels with nonzero prior, in Gram-embedding
+        coordinates: the columns of a label's factor Y are its member vectors
+        times sqrt(weight / prior), so Y Y† is the label's conditional state."""
+        vecs = gram_embed(self.gram)
+        split = self._label_split
+        factors = tuple(_ch._freeze((vecs[idx] * np.sqrt(self.weights[idx] / pl)[:, None]).T)
+                        for pl, idx in split)
+        return _ch._freeze(np.array([pl for pl, _ in split])), factors
+
+    @cached_property
+    def _state(self) -> _en.CqState:
+        prior, factors = self._factors
+        return _en.CqState(prior, tuple(hermitian_part(y @ y.conj().T) for y in factors))
 
 
 def _word_gram(xs: np.ndarray, overlap: float) -> np.ndarray:
@@ -192,44 +224,18 @@ def dual_coded_states_dense(p: float, xs: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _weighted_gram(e: PureEnsemble) -> np.ndarray:
-    root = np.sqrt(e.weights)
-    return hermitian_part(root[:, None] * e.gram * root[None, :])
-
-
-def _labels(e: PureEnsemble) -> list[tuple[float, np.ndarray]]:
-    """(prior, member indices) of each label with nonzero prior, in label order."""
-    members = (np.where(e.labels == label)[0] for label in range(e.num_labels))
-    return [(pl, idx) for idx in members if (pl := e.weights[idx].sum()) > 0]
-
-
-def _label_factors(e: PureEnsemble) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(prior, factors) of the labels with nonzero prior, in Gram-embedding
-    coordinates: the columns of a label's factor Y are its member vectors times
-    sqrt(weight / prior), so Y Y† is the label's conditional state. The one
-    label grouping: ensemble_decoupling and ensemble_to_cqstate both call it."""
-    vecs = gram_embed(e.gram)
-    groups = _labels(e)
-    factors = [
-        np.ascontiguousarray((vecs[idx] * np.sqrt(e.weights[idx] / pl)[:, None]).T)
-        for pl, idx in groups
-    ]
-    return np.array([pl for pl, _ in groups]), factors
-
-
 def ensemble_to_cqstate(e: PureEnsemble) -> _en.CqState:
     """Label-conditional state in Gram-embedding coordinates, over the labels
-    with nonzero prior."""
-    prior, factors = _label_factors(e)
-    return _en.CqState(prior, tuple(hermitian_part(y @ y.conj().T) for y in factors))
+    with nonzero prior: the one the ensemble keeps."""
+    return e._state
 
 
 def ensemble_guessing(e: PureEnsemble) -> _en.GuessResult:
     """Probability of guessing the label; exact for two labels with nonzero
     prior, else SRM."""
-    if len(_labels(e)) <= 2:
-        return _en.guessing_prob(ensemble_to_cqstate(e))
-    return _en._srm(_weighted_gram(e), e.labels)
+    if len(e._label_split) <= 2:
+        return _en.guessing_prob(e._state)
+    return _en._srm(e._mixture_gram, e.labels)
 
 
 def ensemble_decoupling(e: PureEnsemble) -> _en.QResult:
@@ -238,19 +244,18 @@ def ensemble_decoupling(e: PureEnsemble) -> _en.QResult:
     The label conditionals enter the ascent through their natural low-rank
     factors (the member state vectors), never as dense matrices.
     """
-    prior, factors = _label_factors(e)
+    prior, factors = e._factors
     return _en._decoupling(factors, np.sqrt(prior / e.num_labels))
 
 
 def _ensemble_vn(e: PureEnsemble) -> float:
-    s = _weighted_gram(e)
-    groups = _labels(e)
-    spectra = [_eigvalsh(hermitian_part(s[np.ix_(idx, idx)] / pl)) for pl, idx in groups]
-    return _en._vn_from_spectra([pl for pl, _ in groups], spectra, _eigvalsh(s))
+    s, split = e._mixture_gram, e._label_split
+    spectra = [_eigvalsh(hermitian_part(s[np.ix_(idx, idx)] / pl)) for pl, idx in split]
+    return _en._vn_from_spectra([pl for pl, _ in split], spectra, _eigvalsh(s))
 
 
 _ENSEMBLE = _en._Reader(lambda e: e.num_labels, _ensemble_vn,
-                        lambda e, a: _en.petz_curve(ensemble_to_cqstate(e), [a])[0],
+                        lambda e, a: _en.petz_curve(e._state, [a])[0],
                         lambda e: ensemble_guessing(e), lambda e: ensemble_decoupling(e).value)
 
 
@@ -446,7 +451,7 @@ def _pure_sources(channel: _ch.CqChannel, cp: CodePair):
     if cp.n > 10:
         raise Unsupported("pure-dual EXIT blocklength capped at 10")
     words = cp.codewords()
-    overlap = _fidelity(channel._state._cond_eigh(0), channel.outputs[1])
+    overlap = channel._state._output_fidelity
     for i in range(cp.n):
         yield _word_ensemble(np.delete(words, i, axis=1), words[:, i], overlap)
 

@@ -222,11 +222,6 @@ def table_entropy(joint: np.ndarray, family: EntropyFamily) -> float:
     return family.of(_TABLE, joint)
 
 
-def _classical_joint(state: CqState) -> np.ndarray | None:
-    """Joint table P(x, y) when every conditional is diagonal, else None."""
-    return None if state._table is None else state.prior[:, None] * state._table
-
-
 # ---------------------------------------------------------------------------
 # entropy family
 # ---------------------------------------------------------------------------
@@ -243,9 +238,8 @@ def _vn_from_spectra(prior, spectra, average_spectrum: np.ndarray) -> float:
 
 
 def _vn_cond(state: CqState) -> float:
-    joint = _classical_joint(state)
-    if joint is not None:
-        return _TABLE.vn(joint)
+    if state._joint is not None:
+        return _TABLE.vn(state._joint)
     return _vn_from_spectra(state.prior, state._spectra, state._average_spectrum)
 
 
@@ -259,9 +253,8 @@ def petz_curve(state: CqState, alphas: Sequence[float]) -> list[float]:
     conditionals always live inside the support of the average state, so no
     support violation can occur.
     """
-    joint = _classical_joint(state)
-    if joint is not None:
-        return _table_petz(joint, alphas)
+    if state._joint is not None:
+        return _table_petz(state._joint, alphas)
     mu, terms = state._petz_overlaps
     out = []
     for alpha in alphas:
@@ -281,15 +274,12 @@ def guessing_prob(state: CqState) -> GuessResult:
     exact=False: _srm on the Gram matrix of the stacked factors of p_x rho_x.
     The state keeps the result: a later call returns the same GuessResult.
     """
-    if state._guess is None:
-        object.__setattr__(state, "_guess", _guessing(state))
     return state._guess
 
 
 def _guessing(state: CqState) -> GuessResult:
-    joint = _classical_joint(state)
-    if joint is not None:
-        return _TABLE.guess(joint)
+    if state._joint is not None:
+        return _TABLE.guess(state._joint)
     sup = state.supported()
     if len(sup) == 1:
         return GuessResult(1.0, True, "trivial")
@@ -495,7 +485,7 @@ def _compressed_factors(state: CqState) -> list[tuple[float, np.ndarray]]:
     cut = _compress_to_support([state.conditionals[i] for i, _ in sup],
                                state._average_eigh)
     if cut is None:
-        return [(p, _factor(state._cond_eigh(i))) for i, p in sup]
+        return [(p, _factor(state._cond_eighs[i])) for i, p in sup]
     return [(p, _factorize(c / max(tr, TOL.underflow))) for (_, p), c, tr in zip(sup, *cut)]
 
 
@@ -515,16 +505,13 @@ def decoupling_q(state: CqState) -> QResult:
     _table_decoupling. The state keeps the result: a later call returns the
     same QResult and runs no ascent.
     """
-    if state._q is None:
-        object.__setattr__(state, "_q", _decoupling_q(state))
     return state._q
 
 
 def _decoupling_q(state: CqState) -> QResult:
     m = state.num_symbols
-    joint = _classical_joint(state)
-    if joint is not None:
-        q = _table_decoupling(joint)
+    if state._joint is not None:
+        q = _table_decoupling(state._joint)
         return QResult(q, True, 0, 0, upper=q)
     sup = _compressed_factors(state)
     return _decoupling([y for _, y in sup], [np.sqrt(p / m) for p, _ in sup])
@@ -578,7 +565,7 @@ def dispersion(state: CqState) -> tuple[float, float]:
     lbar = _spectral_fn(state._average_eigh, np.log2)
     second = 0.0
     for i, p in state._supported_indices():
-        lam, v = state._cond_eigh(i)
+        lam, v = state._cond_eighs[i]
         block = p * state.conditionals[i]
         y = _spectral_fn((p * lam, v), np.log2) - lbar
         second += float(np.trace(block @ y @ y).real)

@@ -14,7 +14,7 @@ import numpy as np
 from .config import TOL, Unsupported
 from . import channels as _ch
 from . import entropies as _en
-from .linalg import _compress_to_support, _fidelity, _kron, hermitian_part
+from .linalg import _compress_to_support, _kron, hermitian_part
 
 __all__ = [
     "VARIABLE",
@@ -136,7 +136,7 @@ def _channel_stats(state: _en.CqState) -> tuple[float, float, float]:
     statistics every polarization fraction reads."""
     hmin = _en.cond_entropy(state, _en.MIN_ENTROPY)
     hmax = _en.cond_entropy(state, _en.MAX_ENTROPY)
-    return hmin, hmax, _fidelity(state._cond_eigh(0), state.conditionals[1])
+    return hmin, hmax, state._output_fidelity
 
 
 def _truncate_to_joint_support(w: _ch.CqChannel) -> tuple[_ch.CqChannel, float]:

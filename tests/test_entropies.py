@@ -149,7 +149,8 @@ def test_a_second_petz_order_reads_the_kept_overlaps(monkeypatch):
     state = en.from_channel(random_channel(np.random.default_rng(2719), 3))
     first = en.petz_curve(state, [0.5])
     kept = state._petz_overlaps
-    monkeypatch.setattr(en.CqState, "_cond_eigh", lambda self, i: pytest.fail("decomposed"))
+    monkeypatch.delitem(vars(state), "_cond_eighs")  # a rebuild of the overlaps would read it
+    monkeypatch.setattr(en.CqState, "_cond_eighs", property(lambda self: pytest.fail("decomposed")))
     calls = _counted_eigensolvers(monkeypatch)
     assert en.petz_curve(state, [0.5, 1.5])[0] == first[0]
     assert state._petz_overlaps is kept and calls == []
@@ -168,9 +169,9 @@ def test_dual_and_disjointness_purify_each_output_once(monkeypatch):
         monkeypatch.setattr(module, "_purify", lambda eig: seen.append(eig) or purify(eig))
     wd = ch.dual(w)
     gap = en.state_disjointness_gap(w)
-    kept = [w._state._cond_eigh(z) for z in range(w.input_size)]
+    kept = w._state._cond_eighs
     assert len(seen) == 2 and all(any(e is k for e in seen) for k in kept)
-    assert not w._state._purification(0).amplitudes.flags.writeable
+    assert all(not p.amplitudes.flags.writeable for p in w._state._purifications)
     monkeypatch.undo()
     fresh = ch.CqChannel(w.outputs)  # no keeps: purifies afresh
     assert gap == en.state_disjointness_gap(fresh)
@@ -183,10 +184,10 @@ def test_kept_decompositions_have_the_bits_of_fresh_ones():
     for w in chans:
         kept = w._state
         for i, out in enumerate(w.outputs):
-            for a, b in zip(kept._cond_eigh(i), _eigh(out), strict=True):
+            for a, b in zip(kept._cond_eighs[i], _eigh(out), strict=True):
                 assert _same_bits(a, b)
             # what _factorize and _purify decomposed before they read the kept pair
-            for a, b in zip(kept._cond_eigh(i), _eigh(hermitian_part(np.asarray(out, complex)))):
+            for a, b in zip(kept._cond_eighs[i], _eigh(hermitian_part(np.asarray(out, complex)))):
                 assert _same_bits(a, b)
         avg = np.zeros_like(w.outputs[0])
         for c in w.outputs:
@@ -229,8 +230,9 @@ def test_the_caller_prior_stays_writable():
 def test_kept_arrays_are_read_only():
     w = random_channel(np.random.default_rng(5), 3)
     s = en.CqState(np.array([0.4, 0.6]), w.outputs)
-    kept = [*w._state._cond_eigh(1), *s._cond_eigh(0), s.average(), w._state.average(),
-            s._average_spectrum, *s._average_eigh]
+    classical = en.CqState(np.array([0.4, 0.6]), ch.make_bsc(0.11).outputs)
+    kept = [*w._state._cond_eighs[1], *s._cond_eighs[0], s.average(), w._state.average(),
+            s._average_spectrum, *s._average_eigh, classical._joint]
     for a in kept:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
@@ -403,7 +405,7 @@ def _counted_ascents(monkeypatch) -> list:
                                   lambda: ch.make_bsc(0.11)], ids=["mixed", "classical"])
 def test_a_state_keeps_its_guessing_and_decoupling_results(monkeypatch, make):
     state = en.from_channel(make())
-    assert state._guess is None and state._q is None
+    assert not {"_guess", "_q"} & vars(state).keys()  # nothing solved before it is asked
     guess, q = en.guessing_prob(state), en.decoupling_q(state)
     calls = _counted_eigensolvers(monkeypatch)
     ascents = _counted_ascents(monkeypatch)
@@ -436,9 +438,9 @@ def test_a_state_of_its_own_solves_its_own_problems(monkeypatch):
     ascents = _counted_ascents(monkeypatch)
     for prior in ([0.5, 0.5], [0.3, 0.7]):
         own = en.CqState(np.array(prior), w.outputs)
-        assert own._guess is None and own._q is None
+        assert not {"_guess", "_q"} & vars(own).keys()
         assert en.guessing_prob(own) is not guess and en.decoupling_q(own) is not q
-        assert (own._guess, own._q) != (None, None)
+        assert {"_guess", "_q"} <= vars(own).keys()
     assert len(ascents) == 2
     own = en.CqState(np.array([0.5, 0.5]), w.outputs)
     assert (en.guessing_prob(own), en.decoupling_q(own)) == (guess, q)  # the same problem
@@ -565,7 +567,7 @@ def test_table_kernel_matches_dense_path(seed, num_outputs):
     joint = 0.5 * t
     u, _ = np.linalg.qr(r.normal(size=(num_outputs,) * 2) + 1j * r.normal(size=(num_outputs,) * 2))
     dense = en.CqState(np.array([0.5, 0.5]), tuple(u @ np.diag(row) @ u.conj().T for row in t))
-    assert en._classical_joint(dense) is None
+    assert dense._joint is None
     for fam in (en.VON_NEUMANN, en.petz_down(0.5), en.petz_down(1.5), en.MIN_ENTROPY):
         assert abs(en.table_entropy(joint, fam) - en.cond_entropy(dense, fam)) < 1e-10
     assert abs(en.table_entropy(joint, en.MAX_ENTROPY) - en.cond_entropy(dense, en.MAX_ENTROPY)) < 1e-8
