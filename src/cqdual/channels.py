@@ -72,8 +72,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 def _checked_prior(prior) -> np.ndarray:
     """prior as a float array, refused when negative, NaN or not summing to 1:
-    the one distribution check, for priors and PureEnsemble weights alike.
-    A copy, so freezing it leaves the caller's array writable."""
+    the one prior check. A copy, so freezing it leaves the caller's array
+    writable."""
     p = np.array(prior, dtype=float)
     if not p.min() >= 0:  # a NaN entry fails both tests
         raise ValueError("negative prior probability")

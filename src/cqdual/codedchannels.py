@@ -106,49 +106,61 @@ def classical_coded_table(channel: _ch.CqChannel, cp: CodePair, leg: str) -> np.
 
 @dataclass(frozen=True)
 class PureEnsemble:
-    """Weighted pure-state family known through its Gram matrix.
+    """Uniform ensemble of the product states of binary words.
 
-    labels partition the states into hypotheses (e.g. the message); the
-    underlying vectors never need to be materialized. Every value derived
-    from the ensemble is a cached property, derived on first read and then
-    kept: its label split, its weighted Gram, its label factors from one
-    gram_embed, and its label CqState, which keeps its own derived values.
+    Each position carries one of two pure states with the real overlap, so
+    the Gram matrix overlap^hamming(x, x') is the Schur product of the
+    per-position Grams [[1, o], [o, 1]]: PSD with unit diagonal by
+    construction, which no eigensolve needs to check. labels partition the
+    words into hypotheses (e.g. the message); the vectors are never
+    materialized. Every derived value is a cached property, derived on first
+    read and then kept: the uniform weights, the Gram, the label split, the
+    weighted Gram, the label factors from one gram_embed, and the label
+    CqState, which keeps its own derived values.
     """
 
-    weights: np.ndarray
-    gram: np.ndarray
+    words: np.ndarray
     labels: np.ndarray
+    overlap: float
 
     def __post_init__(self):
-        if np.size(self.weights) == 0:
-            raise ValueError("need at least one state")
-        w = _ch._checked_prior(self.weights)
-        g = np.asarray(self.gram, dtype=complex)
-        lab = np.asarray(self.labels, dtype=np.int64)
-        m = len(w)
-        if g.shape != (m, m) or lab.shape != (m,):
-            raise ValueError("weights, gram and labels sizes disagree")
-        if lab.min() < 0:  # a negative label would drop its states from every label
+        xs = np.asarray(self.words)
+        if xs.ndim != 2 or len(xs) == 0:
+            raise ValueError("need at least one word, as the rows of a 2-D array")
+        m, n = xs.shape
+        if m * m * n > _TABLE_CAP:
+            raise Unsupported(f"Gram matrix of {m} words of length {n} would exceed the memory cap")
+        if not ((xs == 0) | (xs == 1)).all():
+            raise ValueError("words must be binary")
+        lab = np.array(self.labels, dtype=np.int64)
+        if lab.shape != (m,):
+            raise ValueError("need one label per word")
+        if lab.min() < 0:  # a negative label would drop its words from every label
             raise ValueError("labels must be nonnegative")
-        if not np.max(np.abs(np.diag(g) - 1.0)) <= TOL.gram_diagonal:
-            raise ValueError(f"Gram diagonal must be 1 within {TOL.gram_diagonal}")
-        scale = max(1.0, float(np.max(np.abs(g))))
-        wmin = float(_eigvalsh(hermitian_part(g)).min())
-        if not wmin >= -TOL.gram_psd * scale:
-            raise ValueError(f"Gram matrix not PSD: eigenvalue {wmin:.3e}")
-        for a in (w, g, lab):
-            a.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "gram", hermitian_part(g))
-        object.__setattr__(self, "labels", lab)
+        o = float(self.overlap)
+        if not 1.0 - abs(o) >= -TOL.gram_psd:  # a NaN fails too
+            raise ValueError(f"overlap {o} outside [-1, 1]: the per-position Gram is not PSD")
+        object.__setattr__(self, "words", _ch._freeze(xs.astype(np.int64)))
+        object.__setattr__(self, "labels", _ch._freeze(lab))
+        object.__setattr__(self, "overlap", o)
 
     @property
     def num_states(self) -> int:
-        return len(self.weights)
+        return len(self.words)
 
     @property
     def num_labels(self) -> int:
         return int(self.labels.max()) + 1
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return _ch._freeze(np.full(self.num_states, 1.0 / self.num_states))
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        xs = self.words
+        ham = (xs[:, None, :] != xs[None, :, :]).sum(axis=2)
+        return _ch._freeze((self.overlap**ham).astype(complex))
 
     @cached_property
     def _label_split(self) -> tuple[tuple[float, np.ndarray], ...]:
@@ -179,22 +191,6 @@ class PureEnsemble:
         return _en.CqState(prior, tuple(hermitian_part(y @ y.conj().T) for y in factors))
 
 
-def _word_gram(xs: np.ndarray, overlap: float) -> np.ndarray:
-    """Gram matrix overlap^hamming(x, x') of the product states of the words xs,
-    for per-position states with real overlap. Word sets whose m x m x n
-    distance array would exceed _TABLE_CAP entries are refused up front."""
-    m, n = xs.shape
-    if m * m * n > _TABLE_CAP:
-        raise Unsupported(f"Gram matrix of {m} words of length {n} would exceed the memory cap")
-    ham = (xs[:, None, :] != xs[None, :, :]).sum(axis=2)
-    return (overlap**ham).astype(complex)
-
-
-def _word_ensemble(xs: np.ndarray, labels: np.ndarray, overlap: float) -> PureEnsemble:
-    """Uniform ensemble of the product states of the words xs, labelled by labels."""
-    return PureEnsemble(np.full(len(xs), 1.0 / len(xs)), _word_gram(xs, overlap), labels)
-
-
 def dual_coded_ensemble(p: float, cp: CodePair, mode: str) -> PureEnsemble:
     """Coded ensemble of modulated pure dual-channel states.
 
@@ -202,11 +198,13 @@ def dual_coded_ensemble(p: float, cp: CodePair, mode: str) -> PureEnsemble:
     (1-2p)^hamming over the encoded words: the zero-syndrome coset in
     deterministic mode, every word (grouped by message) in randomized mode.
     """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"parameter {p} outside [0, 1]")
     if cp.q != 2:
         raise Unsupported("pure dual ensembles are built for binary codes")
     if mode not in ("deterministic", "randomized"):
         raise ValueError(f"unknown mode {mode!r}")
-    return _word_ensemble(*_encoding(cp, mode == "randomized"), 1.0 - 2.0 * p)
+    return PureEnsemble(*_encoding(cp, mode == "randomized"), 1.0 - 2.0 * p)
 
 
 def dual_coded_states_dense(p: float, xs: np.ndarray) -> np.ndarray:
@@ -453,7 +451,7 @@ def _pure_sources(channel: _ch.CqChannel, cp: CodePair):
     words = cp.codewords()
     overlap = channel._state._output_fidelity
     for i in range(cp.n):
-        yield _word_ensemble(np.delete(words, i, axis=1), words[:, i], overlap)
+        yield PureEnsemble(np.delete(words, i, axis=1), words[:, i], overlap)
 
 
 def exit_function(channel: _ch.CqChannel, cp: CodePair, family: _en.EntropyFamily) -> float:

@@ -15,16 +15,17 @@ class Tolerances:
     logarithms finite; a pure pair whose difference up to phase has a smaller
     norm counts as one state, and the dispersion derivative gap divides by
     at least it. prior_sum is the largest distance from 1 allowed for the sum
-    of a state's prior or of an ensemble's weights. diagonal is the
-    largest off-diagonal magnitude for which a family of operators still
-    counts as diagonal (classical) and takes the closed-form table paths, and
-    the most a joint table's entry may round below zero before the decoupling
-    closed form refuses it. gram_diagonal is the largest distance from 1
-    allowed for a pure ensemble's Gram diagonal. psd_clamp is the most
-    negative eigenvalue, relative to the spectral scale, that psd_sqrt clamps
-    to zero instead of refusing. profile_match is the largest invariant-profile
-    gap at which two channels count as equivalent, the tolerance of the
-    profile rows in cqdual.checks.
+    of a state's prior. diagonal is the largest off-diagonal magnitude for
+    which a family of operators still counts as diagonal (classical) and takes
+    the closed-form table paths, and the most a joint table's entry may round
+    below zero before the decoupling closed form refuses it. gram_psd is the
+    most negative eigenvalue, relative to the spectral scale, that gram_embed
+    accepts, and the most a pure ensemble's per-position overlap may exceed 1
+    in magnitude (the fidelity of identical states rounds above 1). psd_clamp
+    is the most negative eigenvalue, relative to the spectral scale, that
+    psd_sqrt clamps to zero instead of refusing. profile_match is the largest
+    invariant-profile gap at which two channels count as equivalent, the
+    tolerance of the profile rows in cqdual.checks.
     ascent_value is the width at which the decoupling ascent's certified
     bracket [value, upper] counts as closed, and the step-to-step change below
     which an ascent whose bracket stays open counts as stalled: its first
@@ -61,7 +62,6 @@ class Tolerances:
     rank_cut: float = 1e-12
     diagonal: float = 1e-12
     gram_psd: float = 1e-9
-    gram_diagonal: float = 1e-10
     psd_clamp: float = 1e-6
     witness: float = 1e-8
     profile_match: float = 1e-7

@@ -236,15 +236,15 @@ def test_workload_passes_hold_and_repeat(workload):
 @pytest.mark.parametrize("workload, check, want", [
     ("IdentityCorpus", None, {"eigh": 0, "eigvalsh": 0}),
     ("PolarDepth", "polarization_bec16", {"eigh": 0, "eigvalsh": 4}),
-    ("CodedBlocklength", "coded_dense_oracle", {"eigh": 0, "eigvalsh": 10}),
+    ("CodedBlocklength", "coded_dense_oracle", {"eigh": 0, "eigvalsh": 9}),
 ], ids=["identity_corpus", "polarization_bec16", "coded_dense_oracle"])
 def test_eigensolves_outside_the_traced_names(monkeypatch, workload, check, want):
     # a traced pass's coverage is the share of its time inside traced names;
     # the eigensolves of a warm pass made outside all of them are the part of
     # the rest that the library decides. Channels built by the check itself
-    # (the BEC pair of the polarization check) or a dense oracle state and the
-    # ensemble's Gram validation account for them. A refactor that reads a
-    # kept solve outside its traced name moves these counts
+    # (the BEC pair of the polarization check) or a dense oracle state account
+    # for them. A refactor that reads a kept solve outside its traced name
+    # moves these counts
     module = _workloads()
     wl = getattr(module, workload)(module.ACCEPTANCE_SEED)
     checks = [c for c in wl.checks if check in (None, c.name)]

@@ -12,7 +12,7 @@ from cqdual import codedchannels as cc
 from cqdual import codes
 from cqdual import entropies as en
 from cqdual.cli import parse_grid
-from cqdual.config import Unsupported
+from cqdual.config import TOL, Unsupported
 from cqdual.corpus import random_channel, random_density
 from cqdual.linalg import gram_embed, partial_trace
 
@@ -195,32 +195,51 @@ def test_ensemble_memory_guard():
 
 
 def test_empty_ensemble_is_refused_by_name():
-    with pytest.raises(ValueError, match="^need at least one state$"):
-        cc.PureEnsemble([], np.zeros((0, 0)), [])
+    with pytest.raises(ValueError, match="^need at least one word"):
+        cc.PureEnsemble(np.zeros((0, 3), dtype=np.int64), [], 0.5)
 
 
-def _pure_ensemble(rng, weights, labels, dim=3):
-    vecs = rng.normal(size=(dim, len(weights))) + 1j * rng.normal(size=(dim, len(weights)))
-    vecs /= np.linalg.norm(vecs, axis=0)
-    return cc.PureEnsemble(weights, vecs.conj().T @ vecs, labels)
+@pytest.mark.parametrize("overlap", [-1.0, -0.4, 0.0, 0.3, 1.0, 1.0 + 6.7e-16])
+def test_a_word_gram_is_psd_by_construction(overlap):
+    # overlap^hamming is a Schur product of PSD 2 x 2 Grams, so the constructor
+    # checks only |overlap| <= 1 (a fidelity of identical states rounds up to
+    # 6.7e-16 past 1), and every Gram it implies is PSD and embeds
+    rng = np.random.default_rng(40)
+    for _ in range(12):
+        m, n = int(rng.integers(1, 33)), int(rng.integers(1, 9))
+        e = cc.PureEnsemble(rng.integers(0, 2, size=(m, n)), rng.integers(0, 3, size=m), overlap)
+        g = e.gram
+        assert np.linalg.eigvalsh(g).min() >= -TOL.gram_psd * max(1.0, np.linalg.norm(g, 2))
+        assert gram_embed(g).shape[0] == m
 
 
-@pytest.mark.parametrize("weights, labels", [([0.3, 0.7, 0.0], [0, 1, 2]), ([0.3, 0.7], [0, 2])],
-                         ids=["zero_weight_label", "skipped_label"])
-def test_a_label_without_weight_changes_no_entropy(weights, labels):
-    e = _pure_ensemble(np.random.default_rng(8), weights, labels)
-    same = cc.PureEnsemble([0.3, 0.7], e.gram[:2, :2], [0, 1])
+def test_building_an_ensemble_runs_no_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolver ran")
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    e = cc.dual_coded_ensemble(0.11, codes.hamming74_pair(), "randomized")
+    assert e.num_states == 128 and not e.gram.flags.writeable
+
+
+@pytest.mark.parametrize("labels", [[0, 0, 2, 2]], ids=["skipped_label"])
+def test_a_label_without_weight_changes_no_entropy(labels):
+    # label 1 carries no word, so it is left out of the label states
+    words = np.array([[0, 0, 1], [0, 1, 1], [1, 1, 0], [1, 0, 0]])
+    e = cc.PureEnsemble(words, labels, 0.3)
+    same = cc.PureEnsemble(words, [0, 0, 1, 1], 0.3)
     for fam in (en.VON_NEUMANN, en.MIN_ENTROPY, en.petz_down(0.5), en.petz_down(1.5)):
         assert abs(cc.ensemble_cond_entropy(e, fam) - cc.ensemble_cond_entropy(same, fam)) <= 1e-12
     assert cc.ensemble_guessing(e).exact  # two labels carry weight: Helstrom, not the SRM
 
 
 def test_ensemble_srm_is_the_states_srm():
-    # one square-root measurement: a Gram ensemble with three labels and the
+    # one square-root measurement: a Gram ensemble with four labels and the
     # CqState of its label conditionals give the same guessing probability
-    e = _pure_ensemble(np.random.default_rng(9), np.full(6, 1 / 6), [0, 0, 1, 1, 2, 2], dim=4)
+    e = cc.dual_coded_ensemble(0.11, codes.preset_pair("parity32"), "deterministic")
     res = cc.ensemble_guessing(e)
-    assert res.method == "srm" and not res.exact
+    assert e.num_labels == 4 and res.method == "srm" and not res.exact
     assert abs(res.value - en.guessing_prob(cc.ensemble_to_cqstate(e)).value) <= 1e-12
 
 
@@ -236,7 +255,7 @@ def test_an_ensemble_embeds_its_gram_once(monkeypatch):
         cc.ensemble_cond_entropy(e, fam)
     assert len(embeds) == 1 and cc.ensemble_to_cqstate(e) is state
     assert all(not a.flags.writeable for a in (e._mixture_gram, e._factors[0], *e._factors[1]))
-    fresh = cc.PureEnsemble(e.weights, e.gram, e.labels)
+    fresh = cc.PureEnsemble(e.words, e.labels, e.overlap)
     assert cc.ensemble_decoupling(fresh) == cc.ensemble_decoupling(e)
     assert len(embeds) == 2
 

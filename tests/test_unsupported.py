@@ -44,8 +44,8 @@ REFUSALS = {  # id: (start of the message, the refused call)
         BSC, codes.repetition_pair(15), "deterministic")),
     "coded_table_memory": ("joint table would exceed", lambda: cc.classical_coded_table(
         WIDE, codes.repetition_pair(5), "deterministic")),
-    "word_gram_memory": ("Gram matrix of 5000 words",
-                         lambda: cc._word_gram(np.zeros((5000, 30), dtype=np.int64), 0.5)),
+    "word_gram_memory": ("Gram matrix of 5000 words", lambda: cc.PureEnsemble(
+        np.zeros((5000, 30), dtype=np.int64), np.zeros(5000, dtype=np.int64), 0.5)),
     "dual_ensemble_field": ("pure dual ensembles are built for binary codes",
                             lambda: cc.dual_coded_ensemble(0.11, Q3, "deterministic")),
     "coded_channel_alphabet": ("channel alphabet must match",
@@ -78,7 +78,7 @@ REFUSALS = {  # id: (start of the message, the refused call)
     # guessing_prob flags these exact=False: the square-root measurement
     "min_entropy_srm": (SRM, lambda: en.cond_entropy(en.from_channel(TRINE), en.MIN_ENTROPY)),
     "ensemble_min_entropy_srm": (SRM, lambda: cc.ensemble_cond_entropy(
-        cc.PureEnsemble(np.full(3, 1 / 3), np.full((3, 3), 0.5) + 0.5 * np.eye(3), [0, 1, 2]),
+        cc.dual_coded_ensemble(0.11, codes.preset_pair("parity32"), "deterministic"),
         en.MIN_ENTROPY)),
     "petz_order_2_dual": ("Petz order 2 pairs with order 0, which is not computed$",
                           lambda: en.duality_check(BSC, en.petz_down(2.0))),
@@ -119,10 +119,7 @@ def test_refusals_raise_unsupported(message, refusal):
         # a NaN passes every comparison written as `x > tol`
         lambda: en.CqState([np.nan, np.nan], BSC.outputs),
         lambda: en.CqState([np.nan, 1.0], BSC.outputs),
-        lambda: cc.PureEnsemble([np.nan, 1.0], np.eye(2), [0, 1]),
-        lambda: cc.PureEnsemble([0.5, 0.5], np.array([[1.0, np.nan], [np.nan, 1.0]]), [0, 1]),
         lambda: PureState(np.array([np.nan, 0.0]), (2,)),
-        lambda: cc.PureEnsemble([0.5, 0.5], np.eye(2), [0, -1]),
         lambda: ch.CqChannel((np.eye(2) / 2, np.eye(3) / 3)),
         lambda: en.CqState([0.5, 0.5], (np.eye(2) / 2, np.eye(3) / 3)),
         lambda: en.CqState([1.0], (np.eye(2) / 2, np.eye(2) / 2)),
@@ -130,9 +127,16 @@ def test_refusals_raise_unsupported(message, refusal):
         lambda: ch.CqChannel(BSC.outputs, witnesses=(np.eye(2), 2 * np.eye(2))),
         lambda: ch.CqChannel(BSC.outputs, witnesses=(np.eye(2), np.eye(2))),
         lambda: ch.make_bsc_dual(1.5),
+        lambda: cc.dual_coded_ensemble(2.0, codes.repetition_pair(3), "deterministic"),
+        lambda: cc.dual_coded_ensemble(-0.5, codes.repetition_pair(3), "deterministic"),
+        lambda: cc.dual_coded_ensemble(np.nan, codes.repetition_pair(3), "deterministic"),
+        lambda: cc.PureEnsemble(np.zeros((0, 3), dtype=np.int64), [], 0.5),
+        lambda: cc.PureEnsemble([[0, 2], [1, 0]], [0, 1], 0.5),
+        lambda: cc.PureEnsemble([[0, 1], [1, 0]], [0, 1, 1], 0.5),
+        lambda: cc.PureEnsemble([[0, 1], [1, 0]], [0, -1], 0.5),
+        lambda: cc.PureEnsemble([[0, 1], [1, 0]], [0, 1], -1.5),
+        lambda: cc.PureEnsemble([[0, 1], [1, 0]], [0, 1], np.nan),
         lambda: ch.make_pure([[1.0, 1.0], [1.0, 0.0]]),
-        lambda: cc.PureEnsemble([0.5, 0.5], np.eye(3), [0, 1]),
-        lambda: cc.PureEnsemble([0.5, 0.5], 2 * np.eye(2), [0, 1]),
         lambda: codes.CodePair(2, 2, 1, np.eye(2), np.array([[1, 1], [0, 1]])),
         lambda: codes.CodePair(2, 2, 3, np.eye(2), np.eye(2)),
         lambda: codes.build_code(np.ones((2, 2)), 1),
@@ -152,6 +156,12 @@ def test_malformed_input_is_not_unsupported(malformed):
     with pytest.raises(ValueError) as exc:
         malformed()
     assert not isinstance(exc.value, cqdual.Unsupported)
+
+
+@pytest.mark.parametrize("p", [2.0, -0.5, np.nan])
+def test_a_coded_ensemble_refuses_a_bad_p_by_name(p):
+    with pytest.raises(ValueError, match=f"^parameter {p} outside \\[0, 1\\]$"):
+        cc.dual_coded_ensemble(p, codes.repetition_pair(3), "deterministic")
 
 
 def test_compute_curves_checks_every_blocklength_before_building_a_table(monkeypatch):
