@@ -5,7 +5,9 @@ strings. The dual side works with pure-state ensembles represented by their
 Gram matrices, which is exact: the nonzero spectrum of a weighted pure mixture
 equals the spectrum of its weighted Gram matrix. An EXIT function is one sum
 over per-position sources that the channel's outputs choose: erasure joints,
-enumerated diagonal joints or Gram ensembles.
+enumerated diagonal joints or Gram ensembles. The extractor side of the
+blocklength frontier is an ensemble decoupling too: one ensemble, with one
+overlap per position, for each group of output blocks.
 """
 
 from __future__ import annotations
@@ -108,20 +110,21 @@ def classical_coded_table(channel: _ch.CqChannel, cp: CodePair, leg: str) -> np.
 class PureEnsemble:
     """Uniform ensemble of the product states of binary words.
 
-    Each position carries one of two pure states with the real overlap, so
-    the Gram matrix overlap^hamming(x, x') is the Schur product of the
-    per-position Grams [[1, o], [o, 1]]: PSD with unit diagonal by
-    construction, which no eigensolve needs to check. labels partition the
-    words into hypotheses (e.g. the message); the vectors are never
-    materialized. Every derived value is a cached property, derived on first
-    read and then kept: the uniform weights, the Gram, the label split, the
-    weighted Gram, the label factors from one gram_embed, and the label
-    CqState, which keeps its own derived values.
+    Position j carries one of two pure states with the real overlap o_j:
+    overlap is one number for every position or one per position. The Gram
+    matrix prod_j o_j^[x_j != x'_j] is the Schur product of the per-position
+    Grams [[1, o_j], [o_j, 1]]: PSD with unit diagonal by construction, which
+    no eigensolve needs to check. labels partition the words into hypotheses
+    (e.g. the message); the vectors are never materialized. Every derived
+    value is a cached property, derived on first read and then kept: the
+    uniform weights, the Gram, the label split, the weighted Gram, the label
+    factors from one gram_embed, and the label CqState, which keeps its own
+    derived values.
     """
 
     words: np.ndarray
     labels: np.ndarray
-    overlap: float
+    overlap: float | np.ndarray
 
     def __post_init__(self):
         xs = np.asarray(self.words)
@@ -137,12 +140,15 @@ class PureEnsemble:
             raise ValueError("need one label per word")
         if lab.min() < 0:  # a negative label would drop its words from every label
             raise ValueError("labels must be nonnegative")
-        o = float(self.overlap)
-        if not 1.0 - abs(o) >= -TOL.gram_psd:  # a NaN fails too
-            raise ValueError(f"overlap {o} outside [-1, 1]: the per-position Gram is not PSD")
+        o = np.array(self.overlap, dtype=float)
+        if o.shape not in ((), (n,)):
+            raise ValueError(f"need one overlap, or one per position ({n}), not shape {o.shape}")
+        for oj in o.flat:
+            if not 1.0 - abs(oj) >= -TOL.gram_psd:  # a NaN fails too
+                raise ValueError(f"overlap {oj} outside [-1, 1]: the per-position Gram is not PSD")
         object.__setattr__(self, "words", _ch._freeze(xs.astype(np.int64)))
         object.__setattr__(self, "labels", _ch._freeze(lab))
-        object.__setattr__(self, "overlap", o)
+        object.__setattr__(self, "overlap", float(o) if o.ndim == 0 else _ch._freeze(o))
 
     @property
     def num_states(self) -> int:
@@ -159,8 +165,12 @@ class PureEnsemble:
     @cached_property
     def gram(self) -> np.ndarray:
         xs = self.words
-        ham = (xs[:, None, :] != xs[None, :, :]).sum(axis=2)
-        return _ch._freeze((self.overlap**ham).astype(complex))
+        o = np.broadcast_to(self.overlap, xs.shape[1])
+        g = np.ones((len(xs), len(xs)))
+        for v in np.unique(o):  # v to the number of differing positions that carry v
+            at = o == v
+            g *= v ** (xs[:, None, at] != xs[None, :, at]).sum(axis=2)
+        return _ch._freeze(g.astype(complex))
 
     @cached_property
     def _label_split(self) -> tuple[tuple[float, np.ndarray], ...]:
@@ -212,6 +222,8 @@ def dual_coded_states_dense(p: float, xs: np.ndarray) -> np.ndarray:
     column j is the Kronecker product, first position most significant, of
     eta for each 0 and zeta for each 1 of word j, built for all words at once
     with one broadcast product per position."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"parameter {p} outside [0, 1]")
     eta = np.array([np.sqrt(p), np.sqrt(1 - p)], dtype=complex)
     zeta = np.array([np.sqrt(p), -np.sqrt(1 - p)], dtype=complex)
     xs = np.asarray(xs)
@@ -615,56 +627,40 @@ def _guess_value(source: _en.CqState, n: int) -> _Value:
     )
 
 
-def _block_gram(y: np.ndarray, xs: np.ndarray, py: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """Gram of the modulated block states for one output string y."""
-    m = xs.shape[0]
-    g = np.ones((m, m))
-    for i, yi in enumerate(y):
-        eq = xs[:, None, i] == xs[None, :, i]
-        g = g * np.where(eq, py[yi], mod[yi])
-    return g
-
-
 def _decouple_value(source: _en.CqState, n: int, work: dict[str, int]) -> _Value:
     """Decoupling quality of the extraction whose kernel has the given coset
     labels; each call adds its ascents, and those left open, to `work`.
 
     The conjugate-side states are block diagonal over the classical output
-    record, so the decoupling optimization splits into per-block ascents whose
-    squared optima add up. Block y's Gram is w_y D_y K D_y: the weight
-    w_y = prod_i py[y_i], a diagonal D_y of signs +-1 fixed by the signs of
-    mod[y_i], and a matrix K that depends on the ratios
-    r[y_i] = |mod[y_i]| / py[y_i] alone. A sign flip on a state leaves each
-    label's Y_c Y_c† unchanged, and F(w rho, sigma) = sqrt(w) F(rho, sigma),
-    so a block's squared optimum is w_y / w_rep times that of any block with
-    the same tuple of ratios. The blocks are therefore grouped by that tuple,
-    read off the source's table; each subspace runs one ascent per group, on
-    its first block, and counts its squared optimum (sum of the group's w) /
-    w_rep times. A block of weight 0 holds no state and is skipped.
+    record, so the decoupling quality is the sum of the blocks' qualities.
+    Block y is the uniform ensemble of all 2^n words with per-position
+    overlaps mod[y_i] / py[y_i], scaled by w_y = prod_i py[y_i]. A sign flip
+    on a state leaves each label's conditional unchanged, so the overlap
+    magnitudes r_i = |mod[y_i]| / py[y_i] (at most 1) suffice, and
+    F(w rho, sigma) = sqrt(w) F(rho, sigma) scales a block's quality by w_y.
+    The blocks are therefore grouped by their tuple of r, read off the
+    source's table; each subspace decouples one PureEnsemble per group and
+    counts its quality (sum of the group's w_y) times. A block of weight 0
+    holds no state and is skipped.
     """
     t = _source_table(source)
     prior = source.prior
     py = prior @ t  # per-copy output distribution
     mod = prior[0] * t[0] - prior[1] * t[1]  # <eta_y| Z |eta_y>
     xs = all_vectors(2, n)  # row r encodes integer r, most significant bit first
-    groups: dict[tuple[float, ...], list[tuple[np.ndarray, float]]] = {}  # ratios -> (y, w_y)
+    groups: dict[tuple[float, ...], float] = {}  # overlap magnitudes -> sum of the group's w_y
     for y in all_vectors(2, n):
         if (py[y] > 0).all():
             key = tuple((np.abs(mod[y]) / py[y]).tolist())
-            groups.setdefault(key, []).append((y, float(np.prod(py[y]))))
-    embeds = [(gram_embed(_block_gram(blocks[0][0], xs, py, mod).astype(complex)),
-               sum(w for _, w in blocks) / blocks[0][1]) for blocks in groups.values()]
+            groups[key] = groups.get(key, 0.0) + float(np.prod(py[y]))
 
     def value(labels: np.ndarray) -> float:
-        nlab = int(labels.max()) + 1
-        scale = 1.0 / np.sqrt(len(labels) // nlab)
         q = 0.0
-        for vecs, mult in embeds:
-            factors = [np.ascontiguousarray(scale * vecs[labels == c].T) for c in range(nlab)]
-            res = _en.max_fidelity_sum(factors, [1.0 / nlab] * nlab)
+        for ratios, mass in groups.items():
+            res = ensemble_decoupling(PureEnsemble(xs, labels, ratios))
             work["ascents"] += 1
             work["unconverged"] += not res.converged
-            q += mult * res.value**2
+            q += mass * res.value
         return q
 
     return value

@@ -20,10 +20,10 @@ class Tolerances:
     the closed-form table paths, and the most a joint table's entry may round
     below zero before the decoupling closed form refuses it. gram_psd is the
     most negative eigenvalue, relative to the spectral scale, that gram_embed
-    accepts, and the most a pure ensemble's per-position overlap may exceed 1
-    in magnitude (the fidelity of identical states rounds above 1). psd_clamp
-    is the most negative eigenvalue, relative to the spectral scale, that
-    psd_sqrt clamps to zero instead of refusing. profile_match is the largest
+    accepts, and the most each per-position overlap of a pure ensemble may
+    exceed 1 in magnitude (the fidelity of identical states rounds above 1).
+    psd_clamp is the most negative eigenvalue, relative to the spectral scale,
+    that psd_sqrt clamps to zero instead of refusing. profile_match is the largest
     invariant-profile gap at which two channels count as equivalent, the
     tolerance of the profile rows in cqdual.checks.
     ascent_value is the width at which the decoupling ascent's certified

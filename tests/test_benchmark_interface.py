@@ -157,13 +157,16 @@ def test_families_reach_the_traced_functions(monkeypatch, source):
       "max_fidelity_sum": 2}),
     (lambda: codedchannels.compression_extraction_tables(
         entropies.from_channel(ch.make_bsc(0.11)), 2),
-     {"compression_extraction_tables": 1, "max_fidelity_sum": 4, "gram_embed": 1}),
+     {"compression_extraction_tables": 1, "max_fidelity_sum": 4, "gram_embed": 4,
+      "ensemble_decoupling": 4}),
     (lambda: codedchannels.compression_extraction_tables(
         entropies.from_channel(ch.make_bsc(0.11)), 3),
-     {"compression_extraction_tables": 1, "max_fidelity_sum": 15, "gram_embed": 1}),
+     {"compression_extraction_tables": 1, "max_fidelity_sum": 15, "gram_embed": 15,
+      "ensemble_decoupling": 15}),
     (lambda: codedchannels.compression_extraction_tables(
         entropies.from_channel(ch.make_classical([[0.8, 0.2], [0.3, 0.7]])), 2),
-     {"compression_extraction_tables": 1, "max_fidelity_sum": 16, "gram_embed": 4}),
+     {"compression_extraction_tables": 1, "max_fidelity_sum": 16, "gram_embed": 16,
+      "ensemble_decoupling": 16}),
 ], ids=["exit_bsc_hamming74", "coded_rep3", "frontier_bsc_n2", "frontier_bsc_n3",
         "frontier_asymmetric_n2"])
 def test_traced_codedchannels_call_counts(monkeypatch, call, want):
@@ -217,13 +220,15 @@ def _identity_check(w):
     return _workloads()._channel_check(w)
 
 
-@pytest.mark.parametrize("workload", ["IdentityCorpus", "PolarDepth", "CodedBlocklength"])
+@pytest.mark.parametrize("workload", ["identity_corpus", "polar_depth", "coded_blocklength",
+                                      "cli_readme"], ids=lambda w: w.title().replace("_", ""))
 def test_workload_passes_hold_and_repeat(workload):
-    # only a traced run checks these: it adds the long checks, and it requires
-    # every pass's gaps to repeat the warm-up's. A change that breaks either
-    # would pass an untraced run and fail the traced one
+    # only a traced run checks these: it adds the long checks, runs the README
+    # commands in-process, and requires every pass's gaps to repeat the
+    # warm-up's. A change that breaks either would pass an untraced run and
+    # fail the traced one
     module = _workloads()
-    wl = getattr(module, workload)(module.ACCEPTANCE_SEED)
+    wl = module.WORKLOADS[workload](module.ACCEPTANCE_SEED, True)
     passes = []
     for _ in range(2):
         gaps = {c.name: c.run() for c in wl.checks + wl.long_checks}

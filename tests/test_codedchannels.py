@@ -199,18 +199,40 @@ def test_empty_ensemble_is_refused_by_name():
         cc.PureEnsemble(np.zeros((0, 3), dtype=np.int64), [], 0.5)
 
 
-@pytest.mark.parametrize("overlap", [-1.0, -0.4, 0.0, 0.3, 1.0, 1.0 + 6.7e-16])
+OVERLAPS = [-1.0, -0.4, 0.0, 0.3, 1.0, 1.0 + 6.7e-16]
+
+
+@pytest.mark.parametrize("overlap", OVERLAPS)
 def test_a_word_gram_is_psd_by_construction(overlap):
-    # overlap^hamming is a Schur product of PSD 2 x 2 Grams, so the constructor
-    # checks only |overlap| <= 1 (a fidelity of identical states rounds up to
-    # 6.7e-16 past 1), and every Gram it implies is PSD and embeds
+    # prod_j o_j^[x_j != x'_j] is a Schur product of PSD 2 x 2 Grams, so the
+    # constructor checks only |o_j| <= 1 (a fidelity of identical states
+    # rounds up to 6.7e-16 past 1), and every Gram it implies is PSD and
+    # embeds: for one overlap, and for per-position overlaps drawn around it
     rng = np.random.default_rng(40)
     for _ in range(12):
         m, n = int(rng.integers(1, 33)), int(rng.integers(1, 9))
-        e = cc.PureEnsemble(rng.integers(0, 2, size=(m, n)), rng.integers(0, 3, size=m), overlap)
-        g = e.gram
-        assert np.linalg.eigvalsh(g).min() >= -TOL.gram_psd * max(1.0, np.linalg.norm(g, 2))
-        assert gram_embed(g).shape[0] == m
+        words, labels = rng.integers(0, 2, size=(m, n)), rng.integers(0, 3, size=m)
+        per_position = np.append(rng.choice(OVERLAPS, size=n - 1), overlap)
+        for o in (overlap, rng.permutation(per_position)):
+            g = cc.PureEnsemble(words, labels, o).gram
+            assert np.linalg.eigvalsh(g).min() >= -TOL.gram_psd * max(1.0, np.linalg.norm(g, 2))
+            assert gram_embed(g).shape[0] == m
+
+
+def test_per_position_overlaps_multiply_over_the_differing_positions():
+    words = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 1], [1, 1, 0]])
+    a, b = 0.5, -0.25
+    e = cc.PureEnsemble(words, [0, 0, 1, 1], [a, b, a])
+    # positions 0 and 2 carry a, position 1 carries b
+    want = np.array([
+        [1, a, b * a, a * b],
+        [a, 1, a * b * a, b],
+        [b * a, a * b * a, 1, a * a],
+        [a * b, b, a * a, 1],
+    ])
+    assert np.array_equal(e.gram, want.astype(complex))
+    assert np.array_equal(cc.PureEnsemble(words, [0, 0, 1, 1], [a, a, a]).gram,
+                          cc.PureEnsemble(words, [0, 0, 1, 1], a).gram)
 
 
 def test_building_an_ensemble_runs_no_eigensolver(monkeypatch):
@@ -746,28 +768,24 @@ def test_bruteforce_sum_at_eps_on_a_table_value(n, value):
 
 
 def _per_block_decouple(source, n):
-    """The decoupling table by one ascent per output block y: the reference
-    for the grouped ascents of codedchannels._decouple_value."""
+    """The decoupling table by one ensemble per output block y, of overlaps
+    |mod[y_i]| / py[y_i] and weighted by w_y: the reference for the grouped
+    ascents of codedchannels._decouple_value."""
     t = cc._source_table(source)
     prior = source.prior
     py = prior @ t
     mod = prior[0] * t[0] - prior[1] * t[1]
     xs = codes.all_vectors(2, n)
-    embeds = [gram_embed(cc._block_gram(y, xs, py, mod).astype(complex))
-              for y in codes.all_vectors(2, n)]
+    blocks = [(np.abs(mod[y]) / py[y], float(np.prod(py[y]))) for y in codes.all_vectors(2, n)]
     best = {}
     for dim, spans in cc._coset_labels_by_dim(n).items():
-        nlab = 1 << (n - dim)
-        if nlab == 1:
-            best[n - dim] = 1.0
+        if dim == n:
+            best[0] = 1.0
             continue
         top = 0.0
         for labels in spans:
-            q = 0.0
-            scale = 1.0 / np.sqrt(1 << dim)
-            for vecs in embeds:
-                factors = [np.ascontiguousarray(scale * vecs[labels == c].T) for c in range(nlab)]
-                q += en.max_fidelity_sum(factors, [1.0 / nlab] * nlab).value ** 2
+            q = sum(w * cc.ensemble_decoupling(cc.PureEnsemble(xs, labels, r)).value
+                    for r, w in blocks)
             top = max(top, q)
         best[n - dim] = min(1.0, top)
     return best
@@ -808,6 +826,17 @@ def test_grouped_blocks_match_the_per_block_ascents(n):
 def test_bsc_runs_one_ascent_per_subspace(n, ascents):
     tables = cc.compression_extraction_tables(en.from_channel(ch.make_bsc(0.11)), n)
     assert (tables.ascents, tables.unconverged) == (ascents, 0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_frontier_tables_meet_within_the_certificate(n):
+    # each group's bracket on F <= 1 closes within ascent_value, so its
+    # quality is exact within 2 ascent_value; the group masses sum to 1, and
+    # the guessing side is exact, so the two tables meet within that much
+    tables = cc.compression_extraction_tables(en.from_channel(ch.make_bsc(0.11)), n)
+    assert tables.unconverged == 0
+    for k in range(n + 1):
+        assert abs(tables.best_decouple_by_k[k] - tables.best_guess_by_k[k]) <= 2 * TOL.ascent_value
 
 
 def test_bruteforce_zero_probability_output():

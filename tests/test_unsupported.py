@@ -150,6 +150,9 @@ def test_refusals_raise_unsupported(message, refusal):
         lambda: linalg.assert_density(np.eye(2)),
         lambda: linalg.fidelity(np.eye(2) / 2, np.eye(3) / 3),
         lambda: linalg.trace_distance(np.eye(2) / 2, np.eye(3) / 3),
+        lambda: cc.PureEnsemble([[0, 1], [1, 0]], [0, 1], [0.5, 0.5, 0.5]),
+        lambda: cc.PureEnsemble([[0, 1], [1, 0]], [0, 1], [0.5, 1.5]),
+        lambda: cc.PureEnsemble([[0, 1], [1, 0]], [0, 1], [np.nan, 0.5]),
     ],
 )
 def test_malformed_input_is_not_unsupported(malformed):
@@ -160,8 +163,11 @@ def test_malformed_input_is_not_unsupported(malformed):
 
 @pytest.mark.parametrize("p", [2.0, -0.5, np.nan])
 def test_a_coded_ensemble_refuses_a_bad_p_by_name(p):
+    cp = codes.repetition_pair(3)
     with pytest.raises(ValueError, match=f"^parameter {p} outside \\[0, 1\\]$"):
-        cc.dual_coded_ensemble(p, codes.repetition_pair(3), "deterministic")
+        cc.dual_coded_ensemble(p, cp, "deterministic")
+    with pytest.raises(ValueError, match=f"^parameter {p} outside \\[0, 1\\]$"):
+        cc.dual_coded_states_dense(p, cp.codewords())
 
 
 def test_compute_curves_checks_every_blocklength_before_building_a_table(monkeypatch):
