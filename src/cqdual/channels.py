@@ -14,8 +14,8 @@ holds its uniform-input state, which the channel's entropies are defined on.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, astuple, dataclass, field
-from functools import cached_property
+from dataclasses import asdict, dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -82,7 +82,7 @@ def _checked_prior(prior) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CqState:
     """Classical prior plus one conditional density operator per symbol, the
     cq state sum_x p_x |x><x| (x) rho_x; every CqChannel holds its
@@ -217,7 +217,7 @@ class CqState:
         return entropies._decoupling_q(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CqChannel:
     """Finite-alphabet channel with density-operator outputs.
 
@@ -445,27 +445,42 @@ def channel_state(w: CqChannel) -> ChannelState:
     return ChannelState(PureState(amp.reshape(-1), (d, dim, d, r)))
 
 
+@lru_cache(maxsize=16)
+def _roots_of_unity(d: int) -> np.ndarray:
+    """omega^k = exp(2 pi i k / d) for k = 0, .., d-1, the quarter turns 1, i, -1
+    and -i exact: np.exp(1j * pi) carries an imaginary part of 1.2e-16, which
+    would make the dual of every real binary-input channel complex. Built once
+    per d, read-only."""
+    k = np.arange(d)
+    roots = np.exp(2j * np.pi * k / d)
+    for quarter, exact in enumerate((1, 1j, -1, 0 - 1j)):  # -1j's real part is -0.0
+        roots[4 * k == quarter * d] = exact
+    return _freeze(roots)
+
+
 def dual(w: CqChannel) -> CqChannel:
     """Dual channel: conjugate-basis input, complementary (C, D) output.
 
     Output x is Tr_B |theta_x><theta_x| with
     theta_x = d^{-1/2} sum_z omega^{xz} |z>_C |phi_z>_{BD}. The result carries
     the phase-operator witnesses Z^x on C regardless of the symmetry of w.
+    Every phase omega^{xz} is read from one table, _roots_of_unity(d), at
+    xz mod d. Binary-input phases are exactly +-1, so the dual of a
+    binary-input channel with real outputs has real outputs, which LAPACK's
+    real solver then decomposes.
     """
-    d, dim = w.input_size, w.dim
+    d = w.input_size
     phis = _common_purifications(w, classical_canonical=True)
     r = phis.shape[2]
-    omega = np.exp(2j * np.pi / d)
+    roots, z = _roots_of_unity(d), np.arange(d)
     outs = []
     for x in range(d):
-        theta = np.empty((d, dim, r), dtype=complex)  # index order (C, B, D)
-        for z in range(d):
-            theta[z] = omega ** (x * z) / np.sqrt(d) * phis[z]
+        # index order (C, B, D)
+        theta = roots[x * z % d][:, None, None] / np.sqrt(d) * phis
         out = np.einsum("cbd,ebf->cdef", theta, theta.conj()).reshape(d * r, d * r)
         outs.append(hermitian_part(out))
-    phase = omega ** np.arange(d)
     witnesses = tuple(
-        _kron(np.diag(phase**x), np.eye(r, dtype=complex)) for x in range(d)
+        _kron(np.diag(roots[x * z % d]), np.eye(r, dtype=complex)) for x in range(d)
     )
     return CqChannel(tuple(outs), witnesses=witnesses)
 
@@ -573,8 +588,8 @@ class InvariantProfile:
 
     def as_array(self) -> np.ndarray:
         """The five scalars in field order, then the Petz values at PROFILE_ALPHAS."""
-        *scalars, petz = astuple(self)
-        return np.asarray([*scalars, *(v for _, v in petz)])
+        return np.asarray([self.trace_distance, self.bhattacharyya, self.von_neumann,
+                           self.hmin, self.hmax, *(v for _, v in self.petz_points)])
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -106,7 +106,7 @@ def classical_coded_table(channel: _ch.CqChannel, cp: CodePair, leg: str) -> np.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureEnsemble:
     """Uniform ensemble of the product states of binary words.
 

@@ -116,7 +116,7 @@ def all_vectors(q: int, k: int) -> np.ndarray:
     return _all_vectors_cached(int(q), int(k))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodePair:
     """Invertible matrix over GF(q) split into parity and message row blocks."""
 
@@ -165,20 +165,25 @@ class CodePair:
         return self.mprime[self.n - self.k :]
 
     # companion pairs --------------------------------------------------------
+    # A companion's matrix is M or M' with its row blocks kept or swapped (a
+    # roll by n-k), so its inverse is M^-1 or M^T with the same roll of its
+    # columns: no elimination runs, and CodePair still checks the product.
     def dual(self) -> "CodePair":
         """Pair for the dual code: parity checks are the generator of C."""
-        mp = self.mprime
-        m = np.concatenate([mp[self.n - self.k :], mp[: self.n - self.k]], axis=0)
-        return build_code(m, self.n - self.k, self.q, name=f"dual({self.name})")
+        r = self.n - self.k
+        m, inv = np.roll(self.mprime, -r, axis=0), np.roll(self.matrix.T, -r, axis=1)
+        return CodePair(self.q, self.n, r, m, inv, name=f"dual({self.name})")
 
     def complement(self) -> "CodePair":
         """Pair with the two row blocks swapped (the complement code)."""
-        m = np.concatenate([self.message_rows, self.parity_rows], axis=0)
-        return build_code(m, self.n - self.k, self.q, name=f"complement({self.name})")
+        r = self.n - self.k
+        m, inv = np.roll(self.matrix, -r, axis=0), np.roll(self.inverse, -r, axis=1)
+        return CodePair(self.q, self.n, r, m, inv, name=f"complement({self.name})")
 
     def dual_complement(self) -> "CodePair":
         """Pair built directly on M'; complement of the dual code."""
-        return build_code(self.mprime, self.k, self.q, name=f"dualcomp({self.name})")
+        return CodePair(self.q, self.n, self.k, self.mprime, self.matrix.T,
+                        name=f"dualcomp({self.name})")
 
     # operations -------------------------------------------------------------
     def encode(self, syndrome, message) -> np.ndarray:

@@ -5,10 +5,12 @@ with unit trace; pure states are unit vectors with declared subsystem
 dimensions. Everything here is a pure function on immutable inputs.
 
 Every eigensolve goes through two private kernels, _eigh and _eigvalsh. A
-complex matrix whose imaginary part is exactly zero (the operators of BSC and
-BEC codes, and of their duals) is handed to LAPACK's real symmetric solver,
-which is 2-3x faster than the complex one at dimension 128 and up;
-eigenvectors still come back complex.
+complex matrix whose imaginary part is exactly zero is handed to LAPACK's real
+symmetric solver, which is 2-3x faster than the complex one at dimension 128
+and up; eigenvectors still come back complex. Such are the operators of a
+real binary-input channel (BSC, BEC, BSC dual, classical table), of its codes,
+convolutions and truncations, and of its dual, whose phases are exactly +-1
+(channels.dual), with every average, purification and fidelity built on them.
 Validation keeps the eigenvalues it computes (_density_spectrum), so a caller
 that holds a validated density need not decompose it again. The private
 kernels below that need a full decomposition (_spectral_fn, _fidelity,
@@ -47,7 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unit vector together with the dimensions of its tensor factors."""
 

@@ -8,6 +8,7 @@ with the channel dual, exchanging roles, which is what the checks here verify.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -42,29 +43,33 @@ DIM_CAP = 4096
 _TRIAL_CELL_CAP = 1 << 24
 
 
-def convolve(w: _ch.CqChannel, wp: _ch.CqChannel, kind: str) -> _ch.CqChannel:
-    """Variable convolution z -> W(z) (x) W'(z); check convolution mixes shifts."""
-    if w.input_size != 2 or wp.input_size != 2:
+def _convolved_outputs(outs, outs_p, kind: str) -> tuple[np.ndarray, ...]:
+    """The two outputs of the convolution of two binary-input channels, given by
+    their outputs: the one output builder, which convolve and the
+    self-convolutions of _self_convolutions both call."""
+    if len(outs) != 2 or len(outs_p) != 2:
         raise Unsupported("convolutions are defined for binary-input channels")
     if kind == VARIABLE:
-        outs = tuple(_kron(w.outputs[z], wp.outputs[z]) for z in range(2))
-        witnesses = None
-        if w.is_symmetric and wp.is_symmetric:
-            witnesses = tuple(_kron(w.witnesses[s], wp.witnesses[s]) for s in range(2))
-    elif kind == CHECK:
-        outs = tuple(
+        return tuple(_kron(outs[z], outs_p[z]) for z in range(2))
+    if kind == CHECK:
+        return tuple(
             hermitian_part(
-                0.5 * _kron(w.outputs[z], wp.outputs[0])
-                + 0.5 * _kron(w.outputs[(z + 1) % 2], wp.outputs[1])
+                0.5 * _kron(outs[z], outs_p[0]) + 0.5 * _kron(outs[(z + 1) % 2], outs_p[1])
             )
             for z in range(2)
         )
-        witnesses = None
-        if w.is_symmetric:
-            eye = np.eye(wp.dim, dtype=complex)
-            witnesses = tuple(_kron(w.witnesses[s], eye) for s in range(2))
-    else:
-        raise ValueError(f"unknown convolution kind {kind!r}")
+    raise ValueError(f"unknown convolution kind {kind!r}")
+
+
+def convolve(w: _ch.CqChannel, wp: _ch.CqChannel, kind: str) -> _ch.CqChannel:
+    """Variable convolution z -> W(z) (x) W'(z); check convolution mixes shifts."""
+    outs = _convolved_outputs(w.outputs, wp.outputs, kind)
+    witnesses = None
+    if kind == VARIABLE and w.is_symmetric and wp.is_symmetric:
+        witnesses = tuple(_kron(w.witnesses[s], wp.witnesses[s]) for s in range(2))
+    elif kind == CHECK and w.is_symmetric:
+        eye = np.eye(wp.dim, dtype=complex)
+        witnesses = tuple(_kron(w.witnesses[s], eye) for s in range(2))
     return _ch.CqChannel(outs, witnesses=witnesses)
 
 
@@ -218,16 +223,19 @@ def _self_convolutions(w: _ch.CqChannel, bits) -> list[tuple[_ch.CqChannel, floa
             f"trajectories of channels that are not erasure channels are capped at "
             f"{GENERIC_LEVEL_CAP} levels; got {len(bits)}"
         )
-    cur = _ch.CqChannel(w.outputs)  # outputs alone, so no level builds witnesses
+    outs = w.outputs  # outputs alone, so no level builds witnesses
     levels = []
     lost = 0.0
     for i, b in enumerate(bits):
-        if cur.dim * cur.dim > DIM_CAP:
+        dim = outs[0].shape[0]
+        if dim * dim > DIM_CAP:
             raise Unsupported(
                 f"trajectory hit the dimension cap after level {i} of {len(bits)} "
-                f"(dim {cur.dim}); use fewer levels"
+                f"(dim {dim}); use fewer levels"
             )
-        cur, loss = _truncate_to_joint_support(convolve(cur, cur, VARIABLE if b == 0 else CHECK))
+        conv = _ch.CqChannel(_convolved_outputs(outs, outs, VARIABLE if b == 0 else CHECK))
+        cur, loss = _truncate_to_joint_support(conv)
+        outs = cur.outputs
         lost += loss
         levels.append((cur, lost))
     return levels
@@ -276,7 +284,7 @@ def polynomial_threshold(n: int, beta: float) -> float:
     return float(2.0 ** -(float(n) ** beta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolarizationReport:
     """Fractions of `trials` random depth-n bit sequences whose W_n has polarized.
 
@@ -288,7 +296,9 @@ class PolarizationReport:
     counts B <= f, so equals frac_b_small, and bounds frac_hmin_small below:
     P_guess >= 1 - B/2 makes B <= f imply Hmin <= f. bridge_hmin_upper counts
     B <= 2 sqrt(f), which bounds it above. final_b and final_b_complement, B
-    and 1 - B per trial, stay out of to_dict.
+    and 1 - B per trial, stay out of to_dict, as do _bits, the trials' bit
+    strings, and _erasure, W's erasure probability (None unless W is an
+    erasure channel), from which final_b_complement is derived on first read.
     """
 
     n: int
@@ -304,7 +314,20 @@ class PolarizationReport:
     bridge_hmin_lower: float
     bridge_hmin_upper: float
     final_b: np.ndarray = field(repr=False, default=None)
-    final_b_complement: np.ndarray = field(repr=False, default=None)
+    _bits: np.ndarray = field(repr=False, default=None)
+    _erasure: float | None = field(repr=False, default=None)
+
+    @cached_property
+    def final_b_complement(self) -> np.ndarray:
+        """1 - B per trial. The dual of BEC(eps) is BEC(1 - eps) with the
+        convolutions swapped; its recursion gives 1 - B without cancellation.
+        Any other channel's is 1 - final_b."""
+        if self._erasure is None:
+            return 1.0 - self.final_b
+        b_complement = 1.0 - np.full(self.trials, self._erasure)
+        for b in self._bits.T:
+            b_complement = _erasure_step(b_complement, 1 - b)
+        return b_complement
 
     def to_dict(self) -> dict:
         doc = {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
@@ -353,12 +376,9 @@ def polarization_experiment(
         cap = float("nan")
     erasure = _ch._erasure_probability(w)
     if erasure is not None:
-        # the dual of BEC(eps) is BEC(1 - eps) with the convolutions swapped; its
-        # recursion prints 1 - B without cancellation and feeds no fraction
         eps = np.full(trials, erasure)
-        b_complement = 1.0 - eps
         for b in bits.T:
-            eps, b_complement = _erasure_step(eps, b), _erasure_step(b_complement, 1 - b)
+            eps = _erasure_step(eps, b)
         _, hmins, hmaxs, bs = _erasure_stats(eps)
     else:
         # statistics of W_n for each distinct bit string (at most 2^n of them)
@@ -368,7 +388,6 @@ def polarization_experiment(
             for row in distinct
         ]
         hmins, hmaxs, bs = np.array(last)[inverse].T
-        b_complement = 1.0 - bs
     return PolarizationReport(
         n, trials, seed, f, complement, cap,
         float(np.mean(hmins <= f)),
@@ -378,5 +397,6 @@ def polarization_experiment(
         float(np.mean(bs <= f)),
         float(np.mean(bs <= 2.0 * np.sqrt(f))),
         final_b=bs,
-        final_b_complement=b_complement,
+        _bits=bits,
+        _erasure=erasure,
     )

@@ -438,9 +438,10 @@ def test_witnesses_and_convolutions_keep_the_bits_of_np_kron(small_corpus):
         d = w.input_size
         wd = ch.dual(w)
         r = wd.dim // d
-        phase = np.exp(2j * np.pi / d) ** np.arange(d)
+        roots = ch._roots_of_unity(d)
         for x, u in enumerate(wd.witnesses):  # what `dual --channel` prints
-            assert u.tobytes() == np.kron(np.diag(phase**x), np.eye(r, dtype=complex)).tobytes()
+            phase = roots[x * np.arange(d) % d]
+            assert u.tobytes() == np.kron(np.diag(phase), np.eye(r, dtype=complex)).tobytes()
         shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
         for s, u in enumerate(ch.symmetrize(w).witnesses):
             want = np.kron(np.linalg.matrix_power(shift, s), np.eye(w.dim, dtype=complex))
@@ -454,3 +455,81 @@ def test_witnesses_and_convolutions_keep_the_bits_of_np_kron(small_corpus):
             for a, b in zip(got.outputs + got.witnesses, want.outputs + want.witnesses,
                             strict=True):
                 assert a.tobytes() == b.tobytes()
+
+
+def test_root_table_is_exact_on_quarter_turns():
+    for d, want in ((1, [1]), (2, [1, -1]), (4, [1, 1j, -1, -1j])):
+        roots = ch._roots_of_unity(d)
+        assert roots.tolist() == want
+        assert not np.signbit(roots.real[np.asarray(want).real == 0]).any()  # +0.0, not -0.0
+    for d in (3, 5, 6):
+        ref = np.exp(2j * np.pi * np.arange(d) / d)
+        assert np.max(np.abs(ch._roots_of_unity(d) - ref)) <= 1e-15
+    assert ch._roots_of_unity(6)[3] == -1
+
+
+def _real_channels():
+    from cqdual import polar
+
+    table = [[0.5, 0.3, 0.2, 0.0], [0.1, 0.2, 0.3, 0.4]]
+    named = [ch.make_bsc(0.11), ch.make_bec(0.3), ch.make_bsc_dual(0.11),
+             ch.make_classical(table)]
+    convolved = [polar.convolve(a, b, kind) for a, b in zip(named, named[1:])
+                 for kind in (polar.VARIABLE, polar.CHECK)]
+    truncated = [c for w in named[::2] for c, _ in polar._self_convolutions(w, (1, 0))]
+    return named + convolved + truncated
+
+
+def test_duals_of_real_channels_are_real():
+    from cqdual import polar
+
+    chans = _real_channels()
+    duals = [ch.dual(w) for w in chans]
+    for w, wd in zip(chans, duals):
+        assert not any(np.count_nonzero(o.imag) for o in w.outputs)
+        assert not any(np.count_nonzero(o.imag) for o in wd.outputs)
+        assert not any(np.count_nonzero(u.imag) for u in wd.witnesses)
+    for a, b in zip(duals, duals[1:]):
+        for kind in (polar.VARIABLE, polar.CHECK):
+            assert not any(np.count_nonzero(o.imag) for o in polar.convolve(a, b, kind).outputs)
+
+
+def test_real_duals_take_the_real_eigensolver(monkeypatch):
+    from cqdual import polar
+
+    seen = []
+
+    def spy(fn):
+        def wrapped(a, *args, **kwargs):
+            seen.append(np.asarray(a).dtype.kind)
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy(np.linalg.eigvalsh))
+    for run in (lambda: ch.invariant_profile(ch.dual(ch.make_bsc(0.11))),
+                lambda: polar.trajectory_duality_gap(ch.make_bsc_dual(0.11), [1, 0])):
+        seen.clear()
+        run()
+        assert seen and set(seen) == {"f"}
+
+
+def test_array_holders_compare_and_hash_by_identity():
+    from cqdual import codes, polar
+    from cqdual.codedchannels import PureEnsemble
+    from cqdual.linalg import PureState
+
+    w = ch.make_bsc(0.11)
+    words = np.array([[0, 0], [1, 1]])
+    objects = [
+        lambda: PureEnsemble(words, [0, 1], 0.3),
+        lambda: ch.CqState(np.array([0.5, 0.5]), w.outputs),
+        lambda: ch.CqChannel(w.outputs),
+        lambda: PureState(np.array([1.0, 0.0]), (2,)),
+        lambda: codes.hamming74_pair(),
+        lambda: polar.polarization_experiment(ch.make_bec(0.3), 2, 4, seed=1),
+    ]
+    for make in objects:
+        a, b = make(), make()
+        assert a == a and not a == b and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2

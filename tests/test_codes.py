@@ -185,3 +185,45 @@ def test_random_code_pair_identities(seed, q, n):
 
 def test_repetition2_weight_enumerator():
     assert codes.weight_enumerator(codes.repetition_pair(2)).tolist() == [1, 0, 1]
+
+
+def _built_companions(cp):
+    """dual, complement and dual_complement as build_code makes them, by
+    elimination: the reference the kept-inverse companions must equal."""
+    r = cp.n - cp.k
+    return {
+        "dual": codes.build_code(np.concatenate([cp.mprime[r:], cp.mprime[:r]]), r, cp.q),
+        "complement": codes.build_code(np.concatenate([cp.message_rows, cp.parity_rows]), r, cp.q),
+        "dual_complement": codes.build_code(cp.mprime, cp.k, cp.q),
+    }
+
+
+def _assert_companions_match(cp):
+    for name, want in _built_companions(cp).items():
+        got = getattr(cp, name)()
+        assert (got.q, got.n, got.k) == (want.q, want.n, want.k)
+        for a, b in ((got.matrix, want.matrix), (got.inverse, want.inverse)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(codes.PRESETS))
+def test_companions_equal_the_eliminated_pairs_on_presets(name):
+    cp = codes.preset_pair(name)
+    _assert_companions_match(cp)
+    assert cp.dual().name == f"dual({cp.name})"
+    assert cp.complement().name == f"complement({cp.name})"
+    assert cp.dual_complement().name == f"dualcomp({cp.name})"
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 100_000), st.sampled_from([2, 3, 5]), st.integers(1, 6))
+def test_companions_equal_the_eliminated_pairs_on_random_codes(seed, q, n):
+    r = np.random.default_rng(seed)
+    while True:
+        m = r.integers(0, q, size=(n, n))
+        if codes.gf_invert(m, q) is not None:
+            break
+    cp = codes.build_code(m, int(r.integers(0, n + 1)), q)
+    _assert_companions_match(cp)
+    _assert_companions_match(cp.dual())

@@ -355,3 +355,33 @@ def test_report_serializes_its_repr_fields_with_nan_as_none():
     doc = rep.to_dict()
     assert set(doc) == {f.name for f in fields(rep) if f.repr}
     assert "final_b" not in doc and doc["capacity"] is None
+
+
+def _eager_b_complement(erasure, bits):
+    """1 - B per trial as polarization_experiment computed it before it was
+    derived on first read: the dual erasure recursion run beside the primal
+    one, over the bits the trials used."""
+    eps = np.full(bits.shape[0], erasure)
+    b_complement = 1.0 - eps
+    for b in bits.T:
+        eps, b_complement = polar._erasure_step(eps, b), polar._erasure_step(b_complement, 1 - b)
+    return b_complement
+
+
+@pytest.mark.parametrize("n", [1, 10, 16])
+@pytest.mark.parametrize("complement", [False, True])
+def test_final_b_complement_keeps_the_bits_of_the_eager_recursion(n, complement):
+    trials, seed = 300, 11
+    rep = polar.polarization_experiment(ch.make_bec(0.3), n, trials, seed=seed,
+                                        complement=complement)
+    bits = polar._sequence_bits(trials, n, seed)
+    want = _eager_b_complement(0.3, 1 - bits if complement else bits)
+    got = rep.final_b_complement
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert rep.final_b_complement is got  # derived once, then kept
+
+
+def test_final_b_complement_of_a_dense_channel_is_one_minus_b():
+    rep = polar.polarization_experiment(ch.make_bsc(0.11), 2, 16, seed=3)
+    assert rep.final_b_complement.tobytes() == (1.0 - rep.final_b).tobytes()
+
